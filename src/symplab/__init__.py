@@ -17,7 +17,7 @@ from .lie_core import (AlgebraContext, AlgebraElement, SpectralType, Subspace,
                        random_element, random_regular_element, spectral_type,
                        standard_basis)
 from .linalg import Matrix, Q
-from .models import (ComplexModel, FormVector, GradedOperator, alpha_form,
+from .models import (ComplexModel, FormVector, alpha_form,
                      build_polynomial_model, build_suspension_model,
                      build_torus_model, d_apply, d_lambda_apply, form_vector,
                      model_to_json_dict, operator_identity_report,

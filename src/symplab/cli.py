@@ -19,8 +19,6 @@ produce byte-identical report files; set LAB_OUTPUT_DIR to redirect any
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import random
@@ -67,6 +65,10 @@ def _error(op: str, reason: str) -> int:
 
 # -- algebra ------------------------------------------------------------------
 
+RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
+                       "kernel_abelian", "kernel_equals_centralizer")
+
+
 def _cmd_algebra(args) -> int:
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
@@ -85,15 +87,9 @@ def _cmd_algebra(args) -> int:
                 "kernel_equals_centralizer": kernel == lie.centralizer(a),
             })
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["sample", "regular", "rank", "kernel_dim",
-                             "kernel_abelian", "kernel_equals_centralizer"])
-            for r in rows:
-                writer.writerow([r["sample"], str(r["regular"]).lower(), r["rank"],
-                                 r["kernel_dim"], str(r["kernel_abelian"]).lower(),
-                                 str(r["kernel_equals_centralizer"]).lower()])
-            _emit(buf.getvalue(), args.output)
+            _emit(coh.csv_text(RANK_KERNEL_COLUMNS,
+                               ([r[c] for c in RANK_KERNEL_COLUMNS] for r in rows)),
+                  args.output)
         else:
             _emit(_json_text({"n": args.n, "seed": args.seed, "check": args.check,
                               "samples": rows}), args.output)
@@ -113,10 +109,14 @@ def _cmd_algebra(args) -> int:
 # -- omega --------------------------------------------------------------------
 
 def _parse_element(text: str) -> Matrix:
-    obj = json.loads(text)
-    if isinstance(obj, dict):
-        return Matrix.from_json_dict(obj)
-    return Matrix(obj)
+    """The --element JSON as a matrix; any malformed input raises ValueError."""
+    try:
+        obj = json.loads(text)
+        if isinstance(obj, dict):
+            return Matrix.from_json_dict(obj)
+        return Matrix(obj)
+    except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed element: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_omega(args) -> int:
@@ -133,7 +133,7 @@ def _cmd_omega(args) -> int:
 
 # -- cohomology ----------------------------------------------------------------
 
-THEORY_FLAGS = {"dr": "deRham", "dpl": "dPlusDLambda", "ddl": "ddLambda"}
+THEORY_FLAGS = {flag: theory for theory, flag in coh.THEORY_CSV_NAMES.items()}
 
 
 def _cmd_cohomology(args) -> int:
@@ -176,13 +176,9 @@ def _cmd_suite(args) -> int:
     print(acceptance.format_table(results))
     if args.output:
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["criterion", "name", "expected", "computed", "passed"])
-            for r in results:
-                writer.writerow([r.cid, r.name, r.expected, r.computed,
-                                 str(r.passed).lower()])
-            _emit(buf.getvalue(), args.output)
+            _emit(coh.csv_text(["criterion", "name", "expected", "computed", "passed"],
+                               ([r.cid, r.name, r.expected, r.computed, r.passed]
+                                for r in results)), args.output)
         else:
             _emit(_json_text([r.to_dict() for r in results]), args.output)
     return 0 if all(r.passed for r in results) else FAILURE_EXIT
@@ -242,6 +238,9 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     if getattr(args, "n", 1) < 1:
         print("n must be >= 1", file=sys.stderr)
+        return USAGE_EXIT
+    if getattr(args, "samples", 0) < 0:
+        print("samples must be >= 0", file=sys.stderr)
         return USAGE_EXIT
     try:
         return args.fn(args)

@@ -7,11 +7,13 @@ Three theories per degree k:
 * dl.d-cohomology:    ker(d.dl) / (im d + im dl)
 
 The kernel of the degree-mixing operator d + dl equals ker d intersect
-ker dl because the two images live in different degrees.  Quotient
-dimensions are computed as rank(numerator stacked over denominator) minus
-rank(denominator); everything stays over Q.  The windowed variants
-restrict numerators to the model window while denominators keep the full
-truncated space, which removes exactly the truncation-boundary classes.
+ker dl because the two images live in different degrees.  Each quotient
+is one elimination over Q of the denominator vectors followed by the
+numerator vectors, taken as columns: the pivots that fall on numerator
+columns are the representatives, and their count is the dimension.  The
+windowed variants restrict numerators to the model window while
+denominators keep the full truncated space, which removes exactly the
+truncation-boundary classes.
 
 Also here: the reduction of an even-degree cocycle to its constant, the
 finite Hodge operator built from adjoints with respect to the model inner
@@ -25,7 +27,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q, qstr, rank_of_rows
+from .linalg import Matrix, Q, qstr
 from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
                      form_vector, poincare_antiderivative)
 
@@ -71,14 +73,14 @@ def _dmat(model: ComplexModel, k: int) -> Matrix:
     """d as a matrix from degree k to k+1 (zero space above the top)."""
     if k < 0:
         return Matrix.zeros(model.dim(0), 0)
-    return model.d.blocks[k]
+    return model.d[k]
 
 
 def _dlmat(model: ComplexModel, k: int) -> Matrix:
     """d_lambda as a matrix from degree k to k-1 (zero space below 0)."""
     if k > model.top_degree:
         return Matrix.zeros(model.dim(model.top_degree), 0)
-    return model.d_lambda.blocks[k]
+    return model.d_lambda[k]
 
 
 def _ddl(model: ComplexModel, k: int) -> Matrix:
@@ -109,36 +111,24 @@ def _den_rows(columns: Matrix) -> list[list[Fraction]]:
     return [columns.column(j) for j in range(columns.cols)]
 
 
-def _quotient(num_rows, den_rows, want_reps: bool):
-    den_rank = rank_of_rows(den_rows)
-    dim = rank_of_rows(den_rows + num_rows) - den_rank
-    if not want_reps:
-        return dim, None
-    reps = []
-    rows = list(den_rows)
-    r = den_rank
-    for v in num_rows:
-        cand = rank_of_rows(rows + [v])
-        if cand > r:
-            reps.append(v)
-            rows.append(v)
-            r = cand
-    if len(reps) != dim:
-        raise AssertionError("representative extraction lost rank")
-    return dim, reps
+def _quotient(num_rows, den_rows) -> list[list[Fraction]]:
+    """Numerator vectors that are independent modulo the denominator span.
+
+    Each is the first numerator vector, in order, outside the span of the
+    denominator and the numerator vectors before it; they form a basis of
+    the quotient, so their count is its dimension.
+    """
+    if not num_rows:
+        return []
+    _, pivots = Matrix.from_columns(den_rows + num_rows).rref()
+    return [num_rows[p - len(den_rows)] for p in pivots if p >= len(den_rows)]
 
 
 def _report(model: ComplexModel, theory: str, windowed: bool,
             numerator, denominator, representatives: bool) -> CohomologyReport:
-    dims = []
-    reps: dict[int, list[list[Fraction]]] = {}
-    for k in range(model.top_degree + 1):
-        num = numerator(k)
-        den = denominator(k)
-        dim, rep = _quotient(num, den, representatives)
-        dims.append(dim)
-        if representatives:
-            reps[k] = rep
+    reps = {k: _quotient(numerator(k), denominator(k))
+            for k in range(model.top_degree + 1)}
+    dims = [len(rep) for rep in reps.values()]
     return CohomologyReport(model.name, theory, tuple(dims), windowed,
                             reps if representatives else None)
 
@@ -341,16 +331,20 @@ def hodge_to_json_dict(report: HodgeReport) -> dict:
                         for d in report.degrees]}
 
 
-def reports_to_csv(reports, hodge_reports=()) -> str:
-    """CSV with schema model,theory,degree,dimension,windowed."""
+def csv_text(header, rows) -> str:
+    """The one CSV writer of every report: '\n' line ends, booleans as true/false."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "theory", "degree", "dimension", "windowed"])
-    for rep in reports:
-        for k, dim in enumerate(rep.dims):
-            writer.writerow([rep.model_name, THEORY_CSV_NAMES[rep.theory],
-                             k, dim, str(rep.windowed).lower()])
-    for rep in hodge_reports:
-        for k, deg in enumerate(rep.degrees):
-            writer.writerow([rep.model_name, "hodge", k, deg.dim_ker_d, "false"])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([str(x).lower() if isinstance(x, bool) else x for x in row])
     return buf.getvalue()
+
+
+def reports_to_csv(reports, hodge_reports=()) -> str:
+    """CSV with schema model,theory,degree,dimension,windowed."""
+    rows = [[rep.model_name, THEORY_CSV_NAMES[rep.theory], k, dim, rep.windowed]
+            for rep in reports for k, dim in enumerate(rep.dims)]
+    rows += [[rep.model_name, "hodge", k, deg.dim_ker_d, False]
+             for rep in hodge_reports for k, deg in enumerate(rep.degrees)]
+    return csv_text(["model", "theory", "degree", "dimension", "windowed"], rows)

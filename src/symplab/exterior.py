@@ -40,14 +40,6 @@ def wedge_monomials(a: Mono, b: Mono) -> tuple[int, Mono] | None:
     return ((-1) ** inversions, merged)
 
 
-def contract(v: int, mono: Mono) -> tuple[int, Mono] | None:
-    """Interior product with the vector dual to covector v."""
-    if v not in mono:
-        return None
-    pos = mono.index(v)
-    return ((-1) ** pos, mono[:pos] + mono[pos + 1:])
-
-
 def covector_pairing(n: int) -> Matrix:
     """Pairing of covectors: the matrix inverse of w0 on the interleaved basis."""
     g = Matrix.zeros(2 * n, 2 * n)

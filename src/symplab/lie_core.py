@@ -175,9 +175,6 @@ class AlgebraContext:
             return self._table.get((i, j), {})
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.pair_bracket(i, j).get(k, Q(0))
-
     def bracket_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
         out = [Q(0)] * self.dim
         for (i, j), entry in self._table.items():

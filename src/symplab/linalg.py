@@ -35,18 +35,6 @@ def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    return [a + b for a, b in zip(u, v, strict=True)]
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    return [a - b for a, b in zip(u, v, strict=True)]
-
-
-def vec_scale(c: QLike, v: Sequence[Fraction]) -> list[Fraction]:
-    c = qf(c)
-    return [c * x for x in v]
-
-
 def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
 
@@ -148,9 +136,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-    def pretty(self) -> str:
-        return "\n".join(" ".join(qstr(x).rjust(6) for x in row) for row in self.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -373,7 +358,7 @@ class Matrix:
         return cls.from_json_dict(json.loads(text))
 
 
-def echelon_rows(vectors: Sequence[Sequence[Fraction]], width: int | None = None) -> list[list[Fraction]]:
+def echelon_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Canonical reduced-echelon basis of the span of the given row vectors."""
     vectors = [list(v) for v in vectors]
     if not vectors:

@@ -16,10 +16,15 @@ Three builders:
   foliation.  Derivatives absorb the factor 2*pi into the basis scaling,
   so every matrix stays rational with integer entries.
 
-The codifferential on k-forms is (-1)^(k+1) star . d . star; the degree
-sign is what makes d and the codifferential anticommute (it drops out of
-every kernel, image and cohomology dimension, and is +1 in the odd
-degrees the reduction procedure walks through).
+Operators are plain dicts ``{degree: Matrix}``.  The polynomial and
+suspension builders assemble d with one routine,
+d(f dI) = sum_v (d f / d x_v) dx_v ^ dI, given a derivative rule for their
+coefficient functions.  Every builder ends in ``_complex_model``, which
+composes the codifferential (-1)^(k+1) star . d . star, checks the five
+operator identities once and stores their report as ``model.identities``.
+The degree sign is what makes d and the codifferential anticommute (it
+drops out of every kernel, image and cohomology dimension, and is +1 in
+the odd degrees the reduction procedure walks through).
 """
 
 from __future__ import annotations
@@ -46,28 +51,6 @@ def _ext_label_torus2(mono: exterior.Mono) -> str:
 
 
 @dataclass
-class GradedOperator:
-    """Family of matrices, one per degree, with declared degree targets."""
-
-    blocks: dict[int, Matrix]
-    targets: dict[int, int]
-
-    @classmethod
-    def from_shift(cls, blocks: dict[int, Matrix], shift: int) -> "GradedOperator":
-        return cls(blocks, {k: k + shift for k in blocks})
-
-    @property
-    def degree_shift(self) -> int | None:
-        shifts = {t - k for k, t in self.targets.items()}
-        return shifts.pop() if len(shifts) == 1 else None
-
-    def block(self, k: int) -> Matrix:
-        if k not in self.blocks:
-            raise ValueError(f"degree {k} out of range for this operator")
-        return self.blocks[k]
-
-
-@dataclass
 class ComplexModel:
     """Finite graded cochain model with exact operator matrices."""
 
@@ -75,12 +58,13 @@ class ComplexModel:
     kind: str  # torus | polynomial | suspension
     top_degree: int
     graded_basis: dict[int, list[str]]
-    d: GradedOperator
-    star_s: GradedOperator
-    d_lambda: GradedOperator
+    d: dict[int, Matrix]  # degree k -> k + 1
+    star_s: dict[int, Matrix]  # degree k -> top - k
+    d_lambda: dict[int, Matrix]  # degree k -> k - 1
     inner: dict[int, Matrix] | None = None
     window: dict[int, list[int]] | None = None
     meta: dict = field(default_factory=dict)
+    identities: dict[str, dict[int, bool]] = field(default_factory=dict)
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.top_degree:
@@ -120,7 +104,7 @@ def d_apply(v: FormVector) -> FormVector:
         raise ValueError("degree out of range")
     if v.degree == m.top_degree:
         return FormVector(m, m.top_degree + 1, ())
-    return FormVector(m, v.degree + 1, tuple(m.d.block(v.degree).apply(list(v.coords))))
+    return FormVector(m, v.degree + 1, tuple(m.d[v.degree].apply(list(v.coords))))
 
 
 def d_lambda_apply(v: FormVector) -> FormVector:
@@ -129,7 +113,7 @@ def d_lambda_apply(v: FormVector) -> FormVector:
         raise ValueError("degree out of range")
     if v.degree == 0:
         return FormVector(m, -1, ())
-    return FormVector(m, v.degree - 1, tuple(m.d_lambda.block(v.degree).apply(list(v.coords))))
+    return FormVector(m, v.degree - 1, tuple(m.d_lambda[v.degree].apply(list(v.coords))))
 
 
 def star_s_apply(v: FormVector) -> FormVector:
@@ -137,22 +121,19 @@ def star_s_apply(v: FormVector) -> FormVector:
     if not 0 <= v.degree <= m.top_degree:
         raise ValueError("degree out of range")
     return FormVector(m, m.top_degree - v.degree,
-                      tuple(m.star_s.block(v.degree).apply(list(v.coords))))
+                      tuple(m.star_s[v.degree].apply(list(v.coords))))
 
 
-def _compose_dlambda(d: GradedOperator, star: GradedOperator, top: int,
-                     dims) -> GradedOperator:
-    """The codifferential (-1)^(k+1) star . d . star, blocks per degree.
+def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
+                        k: int) -> Matrix:
+    """The codifferential (-1)^(k+1) star . d . star on k-forms, k >= 1.
 
     The degree sign is forced: without it the anticommutation identity
     d.dl + dl.d = 0 fails already for 1-forms on R^2.  On the odd degrees
     that the reduction procedure walks through the sign is +1.
     """
-    blocks: dict[int, Matrix] = {0: Matrix.zeros(0, dims(0))}
-    for k in range(1, top + 1):
-        composed = star.blocks[top - k + 1] @ d.blocks[top - k] @ star.blocks[k]
-        blocks[k] = composed if k % 2 == 1 else composed.scale(-1)
-    return GradedOperator(blocks, {k: k - 1 for k in blocks})
+    composed = star[top - k + 1] @ d[top - k] @ star[k]
+    return composed if k % 2 == 1 else composed.scale(-1)
 
 
 def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
@@ -164,37 +145,73 @@ def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
         "dl.dl=0": {}, "d.dl+dl.d=0": {},
     }
     for k in range(top):
-        report["d.d=0"][k] = (d.blocks[k + 1] @ d.blocks[k]).is_zero()
+        report["d.d=0"][k] = (d[k + 1] @ d[k]).is_zero()
     for k in range(top + 1):
-        comp = star.blocks[top - k] @ star.blocks[k]
+        comp = star[top - k] @ star[k]
         report["star.star=id"][k] = comp == Matrix.identity(model.dim(k))
     for k in range(top + 1):
-        if k == 0:
-            report["dl=signed star.d.star"][k] = dl.blocks[0].rows == 0
-        else:
-            composed = star.blocks[top - k + 1] @ d.blocks[top - k] @ star.blocks[k]
-            if k % 2 == 0:
-                composed = composed.scale(-1)
-            report["dl=signed star.d.star"][k] = dl.blocks[k] == composed
+        report["dl=signed star.d.star"][k] = (
+            dl[0].rows == 0 if k == 0 else dl[k] == _signed_star_d_star(d, star, top, k))
     for k in range(top + 1):
-        if k <= 1:
-            report["dl.dl=0"][k] = True
-        else:
-            report["dl.dl=0"][k] = (dl.blocks[k - 1] @ dl.blocks[k]).is_zero()
+        report["dl.dl=0"][k] = k <= 1 or (dl[k - 1] @ dl[k]).is_zero()
     for k in range(top + 1):
         nk = model.dim(k)
-        first = (d.blocks[k - 1] @ dl.blocks[k]) if k >= 1 else Matrix.zeros(nk, nk)
-        second = (dl.blocks[k + 1] @ d.blocks[k]) if k < top else Matrix.zeros(nk, nk)
+        first = (d[k - 1] @ dl[k]) if k >= 1 else Matrix.zeros(nk, nk)
+        second = (dl[k + 1] @ d[k]) if k < top else Matrix.zeros(nk, nk)
         report["d.dl+dl.d=0"][k] = (first + second).is_zero()
     return report
 
 
-def assert_model_identities(model: ComplexModel) -> None:
-    report = operator_identity_report(model)
-    for name, per_degree in report.items():
+def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
+                   d: dict[int, Matrix], star: dict[int, Matrix], **extra) -> ComplexModel:
+    """The one way every builder finishes a model.
+
+    ``d`` holds the blocks of degrees 0..top-1; the empty top block, the
+    codifferential and the identity report are added here.  A failed
+    identity raises; the report is kept as ``model.identities``.
+    """
+    top = len(basis) - 1
+    d = d | {top: Matrix.zeros(0, len(basis[top]))}
+    dl = {0: Matrix.zeros(0, len(basis[0]))}
+    for k in range(1, top + 1):
+        dl[k] = _signed_star_d_star(d, star, top, k)
+    model = ComplexModel(name=name, kind=kind, top_degree=top, graded_basis=basis,
+                         d=d, star_s=star, d_lambda=dl, **extra)
+    model.identities = operator_identity_report(model)
+    for identity, per_degree in model.identities.items():
         bad = [k for k, ok in per_degree.items() if not ok]
         if bad:
-            raise AssertionError(f"identity {name} fails in degrees {bad} of {model.name}")
+            raise AssertionError(f"identity {identity} fails in degrees {bad} of {name}")
+    return model
+
+
+def _exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matrix]:
+    """d(f dI) = sum_v (d f / d x_v) dx_v ^ dI in degrees 0..m-1.
+
+    A form of degree k is indexed function-major: coefficient function
+    ``functions[i]`` times the j-th degree-k exterior monomial over m
+    covectors sits at i * C(m, k) + j.  ``derivative(f, v)`` lists the
+    pairs (coefficient, g) whose sum is the partial derivative of f in the
+    v-th variable; every g must be one of ``functions``.
+    """
+    findex = {f: i for i, f in enumerate(functions)}
+    blocks: dict[int, Matrix] = {}
+    for k in range(m):
+        src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k + 1)
+        dst_index = {mono: i for i, mono in enumerate(dst)}
+        blk = Matrix.zeros(len(functions) * len(dst), len(functions) * len(src))
+        for fi, f in enumerate(functions):
+            for ei, emono in enumerate(src):
+                col = fi * len(src) + ei
+                for v in range(m):
+                    w = exterior.wedge_monomials((v,), emono)
+                    if w is None:
+                        continue
+                    sign, target = w
+                    for coeff, g in derivative(f, v):
+                        blk.data[findex[g] * len(dst) + dst_index[target]][col] += sign * coeff
+        blocks[k] = blk
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +223,13 @@ def build_torus_model(n: int) -> ComplexModel:
     if n < 1:
         raise ValueError("n must be a positive integer")
     m = 2 * n
-    star_ext = exterior.star_blocks(n)
     basis = {k: [_ext_label_xy(mono) for mono in exterior.ext_basis(m, k)]
              for k in range(m + 1)}
     dims = {k: len(basis[k]) for k in basis}
-    d = GradedOperator.from_shift(
-        {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)} | {m: Matrix.zeros(0, dims[m])},
-        1)
-    star = GradedOperator({k: star_ext[k] for k in range(m + 1)},
-                          {k: m - k for k in range(m + 1)})
-    dl = _compose_dlambda(d, star, m, lambda k: dims.get(k, 0))
+    d = {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)}
     inner = {k: Matrix.identity(dims[k]) for k in range(m + 1)}
-    model = ComplexModel(name=f"torus-n{n}", kind="torus", top_degree=m,
-                         graded_basis=basis, d=d, star_s=star, d_lambda=dl,
-                         inner=inner, meta={"n": n})
-    assert_model_identities(model)
-    return model
+    return _complex_model(f"torus-n{n}", "torus", basis, d, exterior.star_blocks(n),
+                          inner=inner, meta={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,7 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
         raise ValueError("cutoff must be at least 2")
     m = 2 * n
     monos = _monomials(m, cutoff)
-    mono_index = {mono: i for i, mono in enumerate(monos)}
     ext = {k: exterior.ext_basis(m, k) for k in range(m + 1)}
-    ext_index = {k: {mono: i for i, mono in enumerate(ext[k])} for k in range(m + 1)}
-    dims = {k: len(monos) * len(ext[k]) for k in range(m + 1)}
 
     basis = {}
     for k in range(m + 1):
@@ -275,47 +280,21 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
                 labels.append(el if ml == "1" else (ml if el == "1" else f"{ml} {el}"))
         basis[k] = labels
 
-    def index(k: int, mono_i: int, ext_i: int) -> int:
-        return mono_i * len(ext[k]) + ext_i
+    def derivative(mono: tuple[int, ...], v: int) -> list[tuple[Fraction, tuple[int, ...]]]:
+        e = mono[v]  # x^a -> a_v * x^(a - e_v)
+        return [(Q(e), mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
 
-    d_blocks: dict[int, Matrix] = {}
-    for k in range(m):
-        blk = Matrix.zeros(dims[k + 1], dims[k])
-        for mi, mono in enumerate(monos):
-            for ei, emono in enumerate(ext[k]):
-                col = index(k, mi, ei)
-                for v, e in enumerate(mono):
-                    if e == 0 or v in emono:
-                        continue
-                    w = exterior.wedge_monomials((v,), emono)
-                    if w is None:
-                        continue
-                    sign, target_ext = w
-                    lowered = mono[:v] + (e - 1,) + mono[v + 1:]
-                    row = index(k + 1, mono_index[lowered], ext_index[k + 1][target_ext])
-                    blk.data[row][col] += Q(sign * e)
-        d_blocks[k] = blk
-    d_blocks[m] = Matrix.zeros(0, dims[m])
-    d = GradedOperator.from_shift(d_blocks, 1)
-
+    d = _exterior_derivative(monos, m, derivative)
     star_ext = exterior.star_blocks(n)
-    star = GradedOperator(
-        {k: Matrix.kron(Matrix.identity(len(monos)), star_ext[k]) for k in range(m + 1)},
-        {k: m - k for k in range(m + 1)})
-    dl = _compose_dlambda(d, star, m, lambda k: dims.get(k, 0))
-
-    window = {k: [index(k, mi, ei)
+    star = {k: Matrix.kron(Matrix.identity(len(monos)), star_ext[k]) for k in range(m + 1)}
+    window = {k: [mi * len(ext[k]) + ei
                   for mi, mono in enumerate(monos) if sum(mono) <= cutoff - 2
                   for ei in range(len(ext[k]))]
               for k in range(m + 1)}
-
-    model = ComplexModel(name=f"polynomial-n{n}-D{cutoff}", kind="polynomial",
-                         top_degree=m, graded_basis=basis, d=d, star_s=star,
-                         d_lambda=dl, inner=None, window=window,
-                         meta={"n": n, "D": cutoff, "monos": monos,
-                               "mono_index": mono_index})
-    assert_model_identities(model)
-    return model
+    return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
+                          window=window,
+                          meta={"n": n, "D": cutoff, "monos": monos,
+                                "mono_index": {mono: i for i, mono in enumerate(monos)}})
 
 
 def w0_power_form(model: ComplexModel, j: int) -> FormVector:
@@ -484,7 +463,7 @@ _PULLBACK_EXT: dict[exterior.Mono, list[tuple[int, exterior.Mono]]] = {
 
 
 def _fourier_complex(functions: list[FourierMode]):
-    """d blocks and bookkeeping for a span of Fourier modes on T^2."""
+    """d blocks (degrees 0, 1) and bookkeeping for a span of Fourier modes on T^2."""
     findex = {f: i for i, f in enumerate(functions)}
     ext = {k: exterior.ext_basis(2, k) for k in range(3)}
     dims = {k: len(functions) * len(ext[k]) for k in range(3)}
@@ -492,25 +471,7 @@ def _fourier_complex(functions: list[FourierMode]):
     def index(k: int, fi: int, ei: int) -> int:
         return fi * len(ext[k]) + ei
 
-    d_blocks: dict[int, Matrix] = {}
-    for k in range(2):
-        blk = Matrix.zeros(dims[k + 1], dims[k])
-        ext_dst_index = {mono: i for i, mono in enumerate(ext[k + 1])}
-        for fi, f in enumerate(functions):
-            for ei, emono in enumerate(ext[k]):
-                col = index(k, fi, ei)
-                for axis in range(2):
-                    if axis in emono:
-                        continue
-                    w = exterior.wedge_monomials((axis,), emono)
-                    if w is None:
-                        continue
-                    sign, target = w
-                    for coeff, g in _derivative_entries(f, axis):
-                        row = index(k + 1, findex[g], ext_dst_index[target])
-                        blk.data[row][col] += sign * coeff
-        d_blocks[k] = blk
-    d_blocks[2] = Matrix.zeros(0, dims[2])
+    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
     return findex, ext, dims, index, d_blocks
 
 
@@ -542,9 +503,9 @@ def _fourier_pullback(functions: list[FourierMode], findex, ext, dims, index,
 def suspension_full_complex(cutoff: int):
     """Full truncated complex on T^2 with the partial pullback operator.
 
-    Returns (functions, dims, d_blocks, p_blocks, stable_columns); used to
-    check that the pullback commutes with d where both sides are defined
-    and that w0 is pullback-invariant.
+    Returns (functions, dims, d_blocks, p_blocks, stable_columns), with d
+    blocks in degrees 0 and 1; used to check that the pullback commutes
+    with d where both sides are defined and that w0 is pullback-invariant.
     """
     modes = []
     for m1 in range(-cutoff, cutoff + 1):
@@ -594,7 +555,6 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
 
     inv_dims = {k: len(inv_basis[k]) for k in range(3)}
     d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
-    d_inv[2] = Matrix.zeros(0, inv_dims[2])
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
 
     labels: dict[int, list[str]] = {}
@@ -614,16 +574,9 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
                 labels[k].append(" + ".join(
                     f"{qf(column[i])}*{sector_labels[i]}" for i in support))
 
-    d_op = GradedOperator.from_shift(d_inv, 1)
-    star_op = GradedOperator(star_inv, {k: 2 - k for k in range(3)})
-    dl_op = _compose_dlambda(d_op, star_op, 2, lambda k: inv_dims.get(k, 0))
     inner = {k: Matrix.identity(inv_dims[k]) for k in range(3)}
-    model = ComplexModel(name=f"suspension-N{cutoff}", kind="suspension",
-                         top_degree=2, graded_basis=labels, d=d_op,
-                         star_s=star_op, d_lambda=dl_op, inner=inner,
-                         meta={"N": cutoff})
-    assert_model_identities(model)
-    return model
+    return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
+                          inner=inner, meta={"N": cutoff})
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +587,8 @@ def model_to_json_dict(model: ComplexModel) -> dict:
     return {
         "name": model.name,
         "dims": {str(k): model.dim(k) for k in range(model.top_degree + 1)},
-        "d_blocks": {str(k): m.to_json_dict() for k, m in model.d.blocks.items()},
-        "star_blocks": {str(k): m.to_json_dict() for k, m in model.star_s.blocks.items()},
+        "d_blocks": {str(k): m.to_json_dict() for k, m in model.d.items()},
+        "star_blocks": {str(k): m.to_json_dict() for k, m in model.star_s.items()},
         "window": (None if model.window is None
                    else {str(k): v for k, v in model.window.items()}),
     }
-
-
-def form_to_json_dict(v: FormVector) -> dict:
-    from .linalg import qstr
-    return {"degree": v.degree, "coords": [qstr(c) for c in v.coords]}

@@ -18,7 +18,7 @@ from . import lie_core as lie
 from .linalg import Q
 from .models import (build_polynomial_model, build_suspension_model,
                      build_torus_model, d_apply, d_lambda_apply, form_vector,
-                     operator_identity_report, w0_power_form)
+                     w0_power_form)
 
 DEFAULT_SEED = 7
 SAMPLES = 50
@@ -145,8 +145,7 @@ def check_operator_identities() -> CheckResult:
     def run():
         failures = []
         for model in _acceptance_models():
-            report = operator_identity_report(model)
-            for identity, per_degree in report.items():
+            for identity, per_degree in model.identities.items():
                 for k, good in per_degree.items():
                     if not good:
                         failures.append(f"{model.name}:{identity}@{k}")

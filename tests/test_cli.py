@@ -126,6 +126,25 @@ def test_bad_n_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["omega", "--n", "1", "--element", "[[null]]"], 1),         # not a number
+    (["omega", "--n", "1", "--element", '[["1/0"]]'], 1),        # zero denominator
+    (["omega", "--n", "1", "--element", '{"rows":2}'], 1),       # record without entries
+    (["omega", "--n", "1", "--element", "[[1e400]]"], 1),        # parses to infinity
+    (["omega", "--n", "1", "--element", "5"], 1),                # not a matrix
+    (["algebra", "--n", "1", "--samples", "-3"], 2),             # negative count
+])
+def test_bad_input_exits_without_traceback(capsys, argv, code):
+    got, out = run_cli(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == ""
+    else:
+        error = json.loads(out)["error"]
+        assert error["op"] == "omega"
+        assert error["reason"].startswith("malformed element")
+
+
 def test_output_file_and_lab_output_dir(tmp_path, monkeypatch, capsys):
     target = tmp_path / "out"
     target.mkdir()

@@ -9,12 +9,12 @@ from symplab.linalg import Matrix, rank_of_rows
 from symplab.models import (build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, w0_power_form)
+from shared_models import POLY_N2  # shared with test_models.py
 
 TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
 POLY6 = build_polynomial_model(1, 6)
 SUSP2 = build_suspension_model(2)
-POLY_N2 = build_polynomial_model(2, 4)  # built once for every n=2 reduction test
 
 
 def test_torus_reports_all_equal_full_exterior_algebra():

@@ -11,16 +11,17 @@ from symplab.models import (alpha_form, build_polynomial_model,
                             model_to_json_dict, operator_identity_report,
                             poincare_antiderivative, star_s_apply,
                             suspension_full_complex, w0_power_form, zero_form)
+from shared_models import POLY_N2 as POLY2  # built once, shared
 
 TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
 POLY1 = build_polynomial_model(1, 4)
-POLY2 = build_polynomial_model(2, 4)
 SUSP2 = build_suspension_model(2)
 
 
 def struct_identities_all_hold(model):
     report = operator_identity_report(model)
+    assert report == model.identities  # the report the build stored
     return all(ok for per_degree in report.values() for ok in per_degree.values())
 
 
@@ -87,10 +88,10 @@ def test_torus_star_examples():
 
 
 def test_torus_d_and_dlambda_vanish():
-    assert TORUS1.d.blocks[0].is_zero()
-    assert TORUS2.d.blocks[1].is_zero()
-    assert TORUS1.d_lambda.blocks[1].is_zero()
-    assert TORUS2.d_lambda.blocks[2].is_zero()
+    assert TORUS1.d[0].is_zero()
+    assert TORUS2.d[1].is_zero()
+    assert TORUS1.d_lambda[1].is_zero()
+    assert TORUS2.d_lambda[2].is_zero()
 
 
 def test_torus_identities():
@@ -121,7 +122,7 @@ def test_polynomial_star_acts_on_exterior_factor_only():
     # sparsity oracle: star never mixes coefficient monomials
     n = POLY1.meta["n"]
     for k in range(2 * n + 1):
-        blk = POLY1.star_s.blocks[k]
+        blk = POLY1.star_s[k]
         e_src = len(ext.ext_basis(2 * n, k))
         e_dst = len(ext.ext_basis(2 * n, 2 * n - k))
         for r in range(blk.rows):
@@ -133,7 +134,7 @@ def test_polynomial_star_acts_on_exterior_factor_only():
 def test_polynomial_d_lowers_coefficient_degree_by_one():
     monos = POLY1.meta["monos"]
     for k in range(2):
-        blk = POLY1.d.blocks[k]
+        blk = POLY1.d[k]
         e_src = len(ext.ext_basis(2, k))
         e_dst = len(ext.ext_basis(2, k + 1))
         for r in range(blk.rows):
@@ -372,7 +373,7 @@ def test_star_is_degree_complementing_block_shapes():
     for model in (TORUS2, POLY1, SUSP2):
         top = model.top_degree
         for k in range(top + 1):
-            blk = model.star_s.blocks[k]
+            blk = model.star_s[k]
             assert (blk.rows, blk.cols) == (model.dim(top - k), model.dim(k))
 
 
@@ -398,6 +399,6 @@ def test_corrupted_d_matrix_detected():
     model = build_torus_model(1)
     bad = Matrix.zeros(model.dim(1), model.dim(0))
     bad.data[0][0] = Q(1)
-    model.d.blocks[0] = bad
+    model.d[0] = bad
     report = operator_identity_report(model)
     assert not all(ok for per in report.values() for ok in per.values())
