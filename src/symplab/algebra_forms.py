@@ -73,8 +73,8 @@ def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
     gram = Matrix.zeros(ctx.dim, ctx.dim)
     for (i, j), entry in ctx._table.items():
         val = sum((c * ka[k] for k, c in entry.items() if ka[k] != 0), Q(0))
-        gram.data[i][j] = val
-        gram.data[j][i] = -val
+        gram[i, j] = val
+        gram[j, i] = -val
     return AlgebraTwoForm(ctx, gram)
 
 
@@ -85,8 +85,8 @@ def ce_d1(theta: AlgebraOneForm) -> AlgebraTwoForm:
     for (i, j), entry in ctx._table.items():
         val = -sum((c * theta.covector[k] for k, c in entry.items()
                     if theta.covector[k] != 0), Q(0))
-        gram.data[i][j] = val
-        gram.data[j][i] = -val
+        gram[i, j] = val
+        gram[j, i] = -val
     return AlgebraTwoForm(ctx, gram)
 
 
@@ -96,8 +96,7 @@ def is_closed_2form(omega: AlgebraTwoForm) -> bool:
     gram = omega.gram
 
     def against(entry: dict[int, Fraction], t: int) -> Fraction:
-        return sum((c * gram.data[m][t] for m, c in entry.items()
-                    if gram.data[m][t] != 0), Q(0))
+        return sum((c * gram[m, t] for m, c in entry.items()), Q(0))
 
     for i, j, k in combinations(range(ctx.dim), 3):
         val = (-against(ctx.pair_bracket(i, j), k)
@@ -114,14 +113,9 @@ def _potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]
     m = Matrix.zeros(len(pairs), ctx.dim)
     gram = ctx.killing_gram
     for r, (i, j) in enumerate(pairs):
-        row = m.data[r]
         for mm, c in ctx.pair_bracket(i, j).items():
-            if c == 0:
-                continue
-            krow = gram.data[mm]
-            for k in range(ctx.dim):
-                if krow[k] != 0:
-                    row[k] += c * krow[k]
+            for k, g in gram.row_items(mm):
+                m[r, k] += c * g
     return m, pairs
 
 
@@ -136,7 +130,7 @@ def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
         raise ValueError("potential_element requires a closed 2-form")
     ctx = omega.context
     system, pairs = _potential_system(ctx)
-    rhs = [omega.gram.data[i][j] for (i, j) in pairs]
+    rhs = [omega.gram[i, j] for (i, j) in pairs]
     coords = system.solve(rhs)
     a = AlgebraElement(ctx, tuple(coords))
     if omega_from_element(a).gram != omega.gram:
@@ -184,21 +178,20 @@ def ce_d2_matrix(ctx: AlgebraContext) -> Matrix:
     triples = list(combinations(range(ctx.dim), 3))
     m = Matrix.zeros(len(triples), len(pairs))
 
-    def add_eval(row: list[Fraction], entry: dict[int, Fraction], t: int, sign: int) -> None:
+    def add_eval(r: int, entry: dict[int, Fraction], t: int, sign: int) -> None:
         # omega([.,.], e_t) expanded over coordinates w_{pq}
         for mm, c in entry.items():
             if mm == t:
                 continue
             if mm < t:
-                row[pair_index[(mm, t)]] += sign * c
+                m[r, pair_index[(mm, t)]] += sign * c
             else:
-                row[pair_index[(t, mm)]] -= sign * c
+                m[r, pair_index[(t, mm)]] -= sign * c
 
     for r, (i, j, k) in enumerate(triples):
-        row = m.data[r]
-        add_eval(row, ctx.pair_bracket(i, j), k, -1)
-        add_eval(row, ctx.pair_bracket(i, k), j, +1)
-        add_eval(row, ctx.pair_bracket(j, k), i, -1)
+        add_eval(r, ctx.pair_bracket(i, j), k, -1)
+        add_eval(r, ctx.pair_bracket(i, k), j, +1)
+        add_eval(r, ctx.pair_bracket(j, k), i, -1)
     return m
 
 

@@ -11,17 +11,20 @@ Subcommands:
                         expected-vs-computed table.
 
 Exit codes: 0 success, 1 precondition or computation failure (with a JSON
-error record on stdout), 2 usage errors.  Identical arguments and seed
-produce byte-identical report files; set LAB_OUTPUT_DIR to redirect any
---output path into a fixed directory.
+error record on stdout), 2 usage errors.  Parameters whose largest matrix
+would exceed ``MAX_MATRIX_CELLS`` entries are refused before any work.
+Identical arguments and seed produce byte-identical report files; set
+LAB_OUTPUT_DIR to redirect any --output path into a fixed directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
+import re
 import sys
 
 from . import algebra_forms as forms
@@ -34,6 +37,10 @@ from .models import (build_polynomial_model, build_suspension_model,
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
+
+# Size budget: rows x cols of the largest matrix a command's parameters imply.
+# polynomial-n3-D4, the largest model the tests build, needs 4.4e7.
+MAX_MATRIX_CELLS = 10 ** 8
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -63,6 +70,42 @@ def _error(op: str, reason: str) -> int:
     return FAILURE_EXIT
 
 
+# -- size budget ----------------------------------------------------------------
+
+def _binom(a: int, b: int) -> float:
+    """C(a, b) as a float, so huge parameters cost nothing to estimate."""
+    log = math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    return math.exp(min(log, 700.0))
+
+
+def _algebra_cells(n: int, closed_forms: bool = False) -> float:
+    """The structure-constant table (pairs x dim) of sp(2n), or for the
+    closed-forms check the Chevalley-Eilenberg d2 matrix (triples x pairs)."""
+    dim = 2 * n * n + n
+    if closed_forms:
+        return _binom(dim, 3) * _binom(dim, 2)
+    return _binom(dim, 2) * dim
+
+
+def _model_cells(model: str, n: int, cutoff: int) -> float:
+    """The widest elimination of a model: its middle degree k (dimension d_k)
+    against the images and kernels of d_(k-1), d_k and d_(k+1)."""
+    if model == "suspension":
+        functions, covectors = 2 * cutoff + 1, 2
+    else:
+        functions = _binom(2 * n + cutoff, cutoff) if model == "polynomial" else 1
+        covectors = 2 * n
+    mid = functions * _binom(covectors, covectors // 2)
+    side = functions * _binom(covectors, covectors // 2 - 1)
+    return mid * (mid + 2 * side)
+
+
+def _check_budget(cells: float) -> None:
+    if cells > MAX_MATRIX_CELLS:
+        raise ValueError(f"refused: an estimated {cells:.3g} entries in the largest matrix, "
+                         f"above the limit of {MAX_MATRIX_CELLS:.3g}")
+
+
 # -- algebra ------------------------------------------------------------------
 
 RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
@@ -70,6 +113,7 @@ RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
 
 
 def _cmd_algebra(args) -> int:
+    _check_budget(_algebra_cells(args.n, args.check == "closed-forms"))
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
     if args.check == "rank-kernel":
@@ -108,18 +152,27 @@ def _cmd_algebra(args) -> int:
 
 # -- omega --------------------------------------------------------------------
 
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_element(text: str) -> Matrix:
-    """The --element JSON as a matrix; any malformed input raises ValueError."""
+    """The --element JSON as a matrix of integers and rational strings; any
+    malformed input raises ValueError."""
     try:
         obj = json.loads(text)
+        entries = obj["entries"] if isinstance(obj, dict) else obj
+        for x in (x for row in entries for x in row):
+            if type(x) is not int and not (isinstance(x, str) and RATIONAL.fullmatch(x)):
+                raise TypeError(f"entry {json.dumps(x)} is not an integer or a rational string")
         if isinstance(obj, dict):
             return Matrix.from_json_dict(obj)
         return Matrix(obj)
-    except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, KeyError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed element: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_omega(args) -> int:
+    _check_budget(_algebra_cells(args.n))
     ctx = lie.standard_basis(args.n)
     mat = _parse_element(args.element)
     a = ctx.element_from_matrix(mat)
@@ -144,6 +197,7 @@ def _cmd_cohomology(args) -> int:
     if unknown:
         print(f"unknown theories: {','.join(unknown)}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+    _check_budget(_model_cells(args.model, args.n, args.cutoff))
     if args.model == "torus":
         model = build_torus_model(args.n)
         windowed = False

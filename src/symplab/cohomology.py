@@ -91,37 +91,26 @@ def _ddl(model: ComplexModel, k: int) -> Matrix:
     return _dmat(model, k - 1) @ _dlmat(model, k)
 
 
-def _kernel_rows(constraint: Matrix, model: ComplexModel, k: int,
-                 windowed: bool) -> list[list[Fraction]]:
-    """Basis of ker(constraint), optionally restricted to window columns."""
+def _kernel(constraint: Matrix, model: ComplexModel, k: int, windowed: bool) -> Matrix:
+    """Basis of ker(constraint) as columns, optionally restricted to window columns."""
     if not windowed or model.window is None:
-        return constraint.nullspace()
+        return constraint.kernel_matrix()
     cols = model.window[k]
-    sub = constraint.select_columns(cols)
-    rows = []
-    for small in sub.nullspace():
-        full = [Q(0)] * model.dim(k)
-        for c, x in zip(cols, small):
-            full[c] = x
-        rows.append(full)
-    return rows
+    embed = Matrix.identity(model.dim(k)).select_columns(cols)
+    return embed @ constraint.select_columns(cols).kernel_matrix()
 
 
-def _den_rows(columns: Matrix) -> list[list[Fraction]]:
-    return [columns.column(j) for j in range(columns.cols)]
+def _quotient(num: Matrix, den: Matrix) -> list[list[Fraction]]:
+    """Columns of num that are independent modulo the column span of den.
 
-
-def _quotient(num_rows, den_rows) -> list[list[Fraction]]:
-    """Numerator vectors that are independent modulo the denominator span.
-
-    Each is the first numerator vector, in order, outside the span of the
-    denominator and the numerator vectors before it; they form a basis of
+    Each is the first numerator column, in order, outside the span of the
+    denominator and the numerator columns before it; they form a basis of
     the quotient, so their count is its dimension.
     """
-    if not num_rows:
+    if not num.cols:
         return []
-    _, pivots = Matrix.from_columns(den_rows + num_rows).rref()
-    return [num_rows[p - len(den_rows)] for p in pivots if p >= len(den_rows)]
+    _, pivots = Matrix.hstack([den, num]).rref()
+    return [num.column(p - den.cols) for p in pivots if p >= den.cols]
 
 
 def _report(model: ComplexModel, theory: str, windowed: bool,
@@ -137,8 +126,8 @@ def de_rham(model: ComplexModel, windowed: bool = False,
             representatives: bool = False) -> CohomologyReport:
     return _report(
         model, "deRham", windowed,
-        lambda k: _kernel_rows(_dmat(model, k), model, k, windowed),
-        lambda k: _den_rows(_dmat(model, k - 1)),
+        lambda k: _kernel(_dmat(model, k), model, k, windowed),
+        lambda k: _dmat(model, k - 1),
         representatives)
 
 
@@ -146,9 +135,9 @@ def d_plus_dlambda_cohomology(model: ComplexModel, windowed: bool = False,
                               representatives: bool = False) -> CohomologyReport:
     return _report(
         model, "dPlusDLambda", windowed,
-        lambda k: _kernel_rows(Matrix.vstack([_dmat(model, k), _dlmat(model, k)]),
-                               model, k, windowed),
-        lambda k: _den_rows(_ddl(model, k)),
+        lambda k: _kernel(Matrix.vstack([_dmat(model, k), _dlmat(model, k)]),
+                          model, k, windowed),
+        lambda k: _ddl(model, k),
         representatives)
 
 
@@ -156,8 +145,8 @@ def dd_lambda_cohomology(model: ComplexModel, windowed: bool = False,
                          representatives: bool = False) -> CohomologyReport:
     return _report(
         model, "ddLambda", windowed,
-        lambda k: _kernel_rows(_ddl(model, k), model, k, windowed),
-        lambda k: _den_rows(Matrix.hstack([_dmat(model, k - 1), _dlmat(model, k + 1)])),
+        lambda k: _kernel(_ddl(model, k), model, k, windowed),
+        lambda k: Matrix.hstack([_dmat(model, k - 1), _dlmat(model, k + 1)]),
         representatives)
 
 
@@ -294,7 +283,7 @@ def hodge_check(model: ComplexModel,
         rank_ddl = s.rank()
         adjoint_cols = Matrix.hstack([d_k_star, dl_k_star])
         rank_adj = adjoint_cols.rank()
-        kernel_cols = Matrix.from_columns(big.nullspace(), rows=nk)
+        kernel_cols = big.kernel_matrix()
         spanning = Matrix.hstack([kernel_cols, s, adjoint_cols])
         exhaustive = (dim_ker + rank_ddl + rank_adj == nk
                       and spanning.rank() == nk)

@@ -44,8 +44,8 @@ def covector_pairing(n: int) -> Matrix:
     """Pairing of covectors: the matrix inverse of w0 on the interleaved basis."""
     g = Matrix.zeros(2 * n, 2 * n)
     for i in range(n):
-        g.data[2 * i][2 * i + 1] = Q(-1)
-        g.data[2 * i + 1][2 * i] = Q(1)
+        g[2 * i, 2 * i + 1] = -1
+        g[2 * i + 1, 2 * i] = 1
     return g
 
 
@@ -56,7 +56,7 @@ def pairing_k(g1: Matrix, a: Mono, b: Mono) -> Fraction:
         raise ValueError("degree mismatch")
     if k == 0:
         return Q(1)
-    return Matrix([[g1.data[a[i]][b[j]] for j in range(k)] for i in range(k)]).det()
+    return g1.submatrix(a, b).det()
 
 
 def w0_coords(n: int) -> list[Fraction]:
@@ -122,10 +122,10 @@ def star_blocks(n: int) -> dict[int, Matrix]:
             for j, c in enumerate(dst):
                 w = wedge_monomials(a, c)
                 if w is not None and w[1] == vol:
-                    wedge.data[i][j] = Q(w[0])
+                    wedge[i, j] = w[0]
         rhs = Matrix.zeros(len(src), len(src))
         for i, a in enumerate(src):
             for j, b in enumerate(src):
-                rhs.data[i][j] = pairing_k(g1, a, b)
+                rhs[i, j] = pairing_k(g1, a, b)
         blocks[k] = wedge.solve_matrix(rhs)
     return blocks

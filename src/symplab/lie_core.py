@@ -24,8 +24,8 @@ from .polynomials import (charpoly, count_real_roots, even_part,
 def j_matrix(n: int) -> Matrix:
     m = Matrix.zeros(2 * n, 2 * n)
     for i in range(n):
-        m.data[i][n + i] = Q(-1)
-        m.data[n + i][i] = Q(1)
+        m[i, n + i] = -1
+        m[n + i, i] = 1
     return m
 
 
@@ -52,24 +52,24 @@ def _basis_matrices(n: int) -> tuple[list[Matrix], list[str]]:
     for i in range(n):
         for j in range(n):
             m = Matrix.zeros(2 * n, 2 * n)
-            m.data[i][j] = Q(1)
-            m.data[n + j][n + i] = Q(-1)
+            m[i, j] = 1
+            m[n + j, n + i] = -1
             basis.append(m)
             labels.append(f"A[{i + 1},{j + 1}]")
     # symmetric B block (upper right)
     for i in range(n):
         for j in range(i, n):
             m = Matrix.zeros(2 * n, 2 * n)
-            m.data[i][n + j] = Q(1)
-            m.data[j][n + i] = Q(1)
+            m[i, n + j] = 1
+            m[j, n + i] = 1
             basis.append(m)
             labels.append(f"B[{i + 1},{j + 1}]")
     # symmetric C block (lower left)
     for i in range(n):
         for j in range(i, n):
             m = Matrix.zeros(2 * n, 2 * n)
-            m.data[n + i][j] = Q(1)
-            m.data[n + j][i] = Q(1)
+            m[n + i, j] = 1
+            m[n + j, i] = 1
             basis.append(m)
             labels.append(f"C[{i + 1},{j + 1}]")
     return basis, labels
@@ -121,8 +121,8 @@ class AlgebraContext:
                             back = adj[b].get(a)
                             if back is not None:
                                 acc += cval * back
-                gram.data[i][j] = acc
-                gram.data[j][i] = acc
+                gram[i, j] = acc
+                gram[j, i] = acc
         self.killing_gram = gram
 
     # -- coordinates ---------------------------------------------------
@@ -134,13 +134,13 @@ class AlgebraContext:
         coords: list[Fraction] = []
         for i in range(n):
             for j in range(n):
-                coords.append(x.data[i][j])
+                coords.append(Q(x[i, j]))
         for i in range(n):
             for j in range(i, n):
-                coords.append(x.data[i][n + j])
+                coords.append(Q(x[i, n + j]))
         for i in range(n):
             for j in range(i, n):
-                coords.append(x.data[n + i][j])
+                coords.append(Q(x[n + i, j]))
         return coords
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
@@ -193,7 +193,7 @@ class AlgebraContext:
                 continue
             for a, entry in self._ad[i].items():
                 for b, c in entry.items():
-                    out.data[b][a] += xi * c
+                    out[b, a] += xi * c
         return out
 
 
@@ -286,9 +286,7 @@ def killing_form(x: AlgebraElement, y: AlgebraElement) -> Fraction:
     ctx = x.context
     ax = ctx.ad_matrix(x.coords)
     ay = ctx.ad_matrix(y.coords)
-    return sum((ax.data[i][k] * ay.data[k][i]
-                for i in range(ctx.dim) for k in range(ctx.dim)
-                if ax.data[i][k] != 0 and ay.data[k][i] != 0), Q(0))
+    return sum((a * ay[k, i] for i in range(ctx.dim) for k, a in ax.row_items(i)), Q(0))
 
 
 def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
@@ -301,8 +299,8 @@ def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
     for i in range(ctx.dim):
         for j in range(i, ctx.dim):
             prod = ctx.basis[i] @ ctx.basis[j]
-            tr = sum((prod.data[a][a] for a in range(prod.rows)), Q(0))
-            kij = ctx.killing_gram.data[i][j]
+            tr = sum((prod[a, a] for a in range(prod.rows)), Q(0))
+            kij = ctx.killing_gram[i, j]
             if tr == 0:
                 if kij != 0:
                     raise AssertionError("Killing form is not proportional to the trace form")

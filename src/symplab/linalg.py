@@ -1,20 +1,34 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Every entry is a ``fractions.Fraction`` and every operation (elimination,
-rank, nullspace, determinant, linear solves) is exact.  Matrices are small
-(a few hundred rows at most) but often very sparse, so multiplication and
-elimination skip zero entries.
+A matrix is a list of sparse rows, one ``{col: value}`` dict of nonzero
+entries per row.  A value is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, so the integer operators of the cochain
+models never touch ``Fraction`` arithmetic.  Entries are read and written
+as ``m[i, j]`` and ``m[i, j] = x``; ``row_items(i)`` walks the nonzeros of
+one row.  ``data`` is a read-only dense ``Fraction`` copy (tuples of
+tuples) for numerical oracles and tracing, not for computation.
+
+Elimination is fraction-free: each row is scaled by the lcm of its
+denominators and kept primitive (entries coprime) by dividing out their
+gcd; only the final scaling of each pivot to 1 makes ``Fraction`` values.
+The reduced row echelon form is unique, so ``rref``, pivots, nullspaces
+and solves are the canonical ones.  ``det`` is Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) over ``int``.  Vectors handed out
+(``apply``, ``column``, ``nullspace``, ``solve``) are lists of ``Fraction``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
 
 QLike = int | str | Fraction
+
+_ZERO = Q(0)
 
 
 def qf(x: QLike) -> Fraction:
@@ -27,10 +41,6 @@ def qstr(x: QLike) -> str:
     return str(qf(x))
 
 
-def vec(entries: Iterable[QLike]) -> list[Fraction]:
-    return [qf(x) for x in entries]
-
-
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
@@ -39,43 +49,114 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
 
 
-class Matrix:
-    """Dense rational matrix with exact arithmetic."""
+def _num(x: QLike) -> int | Fraction:
+    """An entry as stored: int when integral, Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    __slots__ = ("rows", "cols", "data")
+
+def _denominator(row: dict) -> int:
+    """The lcm of the denominators of a row's entries."""
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    return den
+
+
+def _integral(row: dict) -> dict[int, int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    den = _denominator(row)
+    if den != 1:
+        row = {j: int(v * den) for j, v in row.items()}
+    return _primitive(row)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive integer combination of row and prow with no entry at column c."""
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]  # x == 0 only where out already held b * v
+    return _primitive(out) if out else out
+
+
+def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer echelon rows and their leading columns, in increasing order.
+
+    Rows are grouped by leading column; for each column in turn the
+    shortest row of its group is the pivot and is eliminated from the rest
+    of the group, which then regroup by their new, later, leading columns.
+    """
+    groups: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            groups.setdefault(min(row), []).append(_integral(row))
+    echelon: list[dict[int, int]] = []
+    pivots: list[int] = []
+    for c in range(cols):
+        group = groups.pop(c, None)
+        if group is None:
+            continue
+        pivot = min(group, key=len)
+        echelon.append(pivot)
+        pivots.append(c)
+        for row in group:
+            if row is pivot:
+                continue
+            row = _eliminate(row, pivot, c)
+            if row:
+                groups.setdefault(min(row), []).append(row)
+    return echelon, pivots
+
+
+def _dense(row: dict, n: int) -> list[Fraction]:
+    out = [_ZERO] * n
+    for j, v in row.items():
+        out[j] = Q(v)
+    return out
+
+
+class Matrix:
+    """Sparse rational matrix with exact arithmetic."""
+
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, data: Sequence[Sequence[QLike]]):
-        self.data = [[qf(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.data):
+        self.rows = len(data)
+        self.cols = len(data[0]) if self.rows else 0
+        if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
+        self._nz = [{j: v for j, x in enumerate(row) if (v := _num(x))} for row in data]
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nz: list[dict]) -> "Matrix":
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._nz = rows, cols, nz
+        return m
 
     # -- construction ------------------------------------------------
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.data = [[Q(0)] * cols for _ in range(rows)]
-        return m
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = Q(1)
-        return m
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[QLike]], rows: int | None = None) -> "Matrix":
-        if not columns:
-            return cls.zeros(rows or 0, 0)
-        n = len(columns[0])
-        m = cls.zeros(n, len(columns))
-        for j, col in enumerate(columns):
-            for i, x in enumerate(col):
-                m.data[i][j] = qf(x)
-        return m
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -85,11 +166,8 @@ class Matrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column mismatch in vstack")
-        out = cls.__new__(cls)
-        out.cols = cols
-        out.data = [row[:] for m in mats for row in m.data]
-        out.rows = len(out.data)
-        return out
+        nz = [dict(row) for m in mats for row in m._nz]
+        return cls._of(len(nz), cols, nz)
 
     @classmethod
     def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -100,74 +178,97 @@ class Matrix:
         if any(m.rows != rows for m in mats):
             raise ValueError("row mismatch in hstack")
         out = cls.zeros(rows, sum(m.cols for m in mats))
-        for i in range(rows):
-            j = 0
-            for m in mats:
-                out.data[i][j:j + m.cols] = m.data[i]
-                j += m.cols
+        offset = 0
+        for m in mats:
+            for orow, row in zip(out._nz, m._nz):
+                if offset:
+                    orow.update((j + offset, v) for j, v in row.items())
+                else:
+                    orow.update(row)
+            offset += m.cols
         return out
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        out = cls.zeros(a.rows * b.rows, a.cols * b.cols)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                x = a.data[i][j]
-                if x == 0:
-                    continue
-                for p in range(b.rows):
-                    brow = b.data[p]
-                    orow = out.data[i * b.rows + p]
-                    for q in range(b.cols):
-                        if brow[q] != 0:
-                            orow[j * b.cols + q] = x * brow[q]
-        return out
+        nz = []
+        for arow in a._nz:
+            for brow in b._nz:
+                nz.append({j * b.cols + q: _num(x * y)
+                           for j, x in arow.items() for q, y in brow.items()})
+        return cls._of(a.rows * b.rows, a.cols * b.cols, nz)
+
+    # -- entries --------------------------------------------------------
+    def _check(self, key: tuple[int, int]) -> tuple[int, int]:
+        i, j = key
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {key} outside a {self.rows}x{self.cols} matrix")
+        return i, j
+
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
+        i, j = self._check(key)
+        return self._nz[i].get(j, 0)
+
+    def __setitem__(self, key: tuple[int, int], x: QLike) -> None:
+        i, j = self._check(key)
+        v = _num(x)
+        if v:
+            self._nz[i][j] = v
+        else:
+            self._nz[i].pop(j, None)
+
+    def row_items(self, i: int):
+        """The (col, value) pairs of the nonzero entries of row i."""
+        return self._nz[i].items()
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Read-only dense copy of the entries as Fractions."""
+        return tuple(tuple(_dense(row, self.cols)) for row in self._nz)
 
     # -- basics -------------------------------------------------------
-    def copy(self) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = [row[:] for row in self.data]
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._nz == other._nz)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._nz)
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self.data[i][j] == -self.data[j][i]
-                   for i in range(self.rows) for j in range(i, self.cols))
+        return all(self._nz[j].get(i, 0) == -v
+                   for i, row in enumerate(self._nz) for j, v in row.items())
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        return all(self._nz[j].get(i, 0) == v
+                   for i, row in enumerate(self._nz) for j, v in row.items())
 
     def transpose(self) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.cols, self.rows
-        if self.rows:
-            out.data = [list(col) for col in zip(*self.data)]
-        else:
-            out.data = [[] for _ in range(self.cols)]
-        return out
+        nz: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, v in row.items():
+                nz[j][i] = v
+        return Matrix._of(self.cols, self.rows, nz)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        return out
+        nz = []
+        for r1, r2 in zip(self._nz, other._nz):
+            row = dict(r1)
+            for j, v in r2.items():
+                x = _num(row.get(j, 0) + v)
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+            nz.append(row)
+        return Matrix._of(self.rows, self.cols, nz)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -176,50 +277,43 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c: QLike) -> "Matrix":
-        c = qf(c)
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = [[c * x for x in row] for row in self.data]
-        return out
+        c = _num(c)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols,
+                          [{j: _num(c * v) for j, v in row.items()} for row in self._nz])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # sparse-aware: walk nonzeros of self, nonzero entries of other's rows
-        other_nz = [[(j, x) for j, x in enumerate(row) if x != 0] for row in other.data]
-        out = Matrix.zeros(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                for j, b in other_nz[k]:
-                    orow[j] += a * b
-        return out
+        onz = other._nz
+        nz = []
+        for row in self._nz:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in onz[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            nz.append({j: v if type(v) is int else _num(v) for j, v in acc.items() if v})
+        return Matrix._of(self.rows, other.cols, nz)
 
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Q(0)] * self.rows
-        for i, row in enumerate(self.data):
-            acc = Q(0)
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    acc += a * x
-            out[i] = acc
-        return out
+        return [sum((a * v[j] for j, a in row.items() if v[j]), _ZERO) for row in self._nz]
 
     def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.data]
+        return [Q(row[j]) if j in row else _ZERO for row in self._nz]
 
     def columns(self) -> list[list[Fraction]]:
         return [self.column(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = len(row_idx), len(col_idx)
-        out.data = [[self.data[i][j] for j in col_idx] for i in row_idx]
-        return out
+        where: dict[int, list[int]] = {}
+        for t, j in enumerate(col_idx):
+            where.setdefault(j, []).append(t)
+        nz = [{t: v for j, v in self._nz[i].items() for t in where.get(j, ())}
+              for i in row_idx]
+        return Matrix._of(len(nz), len(col_idx), nz)
 
     def select_columns(self, col_idx: Sequence[int]) -> "Matrix":
         return self.submatrix(range(self.rows), col_idx)
@@ -227,68 +321,59 @@ class Matrix:
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        m = self.copy()
-        pivots: list[int] = []
-        r = 0
-        for c in range(m.cols):
-            if r == m.rows:
-                break
-            pivot = next((i for i in range(r, m.rows) if m.data[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m.data[r], m.data[pivot] = m.data[pivot], m.data[r]
-            pv = m.data[r][c]
-            if pv != 1:
-                inv = 1 / pv
-                m.data[r] = [x * inv for x in m.data[r]]
-            prow = m.data[r]
-            for i in range(m.rows):
-                if i == r:
-                    continue
-                f = m.data[i][c]
-                if f == 0:
-                    continue
-                irow = m.data[i]
-                for j in range(c, m.cols):
-                    if prow[j] != 0:
-                        irow[j] -= f * prow[j]
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        echelon, pivots = _echelon(self._nz, self.cols)
+        where = {p: r for r, p in enumerate(pivots)}
+        for r in reversed(range(len(echelon))):
+            row = echelon[r]
+            for c in [c for c in row if c in where and c != pivots[r]]:
+                row = _eliminate(row, echelon[where[c]], c)
+            echelon[r] = row
+        nz = []
+        for row, p in zip(echelon, pivots):
+            lead = row[p]
+            if lead == 1:
+                nz.append(dict(row))  # echelon rows may be the input's own
+            else:
+                nz.append({j: v // lead if v % lead == 0 else Fraction(v, lead)
+                           for j, v in row.items()})
+        nz += [{} for _ in range(self.rows - len(nz))]
+        return Matrix._of(self.rows, self.cols, nz), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self._nz, self.cols)[1])
+
+    def kernel_matrix(self) -> "Matrix":
+        """The nullspace basis as the columns of a cols x nullity matrix."""
+        red, pivots = self.rref()
+        pivset = set(pivots)
+        free = {f: t for t, f in enumerate(f for f in range(self.cols) if f not in pivset)}
+        nz: list[dict] = [{} for _ in range(self.cols)]
+        for f, t in free.items():
+            nz[f][t] = 1
+        for r, p in enumerate(pivots):
+            nz[p] = {free[j]: -v for j, v in red._nz[r].items() if j != p}
+        return Matrix._of(self.cols, len(free), nz)
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivset:
-                continue
-            v = [Q(0)] * self.cols
-            v[free] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.data[r][free]
-            basis.append(v)
-        return basis
+        return self.kernel_matrix().columns()
 
     def solve(self, b: Sequence[Fraction]) -> list[Fraction]:
         """One exact solution of self @ x = b (free variables set to 0).
 
         Raises ValueError when the system is inconsistent.
         """
-        aug = self.copy()
-        for i, row in enumerate(aug.data):
-            row.append(qf(b[i]))
-        aug.cols += 1
+        aug = Matrix._of(self.rows, self.cols + 1, [dict(row) for row in self._nz])
+        for i, row in enumerate(aug._nz):
+            x = _num(b[i])
+            if x:
+                row[self.cols] = x
         red, pivots = aug.rref()
         if pivots and pivots[-1] == self.cols:
             raise ValueError("inconsistent linear system")
-        x = [Q(0)] * self.cols
+        x = [_ZERO] * self.cols
         for r, p in enumerate(pivots):
-            x[p] = red.data[r][self.cols]
+            x[p] = Q(red._nz[r].get(self.cols, 0))
         return x
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix":
@@ -299,7 +384,7 @@ class Matrix:
             raise ValueError("inconsistent linear system")
         out = Matrix.zeros(self.cols, rhs.cols)
         for r, p in enumerate(pivots):
-            out.data[p] = red.data[r][self.cols:]
+            out._nz[p] = {j - self.cols: v for j, v in red._nz[r].items() if j >= self.cols}
         return out
 
     def inverse(self) -> "Matrix":
@@ -313,35 +398,39 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = self.copy()
-        n = m.rows
-        sign = 1
-        det = Q(1)
+        n = self.rows
+        scale = 1
+        rows = []
+        for row in self._nz:
+            den = _denominator(row)
+            scale *= den
+            rows.append({j: int(v * den) for j, v in row.items()})
+        sign = prev = 1
         for c in range(n):
-            pivot = next((i for i in range(c, n) if m.data[i][c] != 0), None)
+            pivot = next((i for i in range(c, n) if c in rows[i]), None)
             if pivot is None:
                 return Q(0)
             if pivot != c:
-                m.data[c], m.data[pivot] = m.data[pivot], m.data[c]
+                rows[c], rows[pivot] = rows[pivot], rows[c]
                 sign = -sign
-            pv = m.data[c][c]
-            det *= pv
-            prow = m.data[c]
+            prow = rows[c]
+            pv = prow[c]
             for i in range(c + 1, n):
-                f = m.data[i][c]
-                if f == 0:
-                    continue
-                f = f / pv
-                irow = m.data[i]
-                for j in range(c, n):
-                    if prow[j] != 0:
-                        irow[j] -= f * prow[j]
-        return det * sign
+                row = rows[i]
+                f = row.get(c, 0)
+                out = {j: pv * v for j, v in row.items()}
+                if f:
+                    for j, v in prow.items():
+                        out[j] = out.get(j, 0) - f * v
+                rows[i] = {j: v // prev for j, v in out.items() if v}
+            prev = pv
+        return Q(sign * prev, scale)
 
     # -- serialization --------------------------------------------------
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
-                "entries": [[qstr(x) for x in row] for row in self.data]}
+                "entries": [[qstr(row.get(j, 0)) for j in range(self.cols)]
+                            for row in self._nz]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -364,7 +453,7 @@ def echelon_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not vectors:
         return []
     red, pivots = Matrix(vectors).rref()
-    return [red.data[r] for r in range(len(pivots))]
+    return [_dense(red._nz[r], red.cols) for r in range(len(pivots))]
 
 
 def rank_of_rows(vectors: Sequence[Sequence[Fraction]]) -> int:

@@ -209,7 +209,7 @@ def _exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matri
                         continue
                     sign, target = w
                     for coeff, g in derivative(f, v):
-                        blk.data[findex[g] * len(dst) + dst_index[target]][col] += sign * coeff
+                        blk[findex[g] * len(dst) + dst_index[target], col] += sign * coeff
         blocks[k] = blk
     return blocks
 
@@ -280,9 +280,9 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
                 labels.append(el if ml == "1" else (ml if el == "1" else f"{ml} {el}"))
         basis[k] = labels
 
-    def derivative(mono: tuple[int, ...], v: int) -> list[tuple[Fraction, tuple[int, ...]]]:
+    def derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
         e = mono[v]  # x^a -> a_v * x^(a - e_v)
-        return [(Q(e), mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
+        return [(e, mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
 
     d = _exterior_derivative(monos, m, derivative)
     star_ext = exterior.star_blocks(n)
@@ -424,7 +424,7 @@ def _mode_label(f: FourierMode) -> str:
     return f"{kind}(2*pi*({''.join(terms)}))"
 
 
-def _derivative_entries(f: FourierMode, axis: int) -> list[tuple[Fraction, FourierMode]]:
+def _derivative_entries(f: FourierMode, axis: int) -> list[tuple[int, FourierMode]]:
     """d/dx_axis in 2*pi units: cos_m -> -m_a sin_m, sin_m -> m_a cos_m."""
     kind, m = f
     if kind == "const":
@@ -433,8 +433,8 @@ def _derivative_entries(f: FourierMode, axis: int) -> list[tuple[Fraction, Fouri
     if coeff == 0:
         return []
     if kind == "cos":
-        return [(Q(-coeff), ("sin", m))]
-    return [(Q(coeff), ("cos", m))]
+        return [(-coeff, ("sin", m))]
+    return [(coeff, ("cos", m))]
 
 
 def _pullback_function(f: FourierMode, box: int | None = None) -> list[tuple[Fraction, FourierMode]] | None:
@@ -493,7 +493,7 @@ def _fourier_pullback(functions: list[FourierMode], findex, ext, dims, index,
                 for coeff, g in transported:
                     for esign, target in _PULLBACK_EXT[emono]:
                         row = index(k, findex[g], ext_index[target])
-                        blk.data[row][col] += esign * coeff
+                        blk[row, col] += esign * coeff
                 cols.append(col)
         p_blocks[k] = blk
         stable[k] = cols
@@ -542,18 +542,13 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
     star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])
                    for k in range(3)}
 
-    inv_basis: dict[int, list[list[Fraction]]] = {}
-    for k in range(3):
-        delta = p_blocks[k] - Matrix.identity(dims[k])
-        inv_basis[k] = Matrix(delta.data).nullspace() if dims[k] else []
-    embed = {k: Matrix.from_columns(inv_basis[k], rows=dims[k]) if inv_basis[k]
-             else Matrix.zeros(dims[k], 0) for k in range(3)}
+    embed = {k: (p_blocks[k] - Matrix.identity(dims[k])).kernel_matrix() for k in range(3)}
 
     def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
         image = block @ embed[k_src]
         return embed[k_dst].solve_matrix(image)
 
-    inv_dims = {k: len(inv_basis[k]) for k in range(3)}
+    inv_dims = {k: embed[k].cols for k in range(3)}
     d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
 
@@ -566,13 +561,14 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
                 fl = _mode_label(f)
                 sector_labels.append(el if fl == "1" else (fl if el == "1" else f"{fl} {el}"))
         labels[k] = []
-        for column in (embed[k].columns() if inv_dims[k] else []):
-            support = [i for i, x in enumerate(column) if x != 0]
-            if len(support) == 1 and column[support[0]] == 1:
-                labels[k].append(sector_labels[support[0]])
+        columns = embed[k].transpose()
+        for j in range(columns.rows):
+            support = sorted(columns.row_items(j))
+            if len(support) == 1 and support[0][1] == 1:
+                labels[k].append(sector_labels[support[0][0]])
             else:
                 labels[k].append(" + ".join(
-                    f"{qf(column[i])}*{sector_labels[i]}" for i in support))
+                    f"{qf(x)}*{sector_labels[i]}" for i, x in support))
 
     inner = {k: Matrix.identity(inv_dims[k]) for k in range(3)}
     return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,

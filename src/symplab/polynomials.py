@@ -93,7 +93,7 @@ def charpoly(m: Matrix) -> Poly:
     aux = Matrix.identity(n)
     for k in range(1, n + 1):
         am = m @ aux
-        tr = sum((am.data[i][i] for i in range(n)), Q(0))
+        tr = sum((am[i, i] for i in range(n)), Q(0))
         ck = -tr / k
         coeffs_high.append(ck)
         aux = am + Matrix.identity(n).scale(ck)

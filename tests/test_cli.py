@@ -132,6 +132,9 @@ def test_bad_n_usage_error(capsys):
     (["omega", "--n", "1", "--element", '{"rows":2}'], 1),       # record without entries
     (["omega", "--n", "1", "--element", "[[1e400]]"], 1),        # parses to infinity
     (["omega", "--n", "1", "--element", "5"], 1),                # not a matrix
+    (["omega", "--n", "1", "--element", "[[true,0],[0,-1]]"], 1),      # booleans
+    (["omega", "--n", "1", "--element", "[[1.5,0],[0,-1.5]]"], 1),     # floats
+    (["omega", "--n", "1", "--element", '[["1e999999999"]]'], 1),      # not p/q: a huge power of ten
     (["algebra", "--n", "1", "--samples", "-3"], 2),             # negative count
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
@@ -143,6 +146,33 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
         error = json.loads(out)["error"]
         assert error["op"] == "omega"
         assert error["reason"].startswith("malformed element")
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["cohomology", "--model", "polynomial", "--n", "3", "--cutoff", "40"],
+     "build_polynomial_model"),
+    (["cohomology", "--model", "torus", "--n", "1000000000000"], "build_torus_model"),
+    (["cohomology", "--model", "suspension", "--cutoff", "100000"], "build_suspension_model"),
+    (["algebra", "--n", "1000"], "lie.standard_basis"),
+    (["algebra", "--n", "6", "--check", "closed-forms"], "lie.standard_basis"),
+    (["omega", "--n", "1000", "--element", "[[0]]"], "lie.standard_basis"),
+])
+def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
+    def fail(*args):
+        pytest.fail("the builder ran")  # not an Exception, so main cannot report it
+    monkeypatch.setattr(f"symplab.cli.{builder}", fail)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["op"] == argv[0]
+    assert "entries" in error["reason"] and "limit of 1e+08" in error["reason"]
+
+
+def test_largest_model_within_budget():
+    from symplab.cli import MAX_MATRIX_CELLS, _model_cells
+    assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150))
+    assert _model_cells("polynomial", 3, 4) <= MAX_MATRIX_CELLS
+    assert _model_cells("polynomial", 3, 5) > MAX_MATRIX_CELLS
 
 
 def test_output_file_and_lab_output_dir(tmp_path, monkeypatch, capsys):

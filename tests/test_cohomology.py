@@ -48,6 +48,17 @@ def test_polynomial_windowed_dimensions():
     assert coh.de_rham(POLY6, windowed=True).dims == (1, 0, 0)
 
 
+def test_polynomial_n3_windowed_dimensions():
+    # R^6 at D = 4 continues the n = 1, 2 pattern: de Rham only in degree 0,
+    # (d+dl) in the even degrees, ddl in the odd ones
+    model = build_polynomial_model(3, 4)
+    assert model.dims() == [210, 1260, 3150, 4200, 3150, 1260, 210]
+    assert all(all(per.values()) for per in model.identities.values())
+    assert coh.de_rham(model, windowed=True).dims == (1, 0, 0, 0, 0, 0, 0)
+    assert coh.d_plus_dlambda_cohomology(model, windowed=True).dims == (1, 0, 1, 0, 1, 0, 1)
+    assert coh.dd_lambda_cohomology(model, windowed=True).dims == (0, 1, 0, 1, 0, 1, 0)
+
+
 def test_polynomial_windowed_stability_across_cutoffs():
     reference = None
     for cutoff in (4, 6, 8):
@@ -69,7 +80,7 @@ def test_representatives_are_independent_mod_denominator():
     rep = coh.d_plus_dlambda_cohomology(SUSP2, representatives=True)
     for k, vectors in rep.representatives.items():
         assert len(vectors) == rep.dims[k]
-        den = coh._den_rows(coh._ddl(SUSP2, k))
+        den = coh._ddl(SUSP2, k).columns()
         assert rank_of_rows(den + vectors) == rank_of_rows(den) + len(vectors)
 
 
@@ -146,8 +157,8 @@ def test_reduction_monomorphism_on_windowed_even_cocycles():
     model = POLY6
     for k in (0, 2):
         constraint = Matrix.vstack([coh._dmat(model, k), coh._dlmat(model, k)])
-        num = coh._kernel_rows(constraint, model, k, True)
-        den = coh._den_rows(coh._ddl(model, k))
+        num = coh._kernel(constraint, model, k, True).columns()
+        den = coh._ddl(model, k).columns()
         den_rank = rank_of_rows(den)
         for v in num:
             exact = rank_of_rows(den + [v]) == den_rank
@@ -217,7 +228,8 @@ def test_hodge_with_nontrivial_gram():
     model = build_suspension_model(2)
     scaled = {k: Matrix.identity(model.dim(k)).scale(Q(1, 2)) for k in range(3)}
     for k in range(3):
-        scaled[k].data[0][0] = Q(3)
+        scaled[k][0, 0] = Q(3)
+    assert scaled[1][0, 0] != scaled[1][1, 1]  # not a multiple of the identity
     model.inner = scaled
     report = coh.hodge_check(model)
     assert report.kernel_dims() == (1, 5, 1)

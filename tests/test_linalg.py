@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplab.linalg import (Matrix, echelon_rows, qstr, rank_of_rows,
                             same_row_space, vec_dot)
@@ -16,9 +18,7 @@ def test_rref_known_case():
     m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     red, pivots = m.rref()
     assert pivots == [0, 1]
-    assert red.data[0] == [Q(1), Q(0), Q(1)]
-    assert red.data[1] == [Q(0), Q(1), Q(1)]
-    assert red.data[2] == [Q(0), Q(0), Q(0)]
+    assert red.data == ((Q(1), Q(0), Q(1)), (Q(0), Q(1), Q(1)), (Q(0), Q(0), Q(0)))
 
 
 def test_rank_of_constructed_products():
@@ -98,8 +98,8 @@ def test_kron_shapes_and_values():
 def test_stacking():
     a = Matrix([[1, 2]])
     b = Matrix([[3, 4]])
-    assert Matrix.vstack([a, b]).data == [[Q(1), Q(2)], [Q(3), Q(4)]]
-    assert Matrix.hstack([a, b]).data == [[Q(1), Q(2), Q(3), Q(4)]]
+    assert Matrix.vstack([a, b]).data == ((Q(1), Q(2)), (Q(3), Q(4)))
+    assert Matrix.hstack([a, b]).data == ((Q(1), Q(2), Q(3), Q(4)),)
 
 
 def test_echelon_rows_canonical_and_row_space_compare():
@@ -128,3 +128,114 @@ def test_zero_row_matrices_compose():
     prod = z @ m
     assert (prod.rows, prod.cols) == (0, 2)
     assert prod.is_zero()
+
+
+# -- properties checked against an independent exact oracle ----------------------
+# sympy's DomainMatrix over QQ.  derandomize=True makes every run draw the same
+# cases, so a failure reproduces.  Shapes include 0 rows and 0 columns.
+
+SIDE = st.integers(0, 6)
+SPARSE_INTS = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-30, 30))
+RATIONALS = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20,
+                                               max_denominator=12))
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw, rows=SIDE, cols=SIDE):
+    """A matrix of sparse integers or of rationals, with shape drawn from rows, cols."""
+    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
+    m = Matrix.zeros(draw(rows), draw(cols))
+    for i in range(m.rows):
+        for j in range(m.cols):
+            m[i, j] = draw(entries)
+    return m
+
+
+@st.composite
+def pairs(draw):
+    """Matrices a (r x k) and b (k x c) with a shared inner dimension."""
+    r, k, c = draw(SIDE), draw(SIDE), draw(SIDE)
+    return draw(matrices(st.just(r), st.just(k))), draw(matrices(st.just(k), st.just(c)))
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    class Oracle:
+        @staticmethod
+        def of(m: Matrix):
+            return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                                 for row in m.data], (m.rows, m.cols), QQ)
+
+        @staticmethod
+        def entries(dm) -> list[list[Q]]:
+            return [[Q(int(x.numerator), int(x.denominator)) for x in row]
+                    for row in dm.to_list()]
+
+    return Oracle
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_pivots_and_rank_match_oracle(oracle, m):
+    red, pivots = m.rref()
+    want, want_pivots = oracle.of(m).rref()
+    assert pivots == list(want_pivots)
+    assert [list(row) for row in red.data] == oracle.entries(want)
+    assert m.rank() == len(pivots) == oracle.of(m).rank()
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_dimension_and_kernel_match_oracle(oracle, m):
+    basis = m.nullspace()
+    assert len(basis) == oracle.of(m).nullspace().shape[0] == m.cols - m.rank()
+    assert rank_of_rows(basis) == len(basis)
+    for v in basis:
+        product = oracle.of(m) * oracle.of(Matrix([v]).transpose())
+        assert all(x == 0 for row in oracle.entries(product) for x in row)
+
+
+@PROPERTY
+@given(SIDE.flatmap(lambda n: matrices(st.just(n), st.just(n))))
+def test_det_matches_oracle(oracle, m):
+    want = oracle.of(m).det()
+    assert m.det() == Q(int(want.numerator), int(want.denominator))
+
+
+@PROPERTY
+@given(pairs())
+def test_matmul_matches_oracle(oracle, ab):
+    a, b = ab
+    assert [list(row) for row in (a @ b).data] == oracle.entries(oracle.of(a) * oracle.of(b))
+
+
+def _consistent(oracle, a, rhs) -> bool:
+    return oracle.of(Matrix.hstack([a, rhs])).rank() == oracle.of(a).rank()
+
+
+@PROPERTY
+@given(pairs(), st.data())
+def test_solve_matches_oracle_on_consistent_and_inconsistent_systems(oracle, ab, data):
+    a, x0 = ab
+    random_rhs = data.draw(matrices(st.just(a.rows), st.just(x0.cols)))
+    for rhs in (a @ x0, random_rhs):  # the first is consistent by construction
+        if _consistent(oracle, a, rhs):
+            x = a.solve_matrix(rhs)
+            assert oracle.entries(oracle.of(a) * oracle.of(x)) == oracle.entries(oracle.of(rhs))
+        else:
+            with pytest.raises(ValueError):
+                a.solve_matrix(rhs)
+        for b in rhs.columns():
+            column = Matrix([b]).transpose()
+            if _consistent(oracle, a, column):
+                x = Matrix([a.solve(b)]).transpose()
+                assert (oracle.entries(oracle.of(a) * oracle.of(x))
+                        == oracle.entries(oracle.of(column)))
+            else:
+                with pytest.raises(ValueError):
+                    a.solve(b)

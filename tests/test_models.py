@@ -398,7 +398,7 @@ def test_corrupted_d_matrix_detected():
     # negative path: breaking a d block must trip the identity report
     model = build_torus_model(1)
     bad = Matrix.zeros(model.dim(1), model.dim(0))
-    bad.data[0][0] = Q(1)
+    bad[0, 0] = Q(1)
     model.d[0] = bad
     report = operator_identity_report(model)
     assert not all(ok for per in report.values() for ok in per.values())
