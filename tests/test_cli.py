@@ -132,10 +132,10 @@ def test_bad_n_usage_error(capsys):
     (["omega", "--n", "1", "--element", '{"rows":2}'], 1),       # record without entries
     (["omega", "--n", "1", "--element", "[[1e400]]"], 1),        # parses to infinity
     (["omega", "--n", "1", "--element", "5"], 1),                # not a matrix
+    (["algebra", "--n", "1", "--samples", "-3"], 2),             # negative count
     (["omega", "--n", "1", "--element", "[[true,0],[0,-1]]"], 1),      # booleans
     (["omega", "--n", "1", "--element", "[[1.5,0],[0,-1.5]]"], 1),     # floats
     (["omega", "--n", "1", "--element", '[["1e999999999"]]'], 1),      # not p/q: a huge power of ten
-    (["algebra", "--n", "1", "--samples", "-3"], 2),             # negative count
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
     got, out = run_cli(capsys, *argv)
