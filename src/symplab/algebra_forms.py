@@ -91,18 +91,25 @@ def ce_d1(theta: AlgebraOneForm) -> AlgebraTwoForm:
 
 
 def is_closed_2form(omega: AlgebraTwoForm) -> bool:
-    """d(omega) = 0 where d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x)."""
+    """d(omega) = 0 where d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
+
+    One pass over integers: the Gram is scaled by the lcm of its
+    denominators (closedness is invariant under a nonzero scale), the
+    vectors omega([e_i, e_j], .) are summed from the sparse structure
+    constants, and each basis triple is three dict lookups.
+    """
     ctx = omega.context
-    gram = omega.gram
-
-    def against(entry: dict[int, Fraction], t: int) -> Fraction:
-        return sum((c * gram[m, t] for m, c in entry.items()), Q(0))
-
+    _, rows = omega.gram.integer_rows()
+    empty: dict[int, int] = {}
+    against = [[empty] * ctx.dim for _ in range(ctx.dim)]  # [i][j] = omega([e_i, e_j], .), i < j
+    for (i, j), entry in ctx._table.items():
+        acc: dict[int, int] = {}
+        for m, c in entry.items():
+            for t, g in rows[m].items():
+                acc[t] = acc.get(t, 0) + c * g
+        against[i][j] = acc
     for i, j, k in combinations(range(ctx.dim), 3):
-        val = (-against(ctx.pair_bracket(i, j), k)
-               + against(ctx.pair_bracket(i, k), j)
-               - against(ctx.pair_bracket(j, k), i))
-        if val != 0:
+        if against[i][k].get(j, 0) != against[i][j].get(k, 0) + against[j][k].get(i, 0):
             return False
     return True
 
@@ -208,7 +215,7 @@ def omega_report(a: AlgebraElement) -> dict:
     closed = is_closed_2form(omega)
     potential = potential_element(omega)
     return {
-        "rank": form_rank(omega),
+        "rank": a.context.dim - kernel.dim,  # rank-nullity: no second elimination
         "kernel_dim": kernel.dim,
         "kernel_basis": [[qstr(x) for x in row] for row in kernel.rows],
         "closed": closed,

@@ -1,11 +1,14 @@
 """Exact-arithmetic model of the real symplectic Lie algebra sp(2n, R).
 
 Elements are matrices X with J X = -X^t J where J = [[0, -I], [I, 0]];
-equivalently block matrices [[A, B], [C, -A^t]] with B, C symmetric.  The
+equivalently block matrices [[A, B], [C, -A^t]] with B, C symmetric, which
+is how membership is tested: entry by entry, with no matrix products.  The
 fixed basis enumerates the A block row-major (n^2 generators), then the
 upper triangle of B, then the upper triangle of C, so coordinates and all
-reports are reproducible.  Structure constants, adjoint matrices and the
-Killing form are computed once per context and shared.
+reports are reproducible; each coordinate sits in one entry of the matrix,
+its slot.  Structure constants are integers read from the sparse
+commutators of basis matrices at these slots; they, the adjoint matrices
+and the Killing form are computed over ``int`` once per context and shared.
 """
 
 from __future__ import annotations
@@ -30,11 +33,22 @@ def j_matrix(n: int) -> Matrix:
 
 
 def is_in_algebra(x: Matrix, n: int) -> bool:
-    """Exact membership test J x = -x^t J."""
+    """Exact membership test J x = -x^t J.
+
+    For x = [[A, B], [C, D]] the condition reads D = -A^t with B and C
+    symmetric, so each nonzero entry is checked against its mirror entry:
+    no matrix products.  An entry whose mirror is nonzero is reached from
+    the mirror, so walking the nonzeros covers every condition.
+    """
     if (x.rows, x.cols) != (2 * n, 2 * n):
         raise ValueError(f"expected a {2*n}x{2*n} matrix, got {x.rows}x{x.cols}")
-    j = j_matrix(n)
-    return ((j @ x) + (x.transpose() @ j)).is_zero()
+    size = 2 * n
+    for r in range(size):
+        for c, v in x.row_items(r):
+            mirror = x[(c + n) % size, (r + n) % size]
+            if mirror != (-v if (r < n) == (c < n) else v):  # A, D blocks; else B, C
+                return False
+    return True
 
 
 def is_in_group(x: Matrix, n: int) -> bool:
@@ -45,9 +59,12 @@ def is_in_group(x: Matrix, n: int) -> bool:
     return (x.transpose() @ j @ x) == j
 
 
-def _basis_matrices(n: int) -> tuple[list[Matrix], list[str]]:
+def _basis_matrices(n: int) -> tuple[list[Matrix], list[str], list[tuple[int, int]]]:
+    """Basis matrices, their labels, and the entry (row, col) that holds
+    each basis element's coordinate in a member of the algebra."""
     basis: list[Matrix] = []
     labels: list[str] = []
+    slots: list[tuple[int, int]] = []
     # A block: E_ij in A, -E_ji in the lower right block
     for i in range(n):
         for j in range(n):
@@ -56,6 +73,7 @@ def _basis_matrices(n: int) -> tuple[list[Matrix], list[str]]:
             m[n + j, n + i] = -1
             basis.append(m)
             labels.append(f"A[{i + 1},{j + 1}]")
+            slots.append((i, j))
     # symmetric B block (upper right)
     for i in range(n):
         for j in range(i, n):
@@ -64,6 +82,7 @@ def _basis_matrices(n: int) -> tuple[list[Matrix], list[str]]:
             m[j, n + i] = 1
             basis.append(m)
             labels.append(f"B[{i + 1},{j + 1}]")
+            slots.append((i, n + j))
     # symmetric C block (lower left)
     for i in range(n):
         for j in range(i, n):
@@ -72,12 +91,16 @@ def _basis_matrices(n: int) -> tuple[list[Matrix], list[str]]:
             m[n + j, i] = 1
             basis.append(m)
             labels.append(f"C[{i + 1},{j + 1}]")
-    return basis, labels
+            slots.append((n + i, j))
+    return basis, labels, slots
 
 
 class AlgebraContext:
     """Basis of sp(2n, R) with precomputed structure constants and Killing form.
 
+    The structure constants, adjoint matrices and Killing Gram are integers:
+    each commutator of two basis matrices is an integer matrix whose
+    coordinates are read off at the basis elements' coordinate slots.
     Immutable after construction; safe to share between threads.
     """
 
@@ -86,36 +109,37 @@ class AlgebraContext:
             raise ValueError("n must be a positive integer")
         self.n = n
         self.dim = 2 * n * n + n
-        self.basis, self.basis_labels = _basis_matrices(n)
+        self.basis, self.basis_labels, self._slots = _basis_matrices(n)
         if len(self.basis) != self.dim:
             raise AssertionError("basis enumeration does not match dimension")
         for m in self.basis:
             if not is_in_algebra(m, n):
                 raise AssertionError("basis matrix fails algebra membership")
         # structure constants, sparse: _table[(i, j)] = {k: c} for i < j
-        self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        slot_of = {rc: k for k, rc in enumerate(self._slots)}
+        self._table: dict[tuple[int, int], dict[int, int]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 comm = (self.basis[i] @ self.basis[j]) - (self.basis[j] @ self.basis[i])
-                coords = self.coords_of_matrix(comm)
-                entry = {k: c for k, c in enumerate(coords) if c != 0}
+                if not is_in_algebra(comm, n):
+                    raise AssertionError("commutator of basis matrices fails algebra membership")
+                entry = sorted((slot_of[r, c], v) for r in range(comm.rows)
+                               for c, v in comm.row_items(r) if (r, c) in slot_of)
                 if entry:
-                    self._table[(i, j)] = entry
-        # adjoint of each basis element, sparse by column: _ad[i][a] = {b: c}
-        self._ad: list[dict[int, dict[int, Fraction]]] = []
-        for i in range(self.dim):
-            col: dict[int, dict[int, Fraction]] = {}
-            for a in range(self.dim):
-                entry = self.pair_bracket(i, a)
-                if entry:
-                    col[a] = entry
-            self._ad.append(col)
+                    self._table[(i, j)] = dict(entry)
+        # adjoint of each basis element, sparse by column: _ad[i][a] = {b: c};
+        # the table is in lexicographic order, so each _ad[i] is in order of a
+        self._ad: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for (i, j), entry in self._table.items():
+            self._ad[i][j] = entry
+            self._ad[j][i] = {k: -c for k, c in entry.items()}
         gram = Matrix.zeros(self.dim, self.dim)
         for i in range(self.dim):
+            adi = self._ad[i]
             for j in range(i, self.dim):
-                acc = Q(0)
-                for a, bi in self._ad[i].items():
-                    adj = self._ad[j]
+                adj = self._ad[j]
+                acc = 0
+                for a, bi in adi.items():
                     for b, cval in bi.items():
                         if b in adj:
                             back = adj[b].get(a)
@@ -128,20 +152,9 @@ class AlgebraContext:
     # -- coordinates ---------------------------------------------------
     def coords_of_matrix(self, x: Matrix) -> list[Fraction]:
         """Coordinates in the fixed basis; requires algebra membership."""
-        n = self.n
-        if not is_in_algebra(x, n):
+        if not is_in_algebra(x, self.n):
             raise ValueError("matrix is not in sp(2n, R)")
-        coords: list[Fraction] = []
-        for i in range(n):
-            for j in range(n):
-                coords.append(Q(x[i, j]))
-        for i in range(n):
-            for j in range(i, n):
-                coords.append(Q(x[i, n + j]))
-        for i in range(n):
-            for j in range(i, n):
-                coords.append(Q(x[n + i, j]))
-        return coords
+        return [Q(x[r, c]) for r, c in self._slots]
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
         if len(coords) != self.dim:
@@ -167,8 +180,8 @@ class AlgebraContext:
         return AlgebraElement(self, tuple([Q(0)] * self.dim))
 
     # -- structure constants --------------------------------------------
-    def pair_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """Sparse coordinates of [e_i, e_j]."""
+    def pair_bracket(self, i: int, j: int) -> dict[int, int]:
+        """Sparse integer coordinates of [e_i, e_j]."""
         if i == j:
             return {}
         if i < j:

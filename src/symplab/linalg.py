@@ -220,6 +220,13 @@ class Matrix:
         """The (col, value) pairs of the nonzero entries of row i."""
         return self._nz[i].items()
 
+    def integer_rows(self) -> tuple[int, list[dict[int, int]]]:
+        """The lcm d of all the entries' denominators, and the rows of
+        d * self as new {col: int} dicts of nonzeros."""
+        d = lcm(1, *(_denominator(row) for row in self._nz))
+        return d, [{j: v.numerator * (d // v.denominator) for j, v in row.items()}
+                   for row in self._nz]
+
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
         """Read-only dense copy of the entries as Fractions."""

@@ -2,8 +2,8 @@
 
 Polynomials are coefficient lists, lowest degree first, with no trailing
 zeros (the zero polynomial is ``[]``).  Provides characteristic
-polynomials (Faddeev-LeVerrier), squarefree tests via gcd, and exact real
-root counting by Sturm chains.
+polynomials (Berkowitz's division-free algorithm over ``int``), squarefree
+tests via gcd, and exact real root counting by Sturm chains.
 """
 
 from __future__ import annotations
@@ -85,19 +85,30 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def charpoly(m: Matrix) -> Poly:
-    """det(tI - m) via Faddeev-LeVerrier, coefficients low to high."""
+    """det(tI - m), coefficients low to high.
+
+    Berkowitz's division-free algorithm over ``int``: m is scaled by the
+    lcm d of its denominators, and the coefficient of t^(n-k) of the
+    integer matrix's polynomial is divided by d^k.  Bordering the leading
+    r x r block by row and column r multiplies its coefficient vector by
+    the Toeplitz matrix of 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C, where
+    A is the block, R the row and C the column.
+    """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = m.rows
-    coeffs_high = [Q(1)]  # t^n coefficient first
-    aux = Matrix.identity(n)
-    for k in range(1, n + 1):
-        am = m @ aux
-        tr = sum((am[i, i] for i in range(n)), Q(0))
-        ck = -tr / k
-        coeffs_high.append(ck)
-        aux = am + Matrix.identity(n).scale(ck)
-    return poly_trim(list(reversed(coeffs_high)))
+    d, rows = m.integer_rows()
+    coeffs = [1]  # t^r coefficient first, for the leading r x r block
+    for r, row in enumerate(rows):
+        inner = [{j: v for j, v in rows[i].items() if j < r} for i in range(r)]
+        border = {j: v for j, v in row.items() if j < r}
+        toeplitz = [1, -row.get(r, 0)]
+        col = [rows[i].get(r, 0) for i in range(r)]
+        for _ in range(r):
+            toeplitz.append(-sum(v * col[j] for j, v in border.items()))
+            col = [sum(v * col[j] for j, v in a.items()) for a in inner]
+        coeffs = [sum(toeplitz[k - i] * c for i, c in enumerate(coeffs[:k + 1]))
+                  for k in range(r + 2)]
+    return [Q(c, d ** k) for k, c in reversed(list(enumerate(coeffs)))]
 
 
 def even_part(p: Poly) -> Poly:

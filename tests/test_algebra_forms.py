@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symplab.algebra_forms as forms
 import symplab.lie_core as lie
 from symplab.linalg import Matrix
+from strategies import PROPERTY, RATIONALS, SPARSE_INTS, sympy_oracle  # shared with other modules
 
 CTX1 = lie.standard_basis(1)
 CTX2 = lie.standard_basis(2)
@@ -211,7 +215,6 @@ def test_ce_d2_matrix_annihilates_invariant_forms():
     rng = random.Random(31)
     a = lie.random_element(CTX2, rng)
     gram = forms.omega_from_element(a).gram
-    from itertools import combinations
     coords = [gram.data[i][j] for i, j in combinations(range(CTX2.dim), 2)]
     assert all(x == 0 for x in d2.apply(coords))
 
@@ -224,3 +227,72 @@ def test_omega_report_schema():
     assert rep["potential"] == ["1", "0", "0"]
     assert rep["potential_roundtrip"] is True
     assert rep["kernel_basis"] == [["1", "0", "0"]]
+
+
+# -- closedness against the Chevalley-Eilenberg d2 matrix --------------------------
+# An independent construction: omega is closed iff ce_d2_matrix applied to its
+# upper triangle vanishes.  The product is taken in sympy's DomainMatrix.
+
+CONTEXTS = {1: CTX1, 2: CTX2}
+
+
+@pytest.fixture(scope="module")
+def d2_oracle():
+    oracle = sympy_oracle()
+    d2 = {n: oracle.of(forms.ce_d2_matrix(ctx)).to_sparse() for n, ctx in CONTEXTS.items()}
+
+    def closed(n: int, gram: Matrix) -> bool:
+        upper = Matrix([[gram[i, j]] for i, j in combinations(range(gram.rows), 2)])
+        return (d2[n] * oracle.of(upper).to_sparse()).is_zero_matrix
+
+    return closed
+
+
+@st.composite
+def two_forms(draw):
+    """(n, gram) for n = 1, 2: a random antisymmetric Gram with sparse integer or
+    rational entries, the Gram of omega_a for a random integer or rational a,
+    or such a Gram with one entry pair changed."""
+    n = draw(st.sampled_from(sorted(CONTEXTS)))
+    ctx = CONTEXTS[n]
+    pairs = list(combinations(range(ctx.dim), 2))
+    kind = draw(st.sampled_from(["integer", "rational", "omega", "omega changed"]))
+    if kind in ("integer", "rational"):
+        entries = SPARSE_INTS if kind == "integer" else RATIONALS
+        gram = Matrix.zeros(ctx.dim, ctx.dim)
+        for i, j in pairs:
+            v = draw(entries)
+            gram[i, j], gram[j, i] = v, -v
+        return n, gram
+    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
+    a = ctx.element(draw(st.lists(entries, min_size=ctx.dim, max_size=ctx.dim)))
+    gram = forms.omega_from_element(a).gram
+    if kind == "omega changed":
+        i, j = draw(st.sampled_from(pairs))
+        delta = draw(st.sampled_from([1, -3, Q(1, 2)]))
+        gram[i, j], gram[j, i] = gram[i, j] + delta, gram[j, i] - delta
+    return n, gram
+
+
+def test_is_closed_2form_matches_ce_d2_oracle(d2_oracle):
+    verdicts = set()
+
+    def agree(n: int, gram: Matrix) -> None:
+        closed = forms.is_closed_2form(forms.AlgebraTwoForm(CONTEXTS[n], gram))
+        assert closed == d2_oracle(n, gram)
+        verdicts.add((n, closed))
+
+    @PROPERTY
+    @given(two_forms())
+    def random_forms(case):
+        agree(*case)
+
+    random_forms()
+    # every e^i ^ e^j: its differential is nonzero on as few as two basis triples,
+    # so a check that skips some triples misses one of these
+    for n, ctx in CONTEXTS.items():
+        for i, j in combinations(range(ctx.dim), 2):
+            gram = Matrix.zeros(ctx.dim, ctx.dim)
+            gram[i, j], gram[j, i] = 1, -1
+            agree(n, gram)
+    assert {(2, True), (2, False)} <= verdicts  # both verdicts were exercised

@@ -1,6 +1,9 @@
 import csv
+import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,29 @@ def test_omega_rejects_non_algebra_matrix(capsys):
     payload = json.loads(out)
     assert payload["error"]["op"] == "omega"
     assert "sp(2n" in payload["error"]["reason"]
+
+
+def _benchmark_inputs():
+    """perfbench/lab_inputs.py, which builds the benchmark's omega requests and
+    reads their golden reports; loaded from its file, read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lab_inputs.py"
+    spec = importlib.util.spec_from_file_location("lab_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_omega_reports_match_golden_bytes(capsys):
+    """One element from each block of 16 in the 1024-element omega pool, cycling
+    through the pool's four lanes, so 64 requests of which 16 (lane 3) are
+    rational; exit code and report SHA-256 must equal the captured goldens."""
+    inputs = _benchmark_inputs()
+    golden = inputs.load_manifest()
+    indices = [16 * k + k % 4 for k in range(inputs.OMEGA_POOL // 16)]
+    assert len(indices) == 64 and sum(i % 4 == 3 for i in indices) == 16
+    for index in indices:
+        code, out = run_cli(capsys, *inputs.omega_request(index)["argv"])
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[inputs.omega_key(index)]
 
 
 def test_cohomology_suspension_csv(capsys):

@@ -4,9 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symplab.lie_core as lie
 from symplab.linalg import Matrix, vec_is_zero
+from strategies import PROPERTY, RATIONALS, SPARSE_INTS  # shared with other modules
 
 CTX1 = lie.standard_basis(1)
 CTX2 = lie.standard_basis(2)
@@ -46,6 +49,8 @@ def test_membership_examples():
 def test_membership_shape_error():
     with pytest.raises(ValueError):
         lie.is_in_algebra(Matrix([[1, 0], [0, 1]]), 2)
+    with pytest.raises(ValueError):
+        lie.is_in_algebra(Matrix.zeros(6, 5), 3)  # not square
     with pytest.raises(ValueError):
         lie.is_in_group(Matrix([[1]]), 1)
 
@@ -280,3 +285,61 @@ def test_matrix_coordinate_roundtrip():
     for ctx in (CTX1, CTX2, CTX3):
         a = lie.random_element(ctx, rng)
         assert ctx.element_from_matrix(a.to_matrix()).coords == a.coords
+
+
+# -- integer structure constants and entrywise membership ---------------------------
+
+def j_product_is_zero(x: Matrix, n: int) -> bool:
+    """Membership as the definition states it: J x + x^t J = 0."""
+    j = lie.j_matrix(n)
+    return ((j @ x) + (x.transpose() @ j)).is_zero()
+
+
+def coords_by_j_products(x: Matrix, n: int) -> list[Q]:
+    """Coordinates of a member, checked by J products and read block by block:
+    A row-major, then the upper triangles of B and of C."""
+    assert j_product_is_zero(x, n)
+    coords = [Q(x[i, j]) for i in range(n) for j in range(n)]
+    coords += [Q(x[i, n + j]) for i in range(n) for j in range(i, n)]
+    coords += [Q(x[n + i, j]) for i in range(n) for j in range(i, n)]
+    return coords
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX3], ids=["n1", "n2", "n3"])
+def test_pair_brackets_are_integer_commutator_coordinates(ctx):
+    for i in range(ctx.dim):
+        for j in range(ctx.dim):
+            entry = ctx.pair_bracket(i, j)
+            assert all(type(c) is int and c != 0 for c in entry.values())
+            bi, bj = ctx.basis[i], ctx.basis[j]
+            want = coords_by_j_products((bi @ bj) - (bj @ bi), ctx.n)
+            assert [entry.get(k, 0) for k in range(ctx.dim)] == want
+    assert all(type(v) is int for i in range(ctx.dim) for _, v in ctx.killing_gram.row_items(i))
+
+
+@st.composite
+def members_and_perturbations(draw):
+    """(x, n): a random member of sp(2n) with integer or rational coordinates,
+    n = 1..3, or such a member with one entry changed."""
+    ctx = draw(st.sampled_from([CTX1, CTX2, CTX3]))
+    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
+    x = ctx.element(draw(st.lists(entries, min_size=ctx.dim, max_size=ctx.dim))).to_matrix()
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, x.rows - 1)), draw(st.integers(0, x.cols - 1))
+        x[r, c] = x[r, c] + draw(st.sampled_from([1, -2, Q(1, 3)]))
+    return x, ctx.n
+
+
+def test_entrywise_membership_matches_j_products():
+    verdicts = set()
+
+    @PROPERTY
+    @given(members_and_perturbations())
+    def check(case):
+        x, n = case
+        member = lie.is_in_algebra(x, n)
+        assert member == j_product_is_zero(x, n)
+        verdicts.add(member)
+
+    check()
+    assert verdicts == {True, False}  # both verdicts were exercised

@@ -3,11 +3,12 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from symplab.linalg import (Matrix, echelon_rows, qstr, rank_of_rows,
                             same_row_space, vec_dot)
+from strategies import PROPERTY, SIDE, matrices, sympy_oracle  # shared with other modules
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -131,25 +132,7 @@ def test_zero_row_matrices_compose():
 
 
 # -- properties checked against an independent exact oracle ----------------------
-# sympy's DomainMatrix over QQ.  derandomize=True makes every run draw the same
-# cases, so a failure reproduces.  Shapes include 0 rows and 0 columns.
-
-SIDE = st.integers(0, 6)
-SPARSE_INTS = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-30, 30))
-RATIONALS = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20,
-                                               max_denominator=12))
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
-
-
-@st.composite
-def matrices(draw, rows=SIDE, cols=SIDE):
-    """A matrix of sparse integers or of rationals, with shape drawn from rows, cols."""
-    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
-    m = Matrix.zeros(draw(rows), draw(cols))
-    for i in range(m.rows):
-        for j in range(m.cols):
-            m[i, j] = draw(entries)
-    return m
+# sympy's DomainMatrix over QQ; the strategies and the oracle live in strategies.py.
 
 
 @st.composite
@@ -161,22 +144,7 @@ def pairs(draw):
 
 @pytest.fixture(scope="module")
 def oracle():
-    pytest.importorskip("sympy")
-    from sympy import QQ
-    from sympy.polys.matrices import DomainMatrix
-
-    class Oracle:
-        @staticmethod
-        def of(m: Matrix):
-            return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
-                                 for row in m.data], (m.rows, m.cols), QQ)
-
-        @staticmethod
-        def entries(dm) -> list[list[Q]]:
-            return [[Q(int(x.numerator), int(x.denominator)) for x in row]
-                    for row in dm.to_list()]
-
-    return Oracle
+    return sympy_oracle()
 
 
 @PROPERTY

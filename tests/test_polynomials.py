@@ -3,11 +3,14 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symplab.linalg import Matrix
 from symplab.polynomials import (charpoly, count_real_roots, even_part,
                                  is_squarefree, poly_derivative, poly_divmod,
                                  poly_eval, poly_gcd, squarefree_part)
+from strategies import PROPERTY, SIDE, matrices, sympy_oracle  # shared with other modules
 
 
 def from_roots(roots):
@@ -103,3 +106,33 @@ def test_eval_and_derivative():
     p = [Q(1), Q(2), Q(3)]  # 1 + 2t + 3t^2
     assert poly_eval(p, Q(2)) == Q(17)
     assert poly_derivative(p) == [Q(2), Q(6)]
+
+
+# -- charpoly against sympy's DomainMatrix over QQ ---------------------------------
+
+@pytest.fixture(scope="module")
+def oracle():
+    return sympy_oracle()
+
+
+@st.composite
+def square_matrices(draw):
+    """Sparse integer or rational n x n matrices, n in 0..6; about half are made
+    singular by overwriting a row with a multiple of another row (or zero)."""
+    n = draw(SIDE)
+    m = draw(matrices(st.just(n), st.just(n)))
+    if n and draw(st.booleans()):
+        target, source = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        factor = draw(st.sampled_from([0, 1, -2, Q(1, 3)])) if target != source else 0
+        for j in range(n):
+            m[target, j] = factor * m[source, j]
+    return m
+
+
+@PROPERTY
+@given(square_matrices())
+def test_charpoly_matches_oracle(oracle, m):
+    want = [oracle.rational(c) for c in reversed(oracle.of(m).charpoly())]
+    got = charpoly(m)
+    assert got == want
+    assert all(type(c) is Q for c in got)
