@@ -6,6 +6,11 @@ omega_a(x, y) = B(a, [x, y]); its kernel is the centralizer of a.  The
 differential on 1-forms follows d(theta)(x, y) = -theta([x, y]), so
 ce_d1 of the Killing dual of a is -omega_a: the sign between the two
 constructions is fixed here once and tested, not hidden.
+
+omega_a is built over ``int``: the Killing row K (d a) of the element
+scaled to integers, paired with the integer structure constants, with d
+divided out as each entry is written.  Closedness is one integer pass, and
+the kernel of a form is reduced once (``Subspace.kernel_of``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .lie_core import AlgebraContext, AlgebraElement, Subspace, is_regular
+from .lie_core import (AlgebraContext, AlgebraElement, Subspace, integer_coords,
+                       is_regular)
 from .linalg import Matrix, Q, qf, qstr
 
 
@@ -43,9 +49,6 @@ class AlgebraTwoForm:
         if not self.gram.is_antisymmetric():
             raise ValueError("gram matrix is not antisymmetric")
 
-    def evaluate(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return sum((xi * v for xi, v in zip(x, self.gram.apply(list(y))) if xi != 0), Q(0))
-
 
 @dataclass(frozen=True)
 class QuotientForm:
@@ -67,15 +70,28 @@ def killing_dual(a: AlgebraElement) -> AlgebraOneForm:
 
 
 def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
-    """omega_a with gram[i][j] = B(a, [e_i, e_j])."""
+    """omega_a with gram[i][j] = B(a, [e_i, e_j]) = sum_k [e_i, e_j]_k (K a)_k.
+
+    Computed over int from d * a, where d clears a's denominators, and
+    divided by d as the Gram is written.
+    """
     ctx = a.context
-    ka = ctx.killing_gram.apply(list(a.coords))
-    gram = Matrix.zeros(ctx.dim, ctx.dim)
+    d, coords = integer_coords(a.coords)
+    ka = [0] * ctx.dim  # the Killing row K (d a); K is symmetric
+    for j, x in enumerate(coords):
+        if x:
+            for k, g in ctx.killing_gram.row_items(j):
+                ka[k] += g * x
+    gram = [[0] * ctx.dim for _ in range(ctx.dim)]
     for (i, j), entry in ctx._table.items():
-        val = sum((c * ka[k] for k, c in entry.items() if ka[k] != 0), Q(0))
-        gram[i, j] = val
-        gram[j, i] = -val
-    return AlgebraTwoForm(ctx, gram)
+        val = 0
+        for k, c in entry.items():
+            val += c * ka[k]
+        gram[i][j] = val
+        gram[j][i] = -val
+    if d != 1:
+        gram = [[Q(v, d) if v else 0 for v in row] for row in gram]
+    return AlgebraTwoForm(ctx, Matrix(gram))
 
 
 def ce_d1(theta: AlgebraOneForm) -> AlgebraTwoForm:
@@ -147,7 +163,7 @@ def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
 
 def form_kernel(omega: AlgebraTwoForm) -> Subspace:
     """Exact nullspace of the gram matrix."""
-    return Subspace(omega.context, omega.gram.nullspace())
+    return Subspace.kernel_of(omega.context, omega.gram)
 
 
 def form_rank(omega: AlgebraTwoForm) -> int:
@@ -164,8 +180,7 @@ def quotient_form(a: AlgebraElement) -> QuotientForm:
         raise ValueError("quotient_form requires a regular element")
     ctx = a.context
     omega = omega_from_element(a)
-    kernel = form_kernel(omega)
-    pivots = {next(i for i, x in enumerate(row) if x != 0) for row in kernel.rows}
+    pivots = set(form_kernel(omega).pivots)
     complement_idx = [j for j in range(ctx.dim) if j not in pivots]
     reduced = omega.gram.submatrix(complement_idx, complement_idx)
     det = reduced.det()
@@ -212,13 +227,12 @@ def omega_report(a: AlgebraElement) -> dict:
     """JSON-ready report {rank, kernel_dim, kernel_basis, closed, potential, ...}."""
     omega = omega_from_element(a)
     kernel = form_kernel(omega)
-    closed = is_closed_2form(omega)
-    potential = potential_element(omega)
+    potential = potential_element(omega)  # tests closedness, and raises unless closed
     return {
         "rank": a.context.dim - kernel.dim,  # rank-nullity: no second elimination
         "kernel_dim": kernel.dim,
         "kernel_basis": [[qstr(x) for x in row] for row in kernel.rows],
-        "closed": closed,
+        "closed": True,
         "potential": [qstr(x) for x in potential.coords],
         "potential_roundtrip": potential.coords == a.coords,
     }

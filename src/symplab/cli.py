@@ -10,9 +10,11 @@ Subcommands:
 * ``lab suite``      -- run every acceptance criterion and print an
                         expected-vs-computed table.
 
-Exit codes: 0 success, 1 precondition or computation failure (with a JSON
-error record on stdout), 2 usage errors.  Parameters whose largest matrix
-would exceed ``MAX_MATRIX_CELLS`` entries are refused before any work.
+Exit codes: 0 success, 1 precondition or computation failure, including an
+output path that cannot be written (with a JSON error record on stdout), 2
+usage errors.  Parameters whose largest matrix, or for ``lab algebra`` the
+largest matrix plus the per-sample work, would exceed ``MAX_MATRIX_CELLS``
+entries are refused before any work.
 Identical arguments and seed produce byte-identical report files; set
 LAB_OUTPUT_DIR to redirect any --output path into a fixed directory.
 """
@@ -34,11 +36,13 @@ from . import suite as acceptance
 from .linalg import Matrix
 from .models import (build_polynomial_model, build_suspension_model,
                      build_torus_model)
+from .polynomials import charpoly, is_squarefree
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
-# Size budget: rows x cols of the largest matrix a command's parameters imply.
+# Size budget: rows x cols of the largest matrix a command's parameters imply,
+# plus, for lab algebra, the matrices built once per sample.
 # polynomial-n3-D4, the largest model the tests build, needs 4.4e7.
 MAX_MATRIX_CELLS = 10 ** 8
 
@@ -53,12 +57,17 @@ def _resolve_output(path: str | None) -> str | None:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write a report to stdout or to the output path; a path that cannot be
+    written raises ValueError, which main reports as an error record."""
     target = _resolve_output(path)
     if target is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        return
+    try:
         with open(target, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -78,13 +87,15 @@ def _binom(a: int, b: int) -> float:
     return math.exp(min(log, 700.0))
 
 
-def _algebra_cells(n: int, closed_forms: bool = False) -> float:
+def _algebra_cells(n: int, closed_forms: bool = False, samples: int = 0) -> float:
     """The structure-constant table (pairs x dim) of sp(2n), or for the
-    closed-forms check the Chevalley-Eilenberg d2 matrix (triples x pairs)."""
+    closed-forms check the Chevalley-Eilenberg d2 matrix (triples x pairs),
+    plus the table once more per sample: each sample's omega, and each
+    potential system, is built by walking it."""
     dim = 2 * n * n + n
-    if closed_forms:
-        return _binom(dim, 3) * _binom(dim, 2)
-    return _binom(dim, 2) * dim
+    table = _binom(dim, 2) * dim
+    largest = _binom(dim, 3) * _binom(dim, 2) if closed_forms else table
+    return largest + min(samples, 1e300) * table  # a float, even for a huge --samples
 
 
 def _model_cells(model: str, n: int, cutoff: int) -> float:
@@ -100,9 +111,9 @@ def _model_cells(model: str, n: int, cutoff: int) -> float:
     return mid * (mid + 2 * side)
 
 
-def _check_budget(cells: float) -> None:
+def _check_budget(cells: float, what: str = "in the largest matrix") -> None:
     if cells > MAX_MATRIX_CELLS:
-        raise ValueError(f"refused: an estimated {cells:.3g} entries in the largest matrix, "
+        raise ValueError(f"refused: an estimated {cells:.3g} entries {what}, "
                          f"above the limit of {MAX_MATRIX_CELLS:.3g}")
 
 
@@ -113,19 +124,19 @@ RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
 
 
 def _cmd_algebra(args) -> int:
-    _check_budget(_algebra_cells(args.n, args.check == "closed-forms"))
+    _check_budget(_algebra_cells(args.n, args.check == "closed-forms", args.samples),
+                  "over the largest matrix and all samples")
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
     if args.check == "rank-kernel":
         rows = []
         for i in range(args.samples):
             a = lie.random_regular_element(ctx, rng)
-            omega = forms.omega_from_element(a)
-            kernel = forms.form_kernel(omega)
+            kernel = forms.form_kernel(forms.omega_from_element(a))
             rows.append({
                 "sample": i,
                 "regular": True,
-                "rank": forms.form_rank(omega),
+                "rank": ctx.dim - kernel.dim,  # rank-nullity: no second elimination
                 "kernel_dim": kernel.dim,
                 "kernel_abelian": lie.is_abelian(kernel),
                 "kernel_equals_centralizer": kernel == lie.centralizer(a),
@@ -177,9 +188,10 @@ def _cmd_omega(args) -> int:
     mat = _parse_element(args.element)
     a = ctx.element_from_matrix(mat)
     report = forms.omega_report(a)
+    p = charpoly(a.to_matrix())  # one characteristic polynomial for both fields
     report["n"] = args.n
-    report["regular"] = lie.is_regular(a)
-    report["spectral_type"] = lie.spectral_type(a).to_dict()
+    report["regular"] = is_squarefree(p)
+    report["spectral_type"] = lie.spectral_type_of(p, args.n).to_dict()
     _emit(_json_text(report), args.output)
     return 0
 

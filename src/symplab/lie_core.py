@@ -6,9 +6,16 @@ is how membership is tested: entry by entry, with no matrix products.  The
 fixed basis enumerates the A block row-major (n^2 generators), then the
 upper triangle of B, then the upper triangle of C, so coordinates and all
 reports are reproducible; each coordinate sits in one entry of the matrix,
-its slot.  Structure constants are integers read from the sparse
-commutators of basis matrices at these slots; they, the adjoint matrices
-and the Killing form are computed over ``int`` once per context and shared.
+its slot, and fixes one mirror entry.  Structure constants are integers
+read from the sparse commutators of basis matrices at these slots; they,
+the adjoint matrices and the Killing form are computed over ``int`` once
+per context and shared.
+
+Coordinates are ``Fraction``; an element's denominators are cleared once
+(``integer_coords``), brackets and ad(x) are built over ``int``, and the
+common denominator is divided out only when the result is written.  A
+``Subspace`` is a reduced-echelon row basis; the kernel of a matrix on
+coordinates becomes one in a single elimination of its kernel basis.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Q, echelon_rows, qf, vec_is_zero
+from .linalg import Matrix, Q, qf, vec_is_zero
 from .polynomials import (charpoly, count_real_roots, even_part,
                           is_squarefree, poly_deg, poly_divmod, poly_eval,
                           squarefree_part)
@@ -30,6 +38,12 @@ def j_matrix(n: int) -> Matrix:
         m[i, n + i] = -1
         m[n + i, i] = 1
     return m
+
+
+def integer_coords(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the coordinates' denominators, and d * coords as ints."""
+    d = lcm(1, *(c.denominator for c in coords))
+    return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
 def is_in_algebra(x: Matrix, n: int) -> bool:
@@ -157,13 +171,17 @@ class AlgebraContext:
         return [Q(x[r, c]) for r, c in self._slots]
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
+        """The member with these coordinates: each is written at its slot and,
+        as membership requires, at its mirror entry (negated in the A block)."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        acc = Matrix.zeros(2 * self.n, 2 * self.n)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                acc = acc + b.scale(c)
-        return acc
+        n, size = self.n, 2 * self.n
+        out = Matrix.zeros(size, size)
+        for (r, c), x in zip(self._slots, coords):
+            if x:
+                out[r, c] = x
+                out[(c + n) % size, (r + n) % size] = -x if (r < n) == (c < n) else x
+        return out
 
     def element(self, coords: Sequence[int | str | Fraction]) -> "AlgebraElement":
         return AlgebraElement(self, tuple(qf(c) for c in coords))
@@ -188,26 +206,35 @@ class AlgebraContext:
             return self._table.get((i, j), {})
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
-    def bracket_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        out = [Q(0)] * self.dim
+    def _bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """Integer coordinates of [x, y] for integer coordinates x, y."""
+        out = [0] * self.dim
         for (i, j), entry in self._table.items():
             w = x[i] * y[j] - x[j] * y[i]
-            if w == 0:
-                continue
-            for k, c in entry.items():
-                out[k] += w * c
+            if w:
+                for k, c in entry.items():
+                    out[k] += w * c
         return out
+
+    def bracket_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+        dx, xs = integer_coords(x)
+        dy, ys = integer_coords(y)
+        d = dx * dy
+        return [Q(v, d) for v in self._bracket(xs, ys)]
 
     def ad_matrix(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad(x) acting on algebra coordinates."""
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
+        d, xs = integer_coords(x)
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(xs):
+            if not xi:
                 continue
             for a, entry in self._ad[i].items():
                 for b, c in entry.items():
-                    out[b, a] += xi * c
-        return out
+                    out[b][a] += xi * c
+        if d != 1:
+            out = [[Q(v, d) if v else 0 for v in row] for row in out]
+        return Matrix(out)
 
 
 @dataclass(frozen=True)
@@ -239,11 +266,23 @@ class AlgebraElement:
 
 
 class Subspace:
-    """Subspace of the algebra, stored as a reduced-echelon row basis."""
+    """Subspace of the algebra, stored as a reduced-echelon row basis and the
+    leading (pivot) index of each row."""
 
-    def __init__(self, context: AlgebraContext, rows: Sequence[Sequence[Fraction]]):
+    def __init__(self, context: AlgebraContext, rows: Sequence[Sequence[Fraction]] | Matrix):
+        """The span of rows: coordinate vectors, or the rows of a matrix."""
+        if not isinstance(rows, Matrix):
+            rows = Matrix([list(r) for r in rows])
+        red, pivots = rows.rref()
         self.context = context
-        self.rows = tuple(tuple(r) for r in echelon_rows(rows))
+        self.rows = red.data[:len(pivots)]
+        self.pivots = tuple(pivots)
+
+    @classmethod
+    def kernel_of(cls, context: AlgebraContext, m: Matrix) -> "Subspace":
+        """The kernel of m acting on coordinates: the sparse kernel basis,
+        transposed, is reduced once."""
+        return cls(context, m.kernel_matrix().transpose())
 
     @classmethod
     def from_elements(cls, elements: Sequence[AlgebraElement]) -> "Subspace":
@@ -263,8 +302,7 @@ class Subspace:
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
         v = list(coords)
-        for row in self.rows:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
+        for row, pivot in zip(self.rows, self.pivots):
             if v[pivot] != 0:
                 f = v[pivot]
                 v = [a - f * b for a, b in zip(v, row)]
@@ -337,15 +375,17 @@ def is_regular(a: AlgebraElement) -> bool:
 def centralizer(a: AlgebraElement) -> Subspace:
     """Echelonized basis of {x : [a, x] = 0}, the exact kernel of ad(a)."""
     ctx = a.context
-    return Subspace(ctx, ctx.ad_matrix(a.coords).nullspace())
+    return Subspace.kernel_of(ctx, ctx.ad_matrix(a.coords))
 
 
 def is_abelian(s: Subspace) -> bool:
+    """True iff all rows commute; each row is scaled to integers once, which
+    does not change whether a bracket vanishes."""
     ctx = s.context
-    rows = s.rows
+    rows = [integer_coords(r)[1] for r in s.rows]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            if not vec_is_zero(ctx.bracket_coords(rows[i], rows[j])):
+            if any(ctx._bracket(rows[i], rows[j])):
                 return False
     return True
 
@@ -361,8 +401,7 @@ def is_maximal_abelian(s: Subspace) -> bool:
     if not s.rows:
         return False  # the whole algebra centralizes the zero subspace
     stacked = Matrix.vstack([ctx.ad_matrix(r) for r in s.rows])
-    joint = Subspace(ctx, stacked.nullspace())
-    return joint == s
+    return Subspace.kernel_of(ctx, stacked) == s
 
 
 @dataclass(frozen=True)
@@ -390,16 +429,19 @@ class SpectralType:
 
 
 def spectral_type(a: AlgebraElement) -> SpectralType:
-    """Classify the eigenvalue families of a's matrix, exactly.
+    """Classify the eigenvalue families of a's matrix, exactly."""
+    return spectral_type_of(charpoly(a.to_matrix()), a.context.n)
+
+
+def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
+    """Classify the eigenvalue families of an element of sp(2n, R) from its
+    characteristic polynomial p.
 
     The characteristic polynomial of a symplectic algebra element is even,
     p(t) = P(t^2); positive real roots of P give real pairs, negative real
     roots give imaginary pairs, and conjugate pairs of complex roots give
     quadruples.  Sturm counts on P make the whole classification exact.
     """
-    ctx = a.context
-    n = ctx.n
-    p = charpoly(a.to_matrix())
     big = even_part(p)  # degree n in mu = t^2
     sf = squarefree_part(big)
     if poly_eval(sf, Q(0)) == 0:

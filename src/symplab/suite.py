@@ -65,9 +65,8 @@ def check_rank_kernel(seed: int = DEFAULT_SEED) -> CheckResult:
         for n in (1, 2, 3):
             ctx = lie.standard_basis(n)
             for a in _sample_regular(ctx, seed + n):
-                omega = forms.omega_from_element(a)
-                kernel = forms.form_kernel(omega)
-                ok = (forms.form_rank(omega) == 2 * n * n
+                kernel = forms.form_kernel(forms.omega_from_element(a))
+                ok = (ctx.dim - kernel.dim == 2 * n * n  # rank, by rank-nullity
                       and kernel.dim == n
                       and kernel == lie.centralizer(a)
                       and lie.is_abelian(kernel))

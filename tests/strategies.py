@@ -18,6 +18,11 @@ SPARSE_INTS = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-30, 30)
 RATIONALS = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20,
                                                max_denominator=12))
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+# algebra coordinates: sparse integers, or rationals with denominators up to 9
+COORDINATES = st.sampled_from([
+    SPARSE_INTS,
+    st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20, max_denominator=9)),
+])
 
 
 @st.composite
@@ -52,3 +57,13 @@ def sympy_oracle():
             return Q(int(x.numerator), int(x.denominator))
 
     return Oracle
+
+
+@st.composite
+def element_pairs(draw, contexts):
+    """(x, y): two elements of one of the algebra contexts, each with sparse
+    integer or with rational coordinates."""
+    ctx = draw(st.sampled_from(contexts))
+    return tuple(ctx.element(draw(st.lists(draw(COORDINATES), min_size=ctx.dim,
+                                           max_size=ctx.dim)))
+                 for _ in range(2))

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import symplab.algebra_forms as forms
 import symplab.lie_core as lie
-from symplab.linalg import Matrix
-from strategies import PROPERTY, RATIONALS, SPARSE_INTS, sympy_oracle  # shared with other modules
+from symplab.linalg import Matrix, echelon_rows
+from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
+                        element_pairs, sympy_oracle)
 
 CTX1 = lie.standard_basis(1)
 CTX2 = lie.standard_basis(2)
+CTX3 = lie.standard_basis(3)
 
 H = CTX1.element([1, 0, 0])
 E = CTX1.element([0, 1, 0])
@@ -128,7 +130,7 @@ def test_potential_rejects_non_closed():
             break
     else:
         pytest.fail("no non-closed 2-form in 10 draws")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a closed 2-form"):
         forms.potential_element(omega)
 
 
@@ -204,6 +206,38 @@ def test_quotient_nondegeneracy_independent_of_complement():
         assert reduced.det() != 0
 
 
+def fraction_omega(a) -> Matrix:
+    """The Gram of omega_a from the Killing row K a, in Fraction arithmetic."""
+    ctx = a.context
+    ka = ctx.killing_gram.apply(list(a.coords))
+    gram = Matrix.zeros(ctx.dim, ctx.dim)
+    for (i, j), entry in ctx._table.items():
+        val = sum((c * ka[k] for k, c in entry.items()), Q(0))
+        gram[i, j] = val
+        gram[j, i] = -val
+    return gram
+
+
+def test_integer_omega_and_kernel_match_fraction_formulas():
+    seen = set()
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        for a in pair:
+            gram = fraction_omega(a)
+            omega = forms.omega_from_element(a)
+            assert omega.gram == gram
+            kernel = forms.form_kernel(omega)
+            assert kernel.rows == tuple(tuple(r) for r in echelon_rows(gram.nullspace()))
+            assert kernel.pivots == tuple(next(i for i, x in enumerate(r) if x)
+                                          for r in kernel.rows)
+            seen.add((a.context.n, any(c.denominator != 1 for c in a.coords)))
+
+    check()
+    assert seen == {(n, rational) for n in (1, 2, 3) for rational in (False, True)}
+
+
 def test_closed_two_form_dimension():
     assert forms.closed_two_form_dimension(CTX1) == 3
     assert forms.closed_two_form_dimension(CTX2) == 10
@@ -233,7 +267,7 @@ def test_omega_report_schema():
 # An independent construction: omega is closed iff ce_d2_matrix applied to its
 # upper triangle vanishes.  The product is taken in sympy's DomainMatrix.
 
-CONTEXTS = {1: CTX1, 2: CTX2}
+CONTEXTS = {1: CTX1, 2: CTX2, 3: CTX3}
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +284,7 @@ def d2_oracle():
 
 @st.composite
 def two_forms(draw):
-    """(n, gram) for n = 1, 2: a random antisymmetric Gram with sparse integer or
+    """(n, gram) for n = 1, 2, 3: a random antisymmetric Gram with sparse integer or
     rational entries, the Gram of omega_a for a random integer or rational a,
     or such a Gram with one entry pair changed."""
     n = draw(st.sampled_from(sorted(CONTEXTS)))
@@ -295,4 +329,4 @@ def test_is_closed_2form_matches_ce_d2_oracle(d2_oracle):
             gram = Matrix.zeros(ctx.dim, ctx.dim)
             gram[i, j], gram[j, i] = 1, -1
             agree(n, gram)
-    assert {(2, True), (2, False)} <= verdicts  # both verdicts were exercised
+    assert {(n, v) for n in (2, 3) for v in (True, False)} <= verdicts  # both verdicts occur

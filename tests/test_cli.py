@@ -182,6 +182,9 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
     (["algebra", "--n", "1000"], "lie.standard_basis"),
     (["algebra", "--n", "6", "--check", "closed-forms"], "lie.standard_basis"),
     (["omega", "--n", "1000", "--element", "[[0]]"], "lie.standard_basis"),
+    (["algebra", "--n", "1", "--samples", "100000000"], "lie.standard_basis"),
+    (["algebra", "--n", "1", "--check", "closed-forms", "--samples", "100000000"],
+     "lie.standard_basis"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):
@@ -214,6 +217,50 @@ def test_output_file_and_lab_output_dir(tmp_path, monkeypatch, capsys):
     payload = json.loads(written.read_text())
     assert payload["rank"] == 2
     assert payload["regular"] is False
+
+
+OUTPUT_COMMANDS = {
+    "algebra": ["algebra", "--n", "1", "--samples", "1"],
+    "omega": ["omega", "--n", "1", "--element", '[["1","0"],["0","-1"]]'],
+    "cohomology": ["cohomology", "--model", "torus", "--n", "1", "--theories", "dr"],
+    "suite": ["suite"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("case", ["missing-directory", "a-directory", "missing-LAB_OUTPUT_DIR"])
+def test_unwritable_output_is_an_error_record(tmp_path, monkeypatch, capsys, command, case):
+    good = CheckResult(1, "alpha", "x", "x", True, 0.01)
+    monkeypatch.setattr("symplab.suite.run_all", lambda seed: [good])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+    missing = tmp_path / "missing"
+    if case == "missing-directory":
+        output = str(missing / "x.json")
+    elif case == "a-directory":
+        output = str(tmp_path)
+    else:
+        monkeypatch.setenv("LAB_OUTPUT_DIR", str(missing))
+        output = "x.json"
+    code, out = run_cli(capsys, *OUTPUT_COMMANDS[command], "--output", output)
+    assert code == 1
+    lines = out.splitlines()  # lab suite prints its table before the record
+    error = json.loads("\n".join(lines[lines.index("{"):]))["error"]
+    assert error["op"] == command
+    assert error["reason"].startswith("cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []  # nothing was written
+
+
+def test_suite_report_matches_golden_bytes(tmp_path, monkeypatch, capsys):
+    """lab suite --seed 7 passes 10 of 11 criteria (criterion 7 red as stated) and
+    exits 1; its report equals the benchmark's golden capture, which is only read."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "reports" / "suite.json"
+    monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+    report = tmp_path / "suite.json"
+    code, out = run_cli(capsys, "suite", "--seed", "7", "--output", str(report))
+    assert code == 1
+    assert "10/11 criteria passed" in out
+    assert report.read_bytes() == golden.read_bytes()
 
 
 def test_suite_table_and_exit_codes(monkeypatch, capsys):

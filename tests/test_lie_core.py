@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symplab.lie_core as lie
-from symplab.linalg import Matrix, vec_is_zero
-from strategies import PROPERTY, RATIONALS, SPARSE_INTS  # shared with other modules
+from symplab.linalg import Matrix, echelon_rows, vec_is_zero
+from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
+                        element_pairs)
 
 CTX1 = lie.standard_basis(1)
 CTX2 = lie.standard_basis(2)
@@ -343,3 +344,54 @@ def test_entrywise_membership_matches_j_products():
 
     check()
     assert verdicts == {True, False}  # both verdicts were exercised
+
+
+# -- the integer element layer against the Fraction formulas ------------------------
+
+def fraction_bracket(ctx, x, y) -> list[Q]:
+    """[x, y] summed over the structure constants in Fraction arithmetic."""
+    out = [Q(0)] * ctx.dim
+    for (i, j), entry in ctx._table.items():
+        w = x[i] * y[j] - x[j] * y[i]
+        for k, c in entry.items():
+            out[k] += w * c
+    return out
+
+
+def fraction_ad(ctx, x) -> Matrix:
+    """ad(x) accumulated entry by entry in Fraction arithmetic."""
+    out = Matrix.zeros(ctx.dim, ctx.dim)
+    for i, xi in enumerate(x):
+        for a, entry in ctx._ad[i].items():
+            for b, c in entry.items():
+                out[b, a] += xi * c
+    return out
+
+
+def fraction_matrix(ctx, coords) -> Matrix:
+    """The sum of the basis matrices scaled by the coordinates."""
+    acc = Matrix.zeros(2 * ctx.n, 2 * ctx.n)
+    for c, b in zip(coords, ctx.basis):
+        acc = acc + b.scale(c)
+    return acc
+
+
+def test_integer_element_layer_matches_fraction_formulas():
+    seen = set()
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        x, y = pair
+        ctx = x.context
+        bracket = ctx.bracket_coords(x.coords, y.coords)
+        assert bracket == fraction_bracket(ctx, x.coords, y.coords)
+        assert all(type(v) is Q for v in bracket)
+        ad = fraction_ad(ctx, x.coords)
+        assert ctx.ad_matrix(x.coords) == ad
+        assert x.to_matrix() == fraction_matrix(ctx, x.coords)
+        assert lie.centralizer(x).rows == tuple(tuple(r) for r in echelon_rows(ad.nullspace()))
+        seen.add((ctx.n, any(c.denominator != 1 for c in x.coords)))
+
+    check()
+    assert seen == {(n, rational) for n in (1, 2, 3) for rational in (False, True)}
