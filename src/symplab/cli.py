@@ -111,9 +111,9 @@ def _model_cells(model: str, n: int, cutoff: int) -> float:
     return mid * (mid + 2 * side)
 
 
-def _check_budget(cells: float, what: str = "in the largest matrix") -> None:
+def _check_budget(cells: float) -> None:
     if cells > MAX_MATRIX_CELLS:
-        raise ValueError(f"refused: an estimated {cells:.3g} entries {what}, "
+        raise ValueError(f"refused: an estimated {cells:.3g} matrix entries, "
                          f"above the limit of {MAX_MATRIX_CELLS:.3g}")
 
 
@@ -124,8 +124,7 @@ RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
 
 
 def _cmd_algebra(args) -> int:
-    _check_budget(_algebra_cells(args.n, args.check == "closed-forms", args.samples),
-                  "over the largest matrix and all samples")
+    _check_budget(_algebra_cells(args.n, args.check == "closed-forms", args.samples))
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
     if args.check == "rank-kernel":

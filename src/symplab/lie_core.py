@@ -11,11 +11,10 @@ read from the sparse commutators of basis matrices at these slots; they,
 the adjoint matrices and the Killing form are computed over ``int`` once
 per context and shared.
 
-Coordinates are ``Fraction``; an element's denominators are cleared once
-(``integer_coords``), brackets and ad(x) are built over ``int``, and the
-common denominator is divided out only when the result is written.  A
-``Subspace`` is a reduced-echelon row basis; the kernel of a matrix on
-coordinates becomes one in a single elimination of its kernel basis.
+An element's ``Fraction`` coordinates are cleared of denominators once
+(``integer_coords``); brackets and ad(x) are built over ``int`` and divided
+by the common denominator only as the result is written.  A ``Subspace``
+is a reduced-echelon row basis, made from a kernel in one elimination.
 """
 
 from __future__ import annotations
