@@ -273,8 +273,12 @@ class Subspace:
         if not isinstance(rows, Matrix):
             rows = Matrix([list(r) for r in rows])
         red, pivots = rows.rref()
+        dense = [[Q(0)] * red.cols for _ in pivots]
+        for r, row in enumerate(dense):
+            for j, v in red.row_items(r):
+                row[j] = qf(v)
         self.context = context
-        self.rows = red.data[:len(pivots)]
+        self.rows = tuple(map(tuple, dense))
         self.pivots = tuple(pivots)
 
     @classmethod
