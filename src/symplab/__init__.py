@@ -6,7 +6,7 @@ from .algebra_forms import (AlgebraOneForm, AlgebraTwoForm, QuotientForm,
                             form_kernel, form_rank, is_closed_2form,
                             killing_dual, omega_from_element, omega_report,
                             one_form, potential_element, quotient_form)
-from .cohomology import (CohomologyReport, HodgeReport, compute_report,
+from .cohomology import (CohomologyReport, HodgeReport,
                          d_plus_dlambda_cohomology, dd_lambda_cohomology,
                          de_rham, hodge_check, inequality_check,
                          quotient_sanity, reduction_constant, reports_to_csv)
@@ -20,7 +20,7 @@ from .linalg import Matrix, Q
 from .models import (ComplexModel, FormVector, alpha_form,
                      build_polynomial_model, build_suspension_model,
                      build_torus_model, d_apply, d_lambda_apply, form_vector,
-                     model_to_json_dict, operator_identity_report,
+                     operator_identity_report,
                      poincare_antiderivative, star_s_apply,
                      suspension_full_complex, w0_power_form)
 

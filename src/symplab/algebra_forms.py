@@ -15,13 +15,14 @@ the kernel of a form is reduced once (``Subspace.kernel_of``).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .lie_core import (AlgebraContext, AlgebraElement, Subspace, integer_coords,
-                       is_regular)
+from .lie_core import (AlgebraContext, AlgebraElement, Subspace, centralizer,
+                       integer_coords, is_abelian, is_regular, random_element)
 from .linalg import Matrix, Q, qf, qstr
 
 
@@ -168,6 +169,23 @@ def form_kernel(omega: AlgebraTwoForm) -> Subspace:
 
 def form_rank(omega: AlgebraTwoForm) -> int:
     return omega.gram.rank()
+
+
+def rank_kernel_record(a: AlgebraElement) -> dict:
+    """The rank/kernel facts of omega_a for one element: rank, kernel
+    dimension, and whether the kernel is abelian and equals the centralizer."""
+    kernel = form_kernel(omega_from_element(a))
+    return {"rank": a.context.dim - kernel.dim,  # rank-nullity: no second elimination
+            "kernel_dim": kernel.dim,
+            "kernel_abelian": is_abelian(kernel),
+            "kernel_equals_centralizer": kernel == centralizer(a)}
+
+
+def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> bool:
+    """True iff each of k random elements is recovered exactly as the
+    potential of its own 2-form; stops at the first that is not."""
+    return all(potential_element(omega_from_element(a)).coords == a.coords
+               for a in (random_element(ctx, rng) for _ in range(k)))
 
 
 def quotient_form(a: AlgebraElement) -> QuotientForm:

@@ -22,6 +22,7 @@ LAB_OUTPUT_DIR to redirect any --output path into a fixed directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -45,6 +46,9 @@ FAILURE_EXIT = 1
 # plus, for lab algebra, the matrices built once per sample.
 # polynomial-n3-D4, the largest model the tests build, needs 4.4e7.
 MAX_MATRIX_CELLS = 10 ** 8
+# The least a lab algebra sample is priced at: at small n a sample's
+# interpreter overhead outweighs its few structure-constant entries.
+SAMPLE_FLOOR_CELLS = 10 ** 4
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -90,12 +94,13 @@ def _binom(a: int, b: int) -> float:
 def _algebra_cells(n: int, closed_forms: bool = False, samples: int = 0) -> float:
     """The structure-constant table (pairs x dim) of sp(2n), or for the
     closed-forms check the Chevalley-Eilenberg d2 matrix (triples x pairs),
-    plus the table once more per sample: each sample's omega, and each
-    potential system, is built by walking it."""
+    plus the table once more per sample, at least SAMPLE_FLOOR_CELLS: each
+    sample's omega, and each potential system, is built by walking it."""
     dim = 2 * n * n + n
     table = _binom(dim, 2) * dim
     largest = _binom(dim, 3) * _binom(dim, 2) if closed_forms else table
-    return largest + min(samples, 1e300) * table  # a float, even for a huge --samples
+    per_sample = max(table, SAMPLE_FLOOR_CELLS)
+    return largest + min(samples, 1e300) * per_sample  # a float, even for a huge --samples
 
 
 def _model_cells(model: str, n: int, cutoff: int) -> float:
@@ -128,18 +133,9 @@ def _cmd_algebra(args) -> int:
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
     if args.check == "rank-kernel":
-        rows = []
-        for i in range(args.samples):
-            a = lie.random_regular_element(ctx, rng)
-            kernel = forms.form_kernel(forms.omega_from_element(a))
-            rows.append({
-                "sample": i,
-                "regular": True,
-                "rank": ctx.dim - kernel.dim,  # rank-nullity: no second elimination
-                "kernel_dim": kernel.dim,
-                "kernel_abelian": lie.is_abelian(kernel),
-                "kernel_equals_centralizer": kernel == lie.centralizer(a),
-            })
+        rows = [{"sample": i, "regular": True,
+                 **forms.rank_kernel_record(lie.random_regular_element(ctx, rng))}
+                for i in range(args.samples)]
         if args.format == "csv":
             _emit(coh.csv_text(RANK_KERNEL_COLUMNS,
                                ([r[c] for c in RANK_KERNEL_COLUMNS] for r in rows)),
@@ -150,12 +146,9 @@ def _cmd_algebra(args) -> int:
         return 0
     # closed-forms
     dim = forms.closed_two_form_dimension(ctx)
-    trips = all(
-        forms.potential_element(forms.omega_from_element(a)).coords == a.coords
-        for a in (lie.random_element(ctx, rng) for _ in range(args.samples)))
     report = {"n": args.n, "seed": args.seed, "check": args.check,
               "closed_two_form_dim": dim, "algebra_dim": ctx.dim,
-              "potential_roundtrip_exact": trips}
+              "potential_roundtrip_exact": forms.potential_roundtrips(ctx, rng, args.samples)}
     _emit(_json_text(report), args.output)
     return 0
 
@@ -190,35 +183,34 @@ def _cmd_omega(args) -> int:
     p = charpoly(a.to_matrix())  # one characteristic polynomial for both fields
     report["n"] = args.n
     report["regular"] = is_squarefree(p)
-    report["spectral_type"] = lie.spectral_type_of(p, args.n).to_dict()
+    report["spectral_type"] = dataclasses.asdict(lie.spectral_type_of(p, args.n))
     _emit(_json_text(report), args.output)
     return 0
 
 
 # -- cohomology ----------------------------------------------------------------
 
-THEORY_FLAGS = {flag: theory for theory, flag in coh.THEORY_CSV_NAMES.items()}
+# --theories flag -> name of the cohomology function, looked up on coh per call
+THEORIES = {"dr": "de_rham", "dpl": "d_plus_dlambda_cohomology", "ddl": "dd_lambda_cohomology"}
 
 
 def _cmd_cohomology(args) -> int:
     theories = [t.strip() for t in args.theories.split(",") if t.strip()]
     if not theories:
         raise SystemExit(USAGE_EXIT)
-    unknown = [t for t in theories if t not in THEORY_FLAGS and t != "hodge"]
+    unknown = [t for t in theories if t not in THEORIES and t != "hodge"]
     if unknown:
         print(f"unknown theories: {','.join(unknown)}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
     _check_budget(_model_cells(args.model, args.n, args.cutoff))
+    windowed = args.model == "polynomial"  # the one model with a window
     if args.model == "torus":
         model = build_torus_model(args.n)
-        windowed = False
     elif args.model == "polynomial":
         model = build_polynomial_model(args.n, args.cutoff)
-        windowed = True
     else:
         model = build_suspension_model(args.cutoff)
-        windowed = False
-    reports = [coh.compute_report(model, THEORY_FLAGS[t], windowed=windowed)
+    reports = [getattr(coh, THEORIES[t])(model, windowed=windowed)
                for t in theories if t != "hodge"]
     hodge_reports = []
     if "hodge" in theories:
@@ -298,15 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cutoff", 1) < 1:
-        print("cutoff must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
-    if getattr(args, "n", 1) < 1:
-        print("n must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
-    if getattr(args, "samples", 0) < 0:
-        print("samples must be >= 0", file=sys.stderr)
-        return USAGE_EXIT
+    for name, least in (("cutoff", 1), ("n", 1), ("samples", 0)):
+        if getattr(args, name, least) < least:
+            print(f"{name} must be >= {least}", file=sys.stderr)
+            return USAGE_EXIT
     try:
         return args.fn(args)
     except (ValueError, AssertionError) as exc:

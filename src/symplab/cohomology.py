@@ -31,8 +31,6 @@ from .linalg import Matrix, Q, qstr
 from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
                      form_vector, poincare_antiderivative)
 
-THEORIES = ("deRham", "dPlusDLambda", "ddLambda")
-
 
 @dataclass(frozen=True)
 class CohomologyReport:
@@ -148,13 +146,6 @@ def dd_lambda_cohomology(model: ComplexModel, windowed: bool = False,
         lambda k: _kernel(_ddl(model, k), model, k, windowed),
         lambda k: Matrix.hstack([_dmat(model, k - 1), _dlmat(model, k + 1)]),
         representatives)
-
-
-def compute_report(model: ComplexModel, theory: str, windowed: bool = False,
-                   representatives: bool = False) -> CohomologyReport:
-    fn = {"deRham": de_rham, "dPlusDLambda": d_plus_dlambda_cohomology,
-          "ddLambda": dd_lambda_cohomology}[theory]
-    return fn(model, windowed, representatives)
 
 
 def quotient_sanity(model: ComplexModel) -> bool:

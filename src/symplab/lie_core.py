@@ -5,11 +5,11 @@ equivalently block matrices [[A, B], [C, -A^t]] with B, C symmetric, which
 is how membership is tested: entry by entry, with no matrix products.  The
 fixed basis enumerates the A block row-major (n^2 generators), then the
 upper triangle of B, then the upper triangle of C, so coordinates and all
-reports are reproducible; each coordinate sits in one entry of the matrix,
-its slot, and fixes one mirror entry.  Structure constants are integers
-read from the sparse commutators of basis matrices at these slots; they,
-the adjoint matrices and the Killing form are computed over ``int`` once
-per context and shared.
+reports are reproducible; each coordinate sits in one entry, its slot, and
+fixes one mirror entry (``_mirror``), and a basis matrix is the member with
+one unit coordinate.  Structure constants are integers read from the
+sparse commutators of basis matrices at these slots; they, the adjoint
+matrices and the Killing form are computed over ``int`` once per context.
 
 An element's ``Fraction`` coordinates are cleared of denominators once
 (``integer_coords``); brackets and ad(x) are built over ``int`` and divided
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Q, qf, vec_is_zero
+from .linalg import Matrix, Q, qf, reduced_basis, vec_is_zero
 from .polynomials import (charpoly, count_real_roots, even_part,
                           is_squarefree, poly_deg, poly_divmod, poly_eval,
                           squarefree_part)
@@ -45,6 +45,13 @@ def integer_coords(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
+def _mirror(r: int, c: int, n: int) -> tuple[int, int, int]:
+    """The entry membership ties to entry (r, c) of a 2n x 2n matrix, and the
+    sign between them: -1 in the A and D blocks (D = -A^t), +1 in B and C."""
+    size = 2 * n
+    return (c + n) % size, (r + n) % size, -1 if (r < n) == (c < n) else 1
+
+
 def is_in_algebra(x: Matrix, n: int) -> bool:
     """Exact membership test J x = -x^t J.
 
@@ -55,11 +62,10 @@ def is_in_algebra(x: Matrix, n: int) -> bool:
     """
     if (x.rows, x.cols) != (2 * n, 2 * n):
         raise ValueError(f"expected a {2*n}x{2*n} matrix, got {x.rows}x{x.cols}")
-    size = 2 * n
-    for r in range(size):
+    for r in range(2 * n):
         for c, v in x.row_items(r):
-            mirror = x[(c + n) % size, (r + n) % size]
-            if mirror != (-v if (r < n) == (c < n) else v):  # A, D blocks; else B, C
+            mr, mc, sign = _mirror(r, c, n)
+            if x[mr, mc] != sign * v:
                 return False
     return True
 
@@ -72,40 +78,12 @@ def is_in_group(x: Matrix, n: int) -> bool:
     return (x.transpose() @ j @ x) == j
 
 
-def _basis_matrices(n: int) -> tuple[list[Matrix], list[str], list[tuple[int, int]]]:
-    """Basis matrices, their labels, and the entry (row, col) that holds
-    each basis element's coordinate in a member of the algebra."""
-    basis: list[Matrix] = []
-    labels: list[str] = []
-    slots: list[tuple[int, int]] = []
-    # A block: E_ij in A, -E_ji in the lower right block
-    for i in range(n):
-        for j in range(n):
-            m = Matrix.zeros(2 * n, 2 * n)
-            m[i, j] = 1
-            m[n + j, n + i] = -1
-            basis.append(m)
-            labels.append(f"A[{i + 1},{j + 1}]")
-            slots.append((i, j))
-    # symmetric B block (upper right)
-    for i in range(n):
-        for j in range(i, n):
-            m = Matrix.zeros(2 * n, 2 * n)
-            m[i, n + j] = 1
-            m[j, n + i] = 1
-            basis.append(m)
-            labels.append(f"B[{i + 1},{j + 1}]")
-            slots.append((i, n + j))
-    # symmetric C block (lower left)
-    for i in range(n):
-        for j in range(i, n):
-            m = Matrix.zeros(2 * n, 2 * n)
-            m[n + i, j] = 1
-            m[n + j, i] = 1
-            basis.append(m)
-            labels.append(f"C[{i + 1},{j + 1}]")
-            slots.append((n + i, j))
-    return basis, labels, slots
+def _slots(n: int) -> list[tuple[int, int]]:
+    """The entry (row, col) that holds each basis coordinate of a member:
+    the A block row-major, then the upper triangles of B and of C."""
+    return ([(i, j) for i in range(n) for j in range(n)]
+            + [(i, n + j) for i in range(n) for j in range(i, n)]
+            + [(n + i, j) for i in range(n) for j in range(i, n)])
 
 
 class AlgebraContext:
@@ -122,9 +100,14 @@ class AlgebraContext:
             raise ValueError("n must be a positive integer")
         self.n = n
         self.dim = 2 * n * n + n
-        self.basis, self.basis_labels, self._slots = _basis_matrices(n)
-        if len(self.basis) != self.dim:
+        self._slots = _slots(n)
+        if len(self._slots) != self.dim:
             raise AssertionError("basis enumeration does not match dimension")
+        self.basis = [self.matrix_of_coords([int(k == t) for t in range(self.dim)])
+                      for k in range(self.dim)]
+        # the block (A, B or C) of each slot, and its 1-based place in the block
+        self.basis_labels = [f"{'ABC'[2 * (r >= n) + (c >= n)]}[{r % n + 1},{c % n + 1}]"
+                             for r, c in self._slots]
         for m in self.basis:
             if not is_in_algebra(m, n):
                 raise AssertionError("basis matrix fails algebra membership")
@@ -171,15 +154,15 @@ class AlgebraContext:
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
         """The member with these coordinates: each is written at its slot and,
-        as membership requires, at its mirror entry (negated in the A block)."""
+        as membership requires, at its mirror entry."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        n, size = self.n, 2 * self.n
-        out = Matrix.zeros(size, size)
+        out = Matrix.zeros(2 * self.n, 2 * self.n)
         for (r, c), x in zip(self._slots, coords):
             if x:
                 out[r, c] = x
-                out[(c + n) % size, (r + n) % size] = -x if (r < n) == (c < n) else x
+                mr, mc, sign = _mirror(r, c, self.n)
+                out[mr, mc] = sign * x
         return out
 
     def element(self, coords: Sequence[int | str | Fraction]) -> "AlgebraElement":
@@ -272,11 +255,7 @@ class Subspace:
         """The span of rows: coordinate vectors, or the rows of a matrix."""
         if not isinstance(rows, Matrix):
             rows = Matrix([list(r) for r in rows])
-        red, pivots = rows.rref()
-        dense = [[Q(0)] * red.cols for _ in pivots]
-        for r, row in enumerate(dense):
-            for j, v in red.row_items(r):
-                row[j] = qf(v)
+        dense, pivots = reduced_basis(rows)
         self.context = context
         self.rows = tuple(map(tuple, dense))
         self.pivots = tuple(pivots)
@@ -286,15 +265,6 @@ class Subspace:
         """The kernel of m acting on coordinates: the sparse kernel basis,
         transposed, is reduced once."""
         return cls(context, m.kernel_matrix().transpose())
-
-    @classmethod
-    def from_elements(cls, elements: Sequence[AlgebraElement]) -> "Subspace":
-        if not elements:
-            raise ValueError("need at least one element to infer the context")
-        ctx = elements[0].context
-        for e in elements:
-            _require_same_context(elements[0], e)
-        return cls(ctx, [list(e.coords) for e in elements])
 
     @property
     def dim(self) -> int:
@@ -422,13 +392,6 @@ class SpectralType:
     complex_quadruples: int
     defective: int
     label: str
-
-    def to_dict(self) -> dict:
-        return {"real_pairs": self.real_pairs,
-                "imaginary_pairs": self.imaginary_pairs,
-                "complex_quadruples": self.complex_quadruples,
-                "defective": self.defective,
-                "label": self.label}
 
 
 def spectral_type(a: AlgebraElement) -> SpectralType:

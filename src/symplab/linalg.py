@@ -13,13 +13,12 @@ denominators and kept primitive (entries coprime) by dividing out their
 gcd; only the final scaling of each pivot to 1 makes ``Fraction`` values.
 The reduced row echelon form is unique, so ``rref``, pivots, nullspaces
 and solves are the canonical ones.  ``det`` is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) over ``int``.  Vectors handed out
+elimination (Math. Comp. 22, 1968) on ``integer_rows``.  Vectors handed out
 (``apply``, ``column``, ``nullspace``, ``solve``) are lists of ``Fraction``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -45,10 +44,6 @@ def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
-
-
 def _num(x: QLike) -> int | Fraction:
     """An entry as stored: int when integral, Fraction otherwise."""
     if type(x) is int:
@@ -67,12 +62,17 @@ def _denominator(row: dict) -> int:
     return den
 
 
+def _cleared(row: dict, d: int) -> dict:
+    """d * row as ints, d a multiple of every denominator in the row; with
+    d == 1 the row is integral and is returned as it is, not copied."""
+    if d == 1:
+        return row
+    return {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+
+
 def _integral(row: dict) -> dict[int, int]:
     """The row times the lcm of its denominators, divided by its content."""
-    den = _denominator(row)
-    if den != 1:
-        row = {j: int(v * den) for j, v in row.items()}
-    return _primitive(row)
+    return _primitive(_cleared(row, _denominator(row)))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -127,7 +127,7 @@ def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], lis
 def _dense(row: dict, n: int) -> list[Fraction]:
     out = [_ZERO] * n
     for j, v in row.items():
-        out[j] = Q(v)
+        out[j] = qf(v)  # a Fraction entry is kept, not re-created
     return out
 
 
@@ -222,10 +222,10 @@ class Matrix:
 
     def integer_rows(self) -> tuple[int, list[dict[int, int]]]:
         """The lcm d of all the entries' denominators, and the rows of
-        d * self as new {col: int} dicts of nonzeros."""
+        d * self as {col: int} dicts of nonzeros, to be read, not written:
+        with d == 1 they are the matrix's own rows."""
         d = lcm(1, *(_denominator(row) for row in self._nz))
-        return d, [{j: v.numerator * (d // v.denominator) for j, v in row.items()}
-                   for row in self._nz]
+        return d, [_cleared(row, d) for row in self._nz]
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -247,12 +247,6 @@ class Matrix:
         if self.rows != self.cols:
             return False
         return all(self._nz[j].get(i, 0) == -v
-                   for i, row in enumerate(self._nz) for j, v in row.items())
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self._nz[j].get(i, 0) == v
                    for i, row in enumerate(self._nz) for j, v in row.items())
 
     def transpose(self) -> "Matrix":
@@ -406,12 +400,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
-        scale = 1
-        rows = []
-        for row in self._nz:
-            den = _denominator(row)
-            scale *= den
-            rows.append({j: int(v * den) for j, v in row.items()})
+        d, rows = self.integer_rows()  # det(d * self) = d^n det(self)
         sign = prev = 1
         for c in range(n):
             pivot = next((i for i in range(c, n) if c in rows[i]), None)
@@ -431,17 +420,9 @@ class Matrix:
                         out[j] = out.get(j, 0) - f * v
                 rows[i] = {j: v // prev for j, v in out.items() if v}
             prev = pv
-        return Q(sign * prev, scale)
+        return Q(sign * prev, d ** n)
 
     # -- serialization --------------------------------------------------
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[qstr(row.get(j, 0)) for j in range(self.cols)]
-                            for row in self._nz]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Matrix":
         m = cls(obj["entries"]) if obj["entries"] else cls.zeros(obj["rows"], obj["cols"])
@@ -449,9 +430,12 @@ class Matrix:
             raise ValueError("matrix shape does not match declared rows/cols")
         return m
 
-    @classmethod
-    def from_json(cls, text: str) -> "Matrix":
-        return cls.from_json_dict(json.loads(text))
+
+def reduced_basis(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of m, dense, and
+    their pivot columns."""
+    red, pivots = m.rref()
+    return [_dense(red._nz[r], red.cols) for r in range(len(pivots))], pivots
 
 
 def echelon_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -459,15 +443,10 @@ def echelon_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     vectors = [list(v) for v in vectors]
     if not vectors:
         return []
-    red, pivots = Matrix(vectors).rref()
-    return [_dense(red._nz[r], red.cols) for r in range(len(pivots))]
+    return reduced_basis(Matrix(vectors))[0]
 
 
 def rank_of_rows(vectors: Sequence[Sequence[Fraction]]) -> int:
     if not vectors:
         return 0
     return Matrix(vectors).rank()
-
-
-def same_row_space(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    return echelon_rows(a) == echelon_rows(b)

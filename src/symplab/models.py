@@ -50,6 +50,13 @@ def _ext_label_torus2(mono: exterior.Mono) -> str:
     return "^".join(f"dx{v + 1}" for v in mono)
 
 
+def _product_labels(function_labels: list[str], ext_labels: list[str]) -> list[str]:
+    """Labels of a function-major basis: each coefficient function times each
+    exterior monomial, with a factor "1" left out."""
+    return [el if fl == "1" else (fl if el == "1" else f"{fl} {el}")
+            for fl in function_labels for el in ext_labels]
+
+
 @dataclass
 class ComplexModel:
     """Finite graded cochain model with exact operator matrices."""
@@ -94,34 +101,24 @@ def form_vector(model: ComplexModel, degree: int, coords) -> FormVector:
     return FormVector(model, degree, tuple(qf(c) for c in coords))
 
 
-def zero_form(model: ComplexModel, degree: int) -> FormVector:
-    return FormVector(model, degree, tuple([Q(0)] * model.dim(degree)))
+def _apply(v: FormVector, blocks: dict[int, Matrix], degree: int) -> FormVector:
+    """blocks[v.degree] applied to v, landing in ``degree``; d at the top and
+    dl in degree 0 are blocks with no rows, which give the empty vector."""
+    if not 0 <= v.degree <= v.model.top_degree:
+        raise ValueError("degree out of range")
+    return FormVector(v.model, degree, tuple(blocks[v.degree].apply(v.coords)))
 
 
 def d_apply(v: FormVector) -> FormVector:
-    m = v.model
-    if not 0 <= v.degree <= m.top_degree:
-        raise ValueError("degree out of range")
-    if v.degree == m.top_degree:
-        return FormVector(m, m.top_degree + 1, ())
-    return FormVector(m, v.degree + 1, tuple(m.d[v.degree].apply(list(v.coords))))
+    return _apply(v, v.model.d, v.degree + 1)
 
 
 def d_lambda_apply(v: FormVector) -> FormVector:
-    m = v.model
-    if not 0 <= v.degree <= m.top_degree:
-        raise ValueError("degree out of range")
-    if v.degree == 0:
-        return FormVector(m, -1, ())
-    return FormVector(m, v.degree - 1, tuple(m.d_lambda[v.degree].apply(list(v.coords))))
+    return _apply(v, v.model.d_lambda, v.degree - 1)
 
 
 def star_s_apply(v: FormVector) -> FormVector:
-    m = v.model
-    if not 0 <= v.degree <= m.top_degree:
-        raise ValueError("degree out of range")
-    return FormVector(m, m.top_degree - v.degree,
-                      tuple(m.star_s[v.degree].apply(list(v.coords))))
+    return _apply(v, v.model.star_s, v.model.top_degree - v.degree)
 
 
 def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
@@ -271,14 +268,9 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
     monos = _monomials(m, cutoff)
     ext = {k: exterior.ext_basis(m, k) for k in range(m + 1)}
 
-    basis = {}
-    for k in range(m + 1):
-        labels = []
-        for mono in monos:
-            for emono in ext[k]:
-                ml, el = _mono_label(mono), _ext_label_xy(emono)
-                labels.append(el if ml == "1" else (ml if el == "1" else f"{ml} {el}"))
-        basis[k] = labels
+    mono_labels = [_mono_label(mono) for mono in monos]
+    basis = {k: _product_labels(mono_labels, [_ext_label_xy(e) for e in ext[k]])
+             for k in range(m + 1)}
 
     def derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
         e = mono[v]  # x^a -> a_v * x^(a - e_v)
@@ -462,37 +454,26 @@ _PULLBACK_EXT: dict[exterior.Mono, list[tuple[int, exterior.Mono]]] = {
 }
 
 
-def _fourier_complex(functions: list[FourierMode]):
-    """d blocks (degrees 0, 1) and bookkeeping for a span of Fourier modes on T^2."""
+def _fourier_pullback(functions: list[FourierMode], box: int | None):
+    """Pullback matrices per degree on the function-major basis of a span of
+    Fourier modes on T^2, and the columns where they are defined."""
     findex = {f: i for i, f in enumerate(functions)}
-    ext = {k: exterior.ext_basis(2, k) for k in range(3)}
-    dims = {k: len(functions) * len(ext[k]) for k in range(3)}
-
-    def index(k: int, fi: int, ei: int) -> int:
-        return fi * len(ext[k]) + ei
-
-    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
-    return findex, ext, dims, index, d_blocks
-
-
-def _fourier_pullback(functions: list[FourierMode], findex, ext, dims, index,
-                      box: int | None):
-    """Pullback matrices per degree and the columns where they are defined."""
     p_blocks: dict[int, Matrix] = {}
     stable: dict[int, list[int]] = {}
     for k in range(3):
-        blk = Matrix.zeros(dims[k], dims[k])
+        ext = exterior.ext_basis(2, k)
+        ext_index = {mono: i for i, mono in enumerate(ext)}
+        blk = Matrix.zeros(len(functions) * len(ext), len(functions) * len(ext))
         cols: list[int] = []
-        ext_index = {mono: i for i, mono in enumerate(ext[k])}
         for fi, f in enumerate(functions):
             transported = _pullback_function(f, box)
             if transported is None or any(g not in findex for _, g in transported):
                 continue  # image mode leaves the cutoff: column stays undefined
-            for ei, emono in enumerate(ext[k]):
-                col = index(k, fi, ei)
+            for ei, emono in enumerate(ext):
+                col = fi * len(ext) + ei
                 for coeff, g in transported:
                     for esign, target in _PULLBACK_EXT[emono]:
-                        row = index(k, findex[g], ext_index[target])
+                        row = findex[g] * len(ext) + ext_index[target]
                         blk[row, col] += esign * coeff
                 cols.append(col)
         p_blocks[k] = blk
@@ -515,9 +496,9 @@ def suspension_full_complex(cutoff: int):
             if _canonical_mode((m1, m2))[0] == 1 and _canonical_mode((m1, m2))[1] == (m1, m2):
                 modes.append((m1, m2))
     functions = _fourier_functions(modes)
-    findex, ext, dims, index, d_blocks = _fourier_complex(functions)
-    p_blocks, stable = _fourier_pullback(functions, findex, ext, dims, index, cutoff)
-    return functions, dims, d_blocks, p_blocks, stable
+    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
+    p_blocks, stable = _fourier_pullback(functions, cutoff)
+    return functions, {k: p_blocks[k].rows for k in range(3)}, d_blocks, p_blocks, stable
 
 
 def build_suspension_model(cutoff: int) -> ComplexModel:
@@ -532,34 +513,31 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
         raise ValueError("cutoff must be a positive integer")
     sector_modes = [(0, m2) for m2 in range(1, cutoff + 1)]
     functions = _fourier_functions(sector_modes)
-    findex, ext, dims, index, d_blocks = _fourier_complex(functions)
-    p_blocks, stable = _fourier_pullback(functions, findex, ext, dims, index, None)
+    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
+    p_blocks, stable = _fourier_pullback(functions, None)
     for k in range(3):
-        if len(stable[k]) != dims[k]:
+        if len(stable[k]) != p_blocks[k].cols:
             raise AssertionError("stable sector is not closed under the pullback")
 
     star_ext = exterior.star_blocks(1)
     star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])
                    for k in range(3)}
 
-    embed = {k: (p_blocks[k] - Matrix.identity(dims[k])).kernel_matrix() for k in range(3)}
+    embed = {k: (p_blocks[k] - Matrix.identity(p_blocks[k].rows)).kernel_matrix()
+             for k in range(3)}
 
     def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
         image = block @ embed[k_src]
         return embed[k_dst].solve_matrix(image)
 
-    inv_dims = {k: embed[k].cols for k in range(3)}
     d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
 
+    mode_labels = [_mode_label(f) for f in functions]
     labels: dict[int, list[str]] = {}
     for k in range(3):
-        ext_labels = [_ext_label_torus2(mono) for mono in ext[k]]
-        sector_labels = []
-        for f in functions:
-            for el in ext_labels:
-                fl = _mode_label(f)
-                sector_labels.append(el if fl == "1" else (fl if el == "1" else f"{fl} {el}"))
+        sector_labels = _product_labels(
+            mode_labels, [_ext_label_torus2(mono) for mono in exterior.ext_basis(2, k)])
         labels[k] = []
         columns = embed[k].transpose()
         for j in range(columns.rows):
@@ -570,21 +548,7 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
                 labels[k].append(" + ".join(
                     f"{qf(x)}*{sector_labels[i]}" for i, x in support))
 
-    inner = {k: Matrix.identity(inv_dims[k]) for k in range(3)}
+    inner = {k: Matrix.identity(embed[k].cols) for k in range(3)}
     return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
                           inner=inner, meta={"N": cutoff})
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def model_to_json_dict(model: ComplexModel) -> dict:
-    return {
-        "name": model.name,
-        "dims": {str(k): model.dim(k) for k in range(model.top_degree + 1)},
-        "d_blocks": {str(k): m.to_json_dict() for k, m in model.d.items()},
-        "star_blocks": {str(k): m.to_json_dict() for k, m in model.star_s.items()},
-        "window": (None if model.window is None
-                   else {str(k): v for k, v in model.window.items()}),
-    }

@@ -97,6 +97,44 @@ def test_omega_reports_match_golden_bytes(capsys):
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[inputs.omega_key(index)]
 
 
+def test_cohomology_sweep_matches_golden_csv(capsys):
+    """The benchmark's ten cohomology-sweep requests; each CSV report must equal
+    its golden capture in perfbench/golden/reports/cohomology, which is only read."""
+    inputs = _benchmark_inputs()
+    golden = inputs.GOLDEN_DIR / "reports" / "cohomology"
+    assert len(inputs.SWEEP) == 10
+    for name, flags in inputs.SWEEP:
+        code, out = run_cli(capsys, *inputs.sweep_request(name, flags)["argv"])
+        assert code == 0
+        assert out.encode() == (golden / f"{name}.csv").read_bytes(), name
+
+
+# SHA-256 of lab algebra reports (seed 7, 10 samples), captured before the
+# algebra batch checks were shared with the acceptance suite.
+ALGEBRA_REPORTS = [
+    (["--n", "1", "--check", "rank-kernel"],
+     "dc54915e153e6f156f2a8907b00eb7a3616766ff6ce21692d5432def334feef4"),
+    (["--n", "1", "--check", "rank-kernel", "--format", "csv"],
+     "9655007ad5c2e045ff1b7de426efdda6fbdb5683c4388784cea56bde33943dfc"),
+    (["--n", "1", "--check", "closed-forms"],
+     "7c9a69eaf70876c20ca3613f3060dad1711b61e4e8262b9b8f978b9de248c942"),
+    (["--n", "2", "--check", "rank-kernel"],
+     "add1f63a4c3388898396786dce62c7e4619a484b1f58bb6092f38cfea28a9e65"),
+    (["--n", "2", "--check", "rank-kernel", "--format", "csv"],
+     "3c6f117a71f46584d6d1d71412ca659074a8aa7c674028d08f140f2973f07a41"),
+    (["--n", "2", "--check", "closed-forms"],
+     "1aad1233f3f774f2cc73102dd869fd9758df134b16a780c68798d49b72a8556e"),
+]
+
+
+@pytest.mark.parametrize("flags, sha256", ALGEBRA_REPORTS,
+                         ids=["n" + "-".join(flags[1::2]) for flags, _ in ALGEBRA_REPORTS])
+def test_algebra_reports_match_pinned_bytes(capsys, flags, sha256):
+    code, out = run_cli(capsys, "algebra", *flags, "--samples", "10", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_cohomology_suspension_csv(capsys):
     code, out = run_cli(capsys, "cohomology", "--model", "suspension",
                         "--cutoff", "8", "--theories", "dr,dpl,ddl,hodge",
@@ -185,6 +223,9 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
     (["algebra", "--n", "1", "--samples", "100000000"], "lie.standard_basis"),
     (["algebra", "--n", "1", "--check", "closed-forms", "--samples", "100000000"],
      "lie.standard_basis"),
+    (["algebra", "--n", "1", "--samples", "10000000"], "lie.standard_basis"),
+    (["algebra", "--n", "1", "--check", "closed-forms", "--samples", "10000000"],
+     "lie.standard_basis"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):
@@ -202,6 +243,15 @@ def test_largest_model_within_budget():
     assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150))
     assert _model_cells("polynomial", 3, 4) <= MAX_MATRIX_CELLS
     assert _model_cells("polynomial", 3, 5) > MAX_MATRIX_CELLS
+
+
+def test_sample_counts_in_use_within_budget():
+    """The README's and the suite's sample counts (50 per n) stay accepted
+    under the per-sample floor."""
+    from symplab.cli import MAX_MATRIX_CELLS, _algebra_cells
+    from symplab.suite import SAMPLES
+    for n, closed_forms in ((1, False), (2, False), (3, False), (1, True), (2, True)):
+        assert _algebra_cells(n, closed_forms, SAMPLES) <= MAX_MATRIX_CELLS
 
 
 def test_output_file_and_lab_output_dir(tmp_path, monkeypatch, capsys):

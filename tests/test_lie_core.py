@@ -36,6 +36,38 @@ def test_basis_order_n1():
     assert F.to_matrix() == Matrix([[0, 0], [1, 0]])
 
 
+def block_basis(n: int) -> tuple[list[Matrix], list[str]]:
+    """The basis of sp(2n) written out block by block: E_ij - E_(n+j)(n+i)
+    for the A block row-major, then E_ij + E_ji on the upper triangles of
+    the symmetric B and C blocks."""
+    basis, labels = [], []
+    for i in range(n):
+        for j in range(n):
+            m = Matrix.zeros(2 * n, 2 * n)
+            m[i, j] = 1
+            m[n + j, n + i] = -1
+            basis.append(m)
+            labels.append(f"A[{i + 1},{j + 1}]")
+    for block, row0, col0 in (("B", 0, n), ("C", n, 0)):
+        for i in range(n):
+            for j in range(i, n):
+                m = Matrix.zeros(2 * n, 2 * n)
+                m[row0 + i, col0 + j] = 1
+                m[row0 + j, col0 + i] = 1
+                basis.append(m)
+                labels.append(f"{block}[{i + 1},{j + 1}]")
+    return basis, labels
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX3], ids=["n1", "n2", "n3"])
+def test_basis_matches_block_formulas(ctx):
+    basis, labels = block_basis(ctx.n)
+    assert ctx.basis == basis
+    assert ctx.basis_labels == labels
+    for k, m in enumerate(basis):
+        assert ctx.coords_of_matrix(m) == [Q(int(k == t)) for t in range(ctx.dim)]
+
+
 def test_membership_examples():
     assert lie.is_in_algebra(Matrix([[0, 1], [0, 0]]), 1)
     assert not lie.is_in_algebra(Matrix.identity(2), 1)
@@ -116,7 +148,7 @@ def test_killing_form_agrees_with_gram():
 
 def test_killing_gram_nondegenerate_n123():
     for ctx in (CTX1, CTX2, CTX3):
-        assert ctx.killing_gram.is_symmetric()
+        assert ctx.killing_gram == ctx.killing_gram.transpose()
         assert ctx.killing_gram.det() != 0
 
 
@@ -202,27 +234,27 @@ def test_centralizer_of_regular_is_abelian_cartan():
 
 
 def test_is_abelian_examples():
-    assert lie.is_abelian(lie.Subspace.from_elements([H]))
-    assert not lie.is_abelian(lie.Subspace.from_elements([H, E]))
-    assert not lie.is_abelian(lie.Subspace.from_elements([E, F]))
+    assert lie.is_abelian(lie.Subspace(CTX1, [H.coords]))
+    assert not lie.is_abelian(lie.Subspace(CTX1, [H.coords, E.coords]))
+    assert not lie.is_abelian(lie.Subspace(CTX1, [E.coords, F.coords]))
 
 
 def test_is_maximal_abelian_examples():
-    assert lie.is_maximal_abelian(lie.Subspace.from_elements([H]))
+    assert lie.is_maximal_abelian(lie.Subspace(CTX1, [H.coords]))
     # the ad(E) nullspace is one-dimensional (oracle), so span{E} is its own
     # joint centralizer and therefore maximal abelian
     assert len(CTX1.ad_matrix(E.coords).nullspace()) == 1
-    assert lie.centralizer(E) == lie.Subspace.from_elements([E])
-    assert lie.is_maximal_abelian(lie.Subspace.from_elements([E]))
+    assert lie.centralizer(E) == lie.Subspace(CTX1, [E.coords])
+    assert lie.is_maximal_abelian(lie.Subspace(CTX1, [E.coords]))
     # diagonal Cartan subalgebra of sp(4,R): A[1,1] and A[2,2]
-    cartan = lie.Subspace.from_elements([CTX2.basis_element(0), CTX2.basis_element(3)])
+    cartan = lie.Subspace(CTX2, [CTX2.basis_element(0).coords, CTX2.basis_element(3).coords])
     assert cartan.dim == 2
     assert lie.is_maximal_abelian(cartan)
 
 
 def test_is_maximal_abelian_rejects_non_abelian():
     with pytest.raises(ValueError):
-        lie.is_maximal_abelian(lie.Subspace.from_elements([H, E]))
+        lie.is_maximal_abelian(lie.Subspace(CTX1, [H.coords, E.coords]))
 
 
 def test_is_maximal_abelian_zero_subspace():
@@ -274,10 +306,10 @@ def test_random_regular_element_is_regular_and_deterministic():
 
 
 def test_subspace_contains_and_equality():
-    s = lie.Subspace.from_elements([H, E])
+    s = lie.Subspace(CTX1, [H.coords, E.coords])
     assert s.contains((Q(2), Q(3), Q(0)))
     assert not s.contains(F.coords)
-    t = lie.Subspace.from_elements([E, H])
+    t = lie.Subspace(CTX1, [E.coords, H.coords])
     assert s == t
 
 

@@ -8,9 +8,9 @@ from symplab.linalg import Matrix
 from symplab.models import (alpha_form, build_polynomial_model,
                             build_suspension_model, build_torus_model,
                             d_apply, d_lambda_apply, form_vector,
-                            model_to_json_dict, operator_identity_report,
+                            operator_identity_report,
                             poincare_antiderivative, star_s_apply,
-                            suspension_full_complex, w0_power_form, zero_form)
+                            suspension_full_complex, w0_power_form)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 
 TORUS1 = build_torus_model(1)
@@ -291,14 +291,14 @@ def test_suspension_invariant_dimensions():
 
 def test_suspension_invariant_dims_against_nullspace_oracle():
     # oracle: solve ker(P - I) on the stable sector directly
-    from symplab.models import (_fourier_complex, _fourier_functions,
-                                _fourier_pullback)
+    from symplab.models import _fourier_functions, _fourier_pullback
     cutoff = 3
     functions = _fourier_functions([(0, k) for k in range(1, cutoff + 1)])
-    findex, ext_b, dims, index, _ = _fourier_complex(functions)
-    p_blocks, _ = _fourier_pullback(functions, findex, ext_b, dims, index, None)
+    p_blocks, _ = _fourier_pullback(functions, None)
     for k, expected in ((0, 2 * cutoff + 1), (1, 2 * cutoff + 1), (2, 2 * cutoff + 1)):
-        delta = p_blocks[k] - Matrix.identity(dims[k])
+        dim = len(functions) * len(ext.ext_basis(2, k))
+        assert (p_blocks[k].rows, p_blocks[k].cols) == (dim, dim)
+        delta = p_blocks[k] - Matrix.identity(dim)
         assert len(delta.nullspace()) == expected
 
 
@@ -341,7 +341,7 @@ def test_suspension_dlambda_examples():
     nz = {labels1[i]: c for i, c in enumerate(dl.coords) if c != 0}
     assert nz == {"sin(2*pi*(x2)) dx2": Q(-1)}
     # d_lambda of any 0-form is the zero map to the zero space
-    f = zero_form(model, 0)
+    f = form_vector(model, 0, [0] * model.dim(0))
     assert d_lambda_apply(f).is_zero()
 
 
@@ -382,16 +382,6 @@ def test_apply_degree_out_of_range():
         d_apply(form_vector(TORUS1, 5, []))
     with pytest.raises(ValueError):
         star_s_apply(form_vector(TORUS1, -1, []))
-
-
-def test_model_json_bundle():
-    bundle = model_to_json_dict(SUSP2)
-    assert bundle["name"] == "suspension-N2"
-    assert bundle["dims"] == {"0": 5, "1": 5, "2": 5}
-    assert set(bundle["d_blocks"]) == {"0", "1", "2"}
-    assert bundle["window"] is None
-    poly_bundle = model_to_json_dict(POLY1)
-    assert poly_bundle["window"] is not None
 
 
 def test_corrupted_d_matrix_detected():
