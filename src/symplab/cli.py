@@ -46,9 +46,10 @@ FAILURE_EXIT = 1
 # plus, for lab algebra, the matrices built once per sample.
 # polynomial-n3-D4, the largest model the tests build, needs 4.4e7.
 MAX_MATRIX_CELLS = 10 ** 8
-# The least a lab algebra sample is priced at: at small n a sample's
-# interpreter overhead outweighs its few structure-constant entries.
-SAMPLE_FLOOR_CELLS = 10 ** 4
+# A lab algebra sample builds and eliminates dim x dim matrices and is priced
+# at this many entries per entry of one; a sample took 0.3, 1.4 and 5.5 ms at
+# n = 1, 2, 3, so the most samples accepted run for 1 to 4 s at any n.
+SAMPLE_CELLS_PER_ENTRY = 10 ** 3
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -94,12 +95,10 @@ def _binom(a: int, b: int) -> float:
 def _algebra_cells(n: int, closed_forms: bool = False, samples: int = 0) -> float:
     """The structure-constant table (pairs x dim) of sp(2n), or for the
     closed-forms check the Chevalley-Eilenberg d2 matrix (triples x pairs),
-    plus the table once more per sample, at least SAMPLE_FLOOR_CELLS: each
-    sample's omega, and each potential system, is built by walking it."""
+    plus SAMPLE_CELLS_PER_ENTRY * dim^2 per sample."""
     dim = 2 * n * n + n
-    table = _binom(dim, 2) * dim
-    largest = _binom(dim, 3) * _binom(dim, 2) if closed_forms else table
-    per_sample = max(table, SAMPLE_FLOOR_CELLS)
+    largest = _binom(dim, 3) * _binom(dim, 2) if closed_forms else _binom(dim, 2) * dim
+    per_sample = SAMPLE_CELLS_PER_ENTRY * dim * dim
     return largest + min(samples, 1e300) * per_sample  # a float, even for a huge --samples
 
 

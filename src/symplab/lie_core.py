@@ -7,9 +7,12 @@ fixed basis enumerates the A block row-major (n^2 generators), then the
 upper triangle of B, then the upper triangle of C, so coordinates and all
 reports are reproducible; each coordinate sits in one entry, its slot, and
 fixes one mirror entry (``_mirror``), and a basis matrix is the member with
-one unit coordinate.  Structure constants are integers read from the
-sparse commutators of basis matrices at these slots; they, the adjoint
-matrices and the Killing form are computed over ``int`` once per context.
+one unit coordinate.  Structure constants are integers read at these
+slots from the commutators of basis matrices, each summed from the two
+matrices' own nonzero entries (at most two each, grouped by row) with no
+matrix product.  The Killing Gram tr(ad_i ad_j) is summed over one index of
+the adjoint entries keyed by (column, row), so only nonzero products are
+visited.  All are computed over ``int`` once per context.
 
 An element's ``Fraction`` coordinates are cleared of denominators once
 (``integer_coords``); brackets and ad(x) are built over ``int`` and divided
@@ -27,8 +30,7 @@ from typing import Sequence
 
 from .linalg import Matrix, Q, qf, reduced_basis, vec_is_zero
 from .polynomials import (charpoly, count_real_roots, even_part,
-                          is_squarefree, poly_deg, poly_divmod, poly_eval,
-                          squarefree_part)
+                          is_squarefree, poly_deg, squarefree_part)
 
 
 def j_matrix(n: int) -> Matrix:
@@ -90,8 +92,8 @@ class AlgebraContext:
     """Basis of sp(2n, R) with precomputed structure constants and Killing form.
 
     The structure constants, adjoint matrices and Killing Gram are integers:
-    each commutator of two basis matrices is an integer matrix whose
-    coordinates are read off at the basis elements' coordinate slots.
+    each commutator of two basis matrices, checked entrywise against its
+    mirror entries, has its coordinates read off at the slots.
     Immutable after construction; safe to share between threads.
     """
 
@@ -111,16 +113,26 @@ class AlgebraContext:
         for m in self.basis:
             if not is_in_algebra(m, n):
                 raise AssertionError("basis matrix fails algebra membership")
+        # each basis matrix's nonzeros by row, and as (r, c, v) triples
+        by_row = [{r: list(m.row_items(r)) for r in range(2 * n) if m.row_items(r)}
+                  for m in self.basis]
+        entries = [[(r, c, v) for r, row in rows.items() for c, v in row] for rows in by_row]
         # structure constants, sparse: _table[(i, j)] = {k: c} for i < j
         slot_of = {rc: k for k, rc in enumerate(self._slots)}
         self._table: dict[tuple[int, int], dict[int, int]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                comm = (self.basis[i] @ self.basis[j]) - (self.basis[j] @ self.basis[i])
-                if not is_in_algebra(comm, n):
-                    raise AssertionError("commutator of basis matrices fails algebra membership")
-                entry = sorted((slot_of[r, c], v) for r in range(comm.rows)
-                               for c, v in comm.row_items(r) if (r, c) in slot_of)
+                comm: dict[tuple[int, int], int] = {}
+                for left, right, sign in ((i, j, 1), (j, i, -1)):
+                    for r, k, v in entries[left]:
+                        for c, w in by_row[right].get(k, ()):
+                            comm[r, c] = comm.get((r, c), 0) + sign * v * w
+                comm = {rc: v for rc, v in comm.items() if v}
+                for (r, c), v in comm.items():
+                    mr, mc, sign = _mirror(r, c, n)
+                    if comm.get((mr, mc), 0) != sign * v:
+                        raise AssertionError("commutator of basis matrices fails algebra membership")
+                entry = sorted((slot_of[rc], v) for rc, v in comm.items() if rc in slot_of)
                 if entry:
                     self._table[(i, j)] = dict(entry)
         # adjoint of each basis element, sparse by column: _ad[i][a] = {b: c};
@@ -129,21 +141,20 @@ class AlgebraContext:
         for (i, j), entry in self._table.items():
             self._ad[i][j] = entry
             self._ad[j][i] = {k: -c for k, c in entry.items()}
-        gram = Matrix.zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            adi = self._ad[i]
-            for j in range(i, self.dim):
-                adj = self._ad[j]
-                acc = 0
-                for a, bi in adi.items():
-                    for b, cval in bi.items():
-                        if b in adj:
-                            back = adj[b].get(a)
-                            if back is not None:
-                                acc += cval * back
-                gram[i, j] = acc
-                gram[j, i] = acc
-        self.killing_gram = gram
+        # tr(ad_i ad_j) sums ad_i[b][a] * ad_j[a][b]: adjoint entries keyed by
+        # (column a, row b), each key paired with key (b, a)
+        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, adi in enumerate(self._ad):
+            for a, column in adi.items():
+                for b, c in column.items():
+                    index.setdefault((a, b), []).append((i, c))
+        gram = [[0] * self.dim for _ in range(self.dim)]
+        for (a, b), here in index.items():
+            for i, c in here:
+                row = gram[i]
+                for j, d in index.get((b, a), ()):
+                    row[j] += c * d
+        self.killing_gram = Matrix(gram)
 
     # -- coordinates ---------------------------------------------------
     def coords_of_matrix(self, x: Matrix) -> list[Fraction]:
@@ -410,8 +421,8 @@ def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
     """
     big = even_part(p)  # degree n in mu = t^2
     sf = squarefree_part(big)
-    if poly_eval(sf, Q(0)) == 0:
-        sf = poly_divmod(sf, [Q(0), Q(1)])[0]  # drop the mu = 0 root
+    if sf[0] == 0:
+        sf = sf[1:]  # drop the mu = 0 root
     pos = count_real_roots(sf, Q(0), None) if poly_deg(sf) > 0 else 0
     neg = count_real_roots(sf, None, Q(0)) if poly_deg(sf) > 0 else 0
     quads = (poly_deg(sf) - pos - neg) // 2

@@ -4,11 +4,19 @@ Polynomials are coefficient lists, lowest degree first, with no trailing
 zeros (the zero polynomial is ``[]``).  Provides characteristic
 polynomials (Berkowitz's division-free algorithm over ``int``), squarefree
 tests via gcd, and exact real root counting by Sturm chains.
+
+Division, gcd and Sturm chains run over ``int``: a rational polynomial is
+cleared of denominators once, and a pseudo-division scales the running
+remainder only by positive integers, so each remainder, made primitive
+(coefficients coprime), is a positive multiple of the rational one and
+every Sturm sign is unchanged.  Only monic results and quotients are
+written back as ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import Matrix, Q
@@ -28,60 +36,84 @@ def poly_deg(p: Poly) -> int:
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Q(0)
+    """p(u/v) as v * sum(c_k u^k v^(deg - k)) / v^(deg + 1), summed over ``int``
+    when p is."""
+    u, v = x.numerator, x.denominator
+    acc, power = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        acc, power = acc * u + c * power, power * v
+    return Q(acc * v, power)
 
 
 def poly_derivative(p: Poly) -> Poly:
     return poly_trim([c * k for k, c in enumerate(p)][1:])
 
 
-def poly_monic(p: Poly) -> Poly:
+def _integral(p: Poly) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of p, trimmed, and d * p over ``int``."""
     p = poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
+    d = lcm(1, *(c.denominator for c in p))
+    return d, [c.numerator * (d // c.denominator) for c in p]
+
+
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, a positive number."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(m, q, r) with m * a = q * b + r over ``int``, m > 0 and deg r < deg b.
+
+    Each step scales the running remainder by |lead(b)| / g, g the gcd of
+    the two leading coefficients: never by a negative number.
+    """
+    lead, m, q, r = b[-1], 1, [0] * max(0, len(a) - len(b) + 1), a[:]
+    while len(r) >= len(b):
+        g = gcd(r[-1], lead)
+        s, f = abs(lead) // g, (r[-1] if lead > 0 else -r[-1]) // g
+        if s != 1:
+            m, q, r = m * s, [s * c for c in q], [s * c for c in r]
+        shift = len(r) - len(b)
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r = poly_trim(r)
+    return m, q, r
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    a, b = poly_trim(a), poly_trim(b)
+    (da, a), (db, b) = _integral(a), _integral(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Q(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and r:
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r = poly_trim(r)
-    return poly_trim(q), r
+    m, q, r = _pseudo_divmod(a, b)  # the rational quotient is q db / (m da)
+    return [Q(c * db, m * da) for c in q], [Q(c, m * da) for c in r]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of a and b by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+    return a
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+    g = _gcd(_integral(a)[1], _integral(b)[1])
+    return [Q(c, g[-1]) for c in g]
 
 
 def is_squarefree(p: Poly) -> bool:
-    p = poly_trim(p)
-    if poly_deg(p) <= 1:
+    p = _integral(p)[1]
+    if len(p) <= 2:
         return bool(p)
-    return poly_deg(poly_gcd(p, poly_derivative(p))) == 0
+    return len(_gcd(p, poly_derivative(p))) == 1
 
 
 def squarefree_part(p: Poly) -> Poly:
-    p = poly_trim(p)
-    if poly_deg(p) <= 0:
-        return poly_monic(p)
-    g = poly_gcd(p, poly_derivative(p))
-    return poly_monic(poly_divmod(p, g)[0])
+    p = _integral(p)[1]
+    q = _pseudo_divmod(p, _gcd(p, poly_derivative(p)))[1] if len(p) > 1 else p
+    return [Q(c, q[-1]) for c in q]
 
 
 def charpoly(m: Matrix) -> Poly:
@@ -128,14 +160,13 @@ def _variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [poly_trim(p), poly_derivative(p)]
-    while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [q for q in chain if q]
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Positive multiples of the Sturm chain p, p', -rem(p, p'), ..., each
+    remainder made primitive; the last is a gcd of p and p'."""
+    chain = [p, _primitive(poly_derivative(p))]
+    while rem := _pseudo_divmod(chain[-2], chain[-1])[2]:
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
 def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
@@ -144,15 +175,15 @@ def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = 
     ``None`` endpoints mean -infinity / +infinity.  Finite endpoints must
     not themselves be roots.
     """
-    p = poly_trim(p)
+    p = _integral(p)[1]
     if poly_deg(p) <= 0:
         return 0
-    if not is_squarefree(p):
+    chain = _sturm_chain(p)
+    if poly_deg(chain[-1]) > 0:
         raise ValueError("Sturm count requires a squarefree polynomial")
     for endpoint in (lo, hi):
         if endpoint is not None and poly_eval(p, endpoint) == 0:
             raise ValueError("interval endpoint is a root")
-    chain = sturm_chain(p)
 
     def signs_at(x: Fraction | None, at_infinity: int = 0) -> list[int]:
         if x is not None:

@@ -226,6 +226,9 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
     (["algebra", "--n", "1", "--samples", "10000000"], "lie.standard_basis"),
     (["algebra", "--n", "1", "--check", "closed-forms", "--samples", "10000000"],
      "lie.standard_basis"),
+    (["algebra", "--n", "3", "--samples", "9000"], "lie.standard_basis"),
+    (["algebra", "--n", "3", "--check", "closed-forms", "--samples", "9000"],
+     "lie.standard_basis"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):
@@ -247,7 +250,7 @@ def test_largest_model_within_budget():
 
 def test_sample_counts_in_use_within_budget():
     """The README's and the suite's sample counts (50 per n) stay accepted
-    under the per-sample floor."""
+    under the per-sample price."""
     from symplab.cli import MAX_MATRIX_CELLS, _algebra_cells
     from symplab.suite import SAMPLES
     for n, closed_forms in ((1, False), (2, False), (3, False), (1, True), (2, True)):

@@ -427,3 +427,59 @@ def test_integer_element_layer_matches_fraction_formulas():
 
     check()
     assert seen == {(n, rational) for n in (1, 2, 3) for rational in (False, True)}
+
+
+# -- the context against the matrix-product construction -----------------------------
+
+def product_oracle(ctx):
+    """The structure constants read at the slots of b_i @ b_j - b_j @ b_i,
+    the adjoint columns they give, and the Killing Gram summed pair by pair
+    as sum over a, b of ad_i[b][a] * ad_j[a][b]."""
+    slot_of = {rc: k for k, rc in enumerate(lie._slots(ctx.n))}
+    table = {}
+    for i, j in combinations(range(ctx.dim), 2):
+        comm = (ctx.basis[i] @ ctx.basis[j]) - (ctx.basis[j] @ ctx.basis[i])
+        entry = sorted((slot_of[r, c], v) for r in range(comm.rows)
+                       for c, v in comm.row_items(r) if (r, c) in slot_of)
+        if entry:
+            table[i, j] = dict(entry)
+    ad = [{} for _ in range(ctx.dim)]
+    for (i, j), entry in table.items():
+        ad[i][j] = entry
+        ad[j][i] = {k: -c for k, c in entry.items()}
+    gram = Matrix.zeros(ctx.dim, ctx.dim)
+    for i in range(ctx.dim):
+        for j in range(ctx.dim):
+            gram[i, j] = sum(c * ad[j].get(b, {}).get(a, 0)
+                             for a, column in ad[i].items() for b, c in column.items())
+    return table, ad, gram
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4"])
+def test_context_matches_matrix_product_oracle(n, monkeypatch):
+    with monkeypatch.context() as patch:  # the context itself takes no product
+        for name in ("__matmul__", "__sub__"):
+            patch.setattr(Matrix, name, lambda *args: pytest.fail("a Matrix product was taken"))
+        ctx = lie.standard_basis(n)
+    table, ad, gram = product_oracle(ctx)
+    assert ctx._table == table and list(ctx._table) == list(table)
+    assert ctx._ad == ad and [list(a) for a in ctx._ad] == [list(a) for a in ad]
+    assert ctx.killing_gram == gram
+
+
+def test_context_membership_checks_raise(monkeypatch):
+    """A basis matrix outside the algebra, and a commutator outside it (basis
+    matrices with only their slot entry, admitted by a patched basis check),
+    each stop the construction."""
+    def slot_only(ctx, coords):
+        m = Matrix.zeros(2 * ctx.n, 2 * ctx.n)
+        for (r, c), x in zip(lie._slots(ctx.n), coords):
+            m[r, c] = x
+        return m
+
+    monkeypatch.setattr(lie.AlgebraContext, "matrix_of_coords", slot_only)
+    with pytest.raises(AssertionError, match="basis matrix"):
+        lie.AlgebraContext(2)
+    monkeypatch.setattr(lie, "is_in_algebra", lambda x, n: True)
+    with pytest.raises(AssertionError, match="commutator"):
+        lie.AlgebraContext(2)
