@@ -169,7 +169,7 @@ def _parse_element(text: str) -> Matrix:
         if isinstance(obj, dict):
             return Matrix.from_json_dict(obj)
         return Matrix(obj)
-    except (TypeError, KeyError, ZeroDivisionError) as exc:
+    except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed element: {type(exc).__name__}: {exc}") from exc
 
 
@@ -213,7 +213,8 @@ def _cmd_cohomology(args) -> int:
                for t in theories if t != "hodge"]
     hodge_reports = []
     if "hodge" in theories:
-        hodge_reports.append(coh.hodge_check(model))
+        dpl = next((r for r in reports if r.theory == "dPlusDLambda"), None)
+        hodge_reports.append(coh.hodge_check(model, dpl))
     if args.format == "csv":
         _emit(coh.reports_to_csv(reports, hodge_reports), args.output)
     else:

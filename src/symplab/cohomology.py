@@ -15,9 +15,11 @@ windowed variants restrict numerators to the model window while
 denominators keep the full truncated space, which removes exactly the
 truncation-boundary classes.
 
-Also here: the reduction of an even-degree cocycle to its constant, the
-finite Hodge operator built from adjoints with respect to the model inner
-product, and the per-degree inequality check between the theories.
+Every block of d and dl, in or out of the degree range, is read through
+``model.d_block`` and ``model.dl_block``.  Also here: the reduction of an
+even-degree cocycle to its constant, the finite Hodge operator, whose
+adjoints are transposes in the orthonormal torus and suspension bases,
+and the per-degree inequality check between the theories.
 """
 
 from __future__ import annotations
@@ -67,26 +69,9 @@ class HodgeReport:
 
 # -- operator block helpers --------------------------------------------------
 
-def _dmat(model: ComplexModel, k: int) -> Matrix:
-    """d as a matrix from degree k to k+1 (zero space above the top)."""
-    if k < 0:
-        return Matrix.zeros(model.dim(0), 0)
-    return model.d[k]
-
-
-def _dlmat(model: ComplexModel, k: int) -> Matrix:
-    """d_lambda as a matrix from degree k to k-1 (zero space below 0)."""
-    if k > model.top_degree:
-        return Matrix.zeros(model.dim(model.top_degree), 0)
-    return model.d_lambda[k]
-
-
 def _ddl(model: ComplexModel, k: int) -> Matrix:
     """The composite d . d_lambda acting on degree k."""
-    n = model.dim(k)
-    if k == 0:
-        return Matrix.zeros(n, n)
-    return _dmat(model, k - 1) @ _dlmat(model, k)
+    return model.d_block(k - 1) @ model.dl_block(k)
 
 
 def _kernel(constraint: Matrix, model: ComplexModel, k: int, windowed: bool) -> Matrix:
@@ -124,8 +109,8 @@ def de_rham(model: ComplexModel, windowed: bool = False,
             representatives: bool = False) -> CohomologyReport:
     return _report(
         model, "deRham", windowed,
-        lambda k: _kernel(_dmat(model, k), model, k, windowed),
-        lambda k: _dmat(model, k - 1),
+        lambda k: _kernel(model.d_block(k), model, k, windowed),
+        lambda k: model.d_block(k - 1),
         representatives)
 
 
@@ -133,7 +118,7 @@ def d_plus_dlambda_cohomology(model: ComplexModel, windowed: bool = False,
                               representatives: bool = False) -> CohomologyReport:
     return _report(
         model, "dPlusDLambda", windowed,
-        lambda k: _kernel(Matrix.vstack([_dmat(model, k), _dlmat(model, k)]),
+        lambda k: _kernel(Matrix.vstack([model.d_block(k), model.dl_block(k)]),
                           model, k, windowed),
         lambda k: _ddl(model, k),
         representatives)
@@ -144,7 +129,7 @@ def dd_lambda_cohomology(model: ComplexModel, windowed: bool = False,
     return _report(
         model, "ddLambda", windowed,
         lambda k: _kernel(_ddl(model, k), model, k, windowed),
-        lambda k: Matrix.hstack([_dmat(model, k - 1), _dlmat(model, k + 1)]),
+        lambda k: Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]),
         representatives)
 
 
@@ -153,13 +138,13 @@ def quotient_sanity(model: ComplexModel) -> bool:
     and im d + im dl inside ker(d.dl); exact matrix identities."""
     for k in range(model.top_degree + 1):
         s = _ddl(model, k)
-        if not (_dmat(model, k) @ s).is_zero():
+        if not (model.d_block(k) @ s).is_zero():
             return False
-        if not (_dlmat(model, k) @ s).is_zero():
+        if not (model.dl_block(k) @ s).is_zero():
             return False
-        if not (s @ _dmat(model, k - 1)).is_zero():
+        if not (s @ model.d_block(k - 1)).is_zero():
             return False
-        if not (s @ _dlmat(model, k + 1)).is_zero():
+        if not (s @ model.dl_block(k + 1)).is_zero():
             return False
     return True
 
@@ -223,58 +208,35 @@ def reduction_constant(v: FormVector, _perturb_first: FormVector | None = None) 
 
 # -- finite Hodge operator ----------------------------------------------------
 
-def _adjoint(m: Matrix, g_src: Matrix, g_dst: Matrix) -> Matrix:
-    """Adjoint of m: V_src -> V_dst with respect to the given inner Grams."""
-    return g_src.solve_matrix(m.transpose() @ g_dst)
-
-
 def hodge_check(model: ComplexModel,
                 dpl: CohomologyReport | None = None) -> HodgeReport:
     """Kernel of the finite (d+dl)-Laplacian against the cohomology.
 
     D = (d.dl)(d.dl)* + (d.dl)*(d.dl) + d*.dl.dl*.d + dl*.d.d*.dl
-        + d*d + dl*dl,  per degree, adjoints taken in the declared inner
-    product.  Reports, per degree, whether ker D matches the
-    (d+dl)-cohomology dimension and whether the three-summand
-    decomposition ker D + im(d.dl) + (im d* + im dl*) is exhaustive.
+        + d*d + dl*dl  per degree.  The torus and suspension bases are
+    orthonormal, so each adjoint is a transpose and D = M^t M for the six
+    maps of M, stacked.  Reports, per degree, whether ker D matches the
+    (d+dl)-cohomology dimension, taken from ``dpl`` when it is given, and
+    whether the three-summand decomposition ker D + im(d.dl) + (im d* +
+    im dl*) is exhaustive.
     """
-    if model.inner is None:
+    if model.kind == "polynomial":
         raise ValueError("hodge_check requires a model with an inner product")
-    top = model.top_degree
-    gram = model.inner
     if dpl is None:
         dpl = d_plus_dlambda_cohomology(model)
-
-    def g(k: int) -> Matrix:
-        return gram[k] if 0 <= k <= top else Matrix.zeros(0, 0)
-
     degrees = []
-    for k in range(top + 1):
+    for k in range(model.top_degree + 1):
         nk = model.dim(k)
         s = _ddl(model, k)
-        s_star = _adjoint(s, g(k), g(k))
-        d_k = _dmat(model, k)
-        dl_k = _dlmat(model, k)
-        d_k_star = _adjoint(d_k, g(k), g(k + 1)) if k < top else Matrix.zeros(nk, 0)
-        dl_k_star = _adjoint(dl_k, g(k), g(k - 1)) if k > 0 else Matrix.zeros(nk, 0)
-        big = (s @ s_star) + (s_star @ s)
-        if k < top:
-            big = big + d_k_star @ d_k
-        if k > 0:
-            big = big + dl_k_star @ dl_k
-        if k + 2 <= top:
-            dl_up = _dlmat(model, k + 2)
-            dl_up_star = _adjoint(dl_up, g(k + 2), g(k + 1))
-            big = big + d_k_star @ dl_up @ dl_up_star @ d_k
-        if k - 2 >= 0:
-            d_down = _dmat(model, k - 2)
-            d_down_star = _adjoint(d_down, g(k - 2), g(k - 1))
-            big = big + dl_k_star @ d_down @ d_down_star @ dl_k
-        dim_ker = nk - big.rank()
+        d_k, dl_k = model.d_block(k), model.dl_block(k)
+        m = Matrix.vstack([s.transpose(), s, d_k, dl_k,
+                           model.dl_block(k + 2).transpose() @ d_k,
+                           model.d_block(k - 2).transpose() @ dl_k])
+        kernel_cols = (m.transpose() @ m).kernel_matrix()
+        dim_ker = kernel_cols.cols
         rank_ddl = s.rank()
-        adjoint_cols = Matrix.hstack([d_k_star, dl_k_star])
+        adjoint_cols = Matrix.hstack([d_k.transpose(), dl_k.transpose()])
         rank_adj = adjoint_cols.rank()
-        kernel_cols = big.kernel_matrix()
         spanning = Matrix.hstack([kernel_cols, s, adjoint_cols])
         exhaustive = (dim_ker + rank_ddl + rank_adj == nk
                       and spanning.rank() == nk)

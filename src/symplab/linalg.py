@@ -160,24 +160,21 @@ class Matrix:
 
     @classmethod
     def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        mats = [m for m in mats if m.rows > 0]
-        if not mats:
-            return cls.zeros(0, 0)
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
+        """The rows of every input, which all have the same number of
+        columns, 0-row inputs included; no inputs give the 0x0 matrix."""
+        cols = {m.cols for m in mats}
+        if len(cols) > 1:
             raise ValueError("column mismatch in vstack")
         nz = [dict(row) for m in mats for row in m._nz]
-        return cls._of(len(nz), cols, nz)
+        return cls._of(len(nz), cols.pop() if cols else 0, nz)
 
     @classmethod
     def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        mats = [m for m in mats if m.cols > 0]
-        if not mats:
-            return cls.zeros(0, 0)
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
+        """The columns of every input, as vstack with rows and columns swapped."""
+        rows = {m.rows for m in mats}
+        if len(rows) > 1:
             raise ValueError("row mismatch in hstack")
-        out = cls.zeros(rows, sum(m.cols for m in mats))
+        out = cls.zeros(rows.pop() if rows else 0, sum(m.cols for m in mats))
         offset = 0
         for m in mats:
             for orow, row in zip(out._nz, m._nz):
@@ -425,7 +422,7 @@ class Matrix:
     # -- serialization --------------------------------------------------
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Matrix":
-        m = cls(obj["entries"]) if obj["entries"] else cls.zeros(obj["rows"], obj["cols"])
+        m = cls(obj["entries"])
         if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
             raise ValueError("matrix shape does not match declared rows/cols")
         return m

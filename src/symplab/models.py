@@ -16,15 +16,19 @@ Three builders:
   foliation.  Derivatives absorb the factor 2*pi into the basis scaling,
   so every matrix stays rational with integer entries.
 
-Operators are plain dicts ``{degree: Matrix}``.  The polynomial and
-suspension builders assemble d with one routine,
-d(f dI) = sum_v (d f / d x_v) dx_v ^ dI, given a derivative rule for their
-coefficient functions.  Every builder ends in ``_complex_model``, which
-composes the codifferential (-1)^(k+1) star . d . star, checks the five
-operator identities once and stores their report as ``model.identities``.
-The degree sign is what makes d and the codifferential anticommute (it
-drops out of every kernel, image and cohomology dimension, and is +1 in
-the odd degrees the reduction procedure walks through).
+Operators are plain dicts ``{degree: Matrix}`` of the blocks in range: d
+in degrees 0..top-1, d^Lambda in 1..top.  Outside it a block is the zero
+map, and ``model.d_block(k)`` and ``model.dl_block(k)`` are the one place
+that says so.  The torus and suspension bases are orthonormal, so there
+the adjoint of a block is its transpose.  The polynomial and suspension
+builders assemble d with one routine, d(f dI) = sum_v (d f / d x_v) dx_v ^
+dI, given a derivative rule for their coefficient functions.  Every
+builder ends in ``_complex_model``, which composes the codifferential
+(-1)^(k+1) star . d . star, checks the five operator identities once and
+stores their report as ``model.identities``.  The degree sign is what
+makes d and the codifferential anticommute (it drops out of every kernel,
+image and cohomology dimension, and is +1 in the odd degrees the
+reduction procedure walks through).
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ class ComplexModel:
     d: dict[int, Matrix]  # degree k -> k + 1
     star_s: dict[int, Matrix]  # degree k -> top - k
     d_lambda: dict[int, Matrix]  # degree k -> k - 1
-    inner: dict[int, Matrix] | None = None
     window: dict[int, list[int]] | None = None
     meta: dict = field(default_factory=dict)
     identities: dict[str, dict[int, bool]] = field(default_factory=dict)
@@ -80,6 +83,15 @@ class ComplexModel:
 
     def dims(self) -> list[int]:
         return [self.dim(k) for k in range(self.top_degree + 1)]
+
+    def d_block(self, k: int) -> Matrix:
+        """d from degree k to k + 1; the zero map outside degrees 0..top-1."""
+        return self.d[k] if k in self.d else Matrix.zeros(self.dim(k + 1), self.dim(k))
+
+    def dl_block(self, k: int) -> Matrix:
+        """d_lambda from degree k to k - 1; the zero map outside degrees 1..top."""
+        return (self.d_lambda[k] if k in self.d_lambda
+                else Matrix.zeros(self.dim(k - 1), self.dim(k)))
 
 
 @dataclass(frozen=True)
@@ -101,24 +113,24 @@ def form_vector(model: ComplexModel, degree: int, coords) -> FormVector:
     return FormVector(model, degree, tuple(qf(c) for c in coords))
 
 
-def _apply(v: FormVector, blocks: dict[int, Matrix], degree: int) -> FormVector:
-    """blocks[v.degree] applied to v, landing in ``degree``; d at the top and
+def _apply(v: FormVector, block, degree: int) -> FormVector:
+    """block(v.degree) applied to v, landing in ``degree``; d at the top and
     dl in degree 0 are blocks with no rows, which give the empty vector."""
     if not 0 <= v.degree <= v.model.top_degree:
         raise ValueError("degree out of range")
-    return FormVector(v.model, degree, tuple(blocks[v.degree].apply(v.coords)))
+    return FormVector(v.model, degree, tuple(block(v.degree).apply(v.coords)))
 
 
 def d_apply(v: FormVector) -> FormVector:
-    return _apply(v, v.model.d, v.degree + 1)
+    return _apply(v, v.model.d_block, v.degree + 1)
 
 
 def d_lambda_apply(v: FormVector) -> FormVector:
-    return _apply(v, v.model.d_lambda, v.degree - 1)
+    return _apply(v, v.model.dl_block, v.degree - 1)
 
 
 def star_s_apply(v: FormVector) -> FormVector:
-    return _apply(v, v.model.star_s, v.model.top_degree - v.degree)
+    return _apply(v, v.model.star_s.__getitem__, v.model.top_degree - v.degree)
 
 
 def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
@@ -136,26 +148,23 @@ def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
 def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
     """Exact per-degree checks of the five structural matrix identities."""
     top = model.top_degree
-    d, star, dl = model.d, model.star_s, model.d_lambda
+    d, star, dl = model.d_block, model.star_s, model.dl_block
     report: dict[str, dict[int, bool]] = {
         "d.d=0": {}, "star.star=id": {}, "dl=signed star.d.star": {},
         "dl.dl=0": {}, "d.dl+dl.d=0": {},
     }
     for k in range(top):
-        report["d.d=0"][k] = (d[k + 1] @ d[k]).is_zero()
+        report["d.d=0"][k] = (d(k + 1) @ d(k)).is_zero()
     for k in range(top + 1):
         comp = star[top - k] @ star[k]
         report["star.star=id"][k] = comp == Matrix.identity(model.dim(k))
     for k in range(top + 1):
         report["dl=signed star.d.star"][k] = (
-            dl[0].rows == 0 if k == 0 else dl[k] == _signed_star_d_star(d, star, top, k))
+            k == 0 or dl(k) == _signed_star_d_star(model.d, star, top, k))
     for k in range(top + 1):
-        report["dl.dl=0"][k] = k <= 1 or (dl[k - 1] @ dl[k]).is_zero()
+        report["dl.dl=0"][k] = (dl(k - 1) @ dl(k)).is_zero()
     for k in range(top + 1):
-        nk = model.dim(k)
-        first = (d[k - 1] @ dl[k]) if k >= 1 else Matrix.zeros(nk, nk)
-        second = (dl[k + 1] @ d[k]) if k < top else Matrix.zeros(nk, nk)
-        report["d.dl+dl.d=0"][k] = (first + second).is_zero()
+        report["d.dl+dl.d=0"][k] = (d(k - 1) @ dl(k) + dl(k + 1) @ d(k)).is_zero()
     return report
 
 
@@ -163,15 +172,12 @@ def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
                    d: dict[int, Matrix], star: dict[int, Matrix], **extra) -> ComplexModel:
     """The one way every builder finishes a model.
 
-    ``d`` holds the blocks of degrees 0..top-1; the empty top block, the
-    codifferential and the identity report are added here.  A failed
+    ``d`` holds the blocks of degrees 0..top-1; the codifferential, in
+    degrees 1..top, and the identity report are added here.  A failed
     identity raises; the report is kept as ``model.identities``.
     """
     top = len(basis) - 1
-    d = d | {top: Matrix.zeros(0, len(basis[top]))}
-    dl = {0: Matrix.zeros(0, len(basis[0]))}
-    for k in range(1, top + 1):
-        dl[k] = _signed_star_d_star(d, star, top, k)
+    dl = {k: _signed_star_d_star(d, star, top, k) for k in range(1, top + 1)}
     model = ComplexModel(name=name, kind=kind, top_degree=top, graded_basis=basis,
                          d=d, star_s=star, d_lambda=dl, **extra)
     model.identities = operator_identity_report(model)
@@ -224,9 +230,8 @@ def build_torus_model(n: int) -> ComplexModel:
              for k in range(m + 1)}
     dims = {k: len(basis[k]) for k in basis}
     d = {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)}
-    inner = {k: Matrix.identity(dims[k]) for k in range(m + 1)}
     return _complex_model(f"torus-n{n}", "torus", basis, d, exterior.star_blocks(n),
-                          inner=inner, meta={"n": n})
+                          meta={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +553,6 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
                 labels[k].append(" + ".join(
                     f"{qf(x)}*{sector_labels[i]}" for i, x in support))
 
-    inner = {k: Matrix.identity(embed[k].cols) for k in range(3)}
     return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
-                          inner=inner, meta={"N": cutoff})
+                          meta={"N": cutoff})
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import symplab.cohomology as coh
 from symplab.cli import main
 from symplab.suite import CheckResult
 
@@ -159,6 +160,30 @@ def test_cohomology_polynomial_windowed_json(capsys):
     assert all(r["windowed"] for r in payload["reports"])
 
 
+def test_cohomology_hodge_refuses_the_polynomial_model(capsys):
+    code, out = run_cli(capsys, "cohomology", "--model", "polynomial", "--n", "1",
+                        "--cutoff", "4", "--theories", "dpl,hodge")
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "op": "cohomology", "reason": "hodge_check requires a model with an inner product"}}
+
+
+def test_cohomology_hodge_reuses_the_dpl_report(capsys, monkeypatch):
+    calls = []
+    original = coh.d_plus_dlambda_cohomology
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coh, "d_plus_dlambda_cohomology", counted)
+    code, out = run_cli(capsys, "cohomology", "--model", "suspension", "--cutoff", "4",
+                        "--theories", "dpl,hodge")
+    assert code == 0
+    assert json.loads(out)["hodge"]["degrees"][1]["dim_h_dpl"] == 9
+    assert calls == ["suspension-N4"]
+
+
 def test_cohomology_deterministic_output(capsys):
     _, first = run_cli(capsys, "cohomology", "--model", "torus", "--n", "2",
                        "--theories", "dr,dpl,ddl")
@@ -200,6 +225,10 @@ def test_bad_n_usage_error(capsys):
     (["omega", "--n", "1", "--element", "[[true,0],[0,-1]]"], 1),      # booleans
     (["omega", "--n", "1", "--element", "[[1.5,0],[0,-1.5]]"], 1),     # floats
     (["omega", "--n", "1", "--element", '[["1e999999999"]]'], 1),      # not p/q: a huge power of ten
+    (["omega", "--n", "1", "--element",                                # a huge declared shape
+      '{"entries":[],"rows":1000000,"cols":2}'], 1),
+    (["omega", "--n", "1", "--element", '{"entries":[],"rows":-3,"cols":2}'], 1),  # negative
+    (["omega", "--n", "1", "--element", "[[1,0],[0]]"], 1),             # ragged rows
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
     got, out = run_cli(capsys, *argv)

@@ -103,6 +103,20 @@ def test_stacking():
     assert Matrix.hstack([a, b]).data == ((Q(1), Q(2), Q(3), Q(4)),)
 
 
+def test_stacking_keeps_the_shared_dimension_of_empty_inputs():
+    no_rows, no_cols = Matrix.zeros(0, 3), Matrix.zeros(3, 0)
+    assert (Matrix.vstack([no_rows]).rows, Matrix.vstack([no_rows]).cols) == (0, 3)
+    assert Matrix.vstack([no_rows]).kernel_matrix() == Matrix.identity(3)
+    assert Matrix.vstack([no_rows, Matrix([[1, 0, 0]])]) == Matrix([[1, 0, 0]])
+    assert (Matrix.hstack([no_cols]).rows, Matrix.hstack([no_cols]).cols) == (3, 0)
+    assert Matrix.hstack([no_cols, Matrix.identity(3)]) == Matrix.identity(3)
+    assert Matrix.vstack([]) == Matrix.hstack([]) == Matrix.zeros(0, 0)
+    with pytest.raises(ValueError):
+        Matrix.vstack([Matrix.zeros(0, 0), Matrix.zeros(2, 3)])
+    with pytest.raises(ValueError):
+        Matrix.hstack([Matrix.zeros(0, 0), Matrix.zeros(3, 2)])
+
+
 def test_echelon_rows_canonical_and_row_space_compare():
     rows_a = [[Q(2), Q(4)], [Q(1), Q(2)]]
     rows_b = [[Q(1), Q(2)]]

@@ -377,6 +377,17 @@ def test_star_is_degree_complementing_block_shapes():
             assert (blk.rows, blk.cols) == (model.dim(top - k), model.dim(k))
 
 
+@pytest.mark.parametrize("model", [TORUS2, POLY1, SUSP2], ids=lambda m: m.name)
+def test_blocks_outside_the_degree_range_are_zero_maps(model):
+    top = model.top_degree
+    for k in range(-2, top + 3):
+        d, dl = model.d_block(k), model.dl_block(k)
+        assert (d.rows, d.cols) == (model.dim(k + 1), model.dim(k))
+        assert (dl.rows, dl.cols) == (model.dim(k - 1), model.dim(k))
+        assert d == model.d[k] if 0 <= k < top else d.is_zero()
+        assert dl == model.d_lambda[k] if 1 <= k <= top else dl.is_zero()
+
+
 def test_apply_degree_out_of_range():
     with pytest.raises(ValueError):
         d_apply(form_vector(TORUS1, 5, []))
