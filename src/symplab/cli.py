@@ -104,7 +104,8 @@ def _algebra_cells(n: int, closed_forms: bool = False, samples: int = 0) -> floa
 
 def _model_cells(model: str, n: int, cutoff: int) -> float:
     """The widest elimination of a model: its middle degree k (dimension d_k)
-    against the images and kernels of d_(k-1), d_k and d_(k+1)."""
+    against the images and kernels of d_(k-1), d_k and d_(k+1); plus the star solve
+    of every build: sum_k C(2m, k)^2 = C(4m, 2m) form pairings on 2m covectors, each m x m."""
     if model == "suspension":
         functions, covectors = 2 * cutoff + 1, 2
     else:
@@ -112,7 +113,8 @@ def _model_cells(model: str, n: int, cutoff: int) -> float:
         covectors = 2 * n
     mid = functions * _binom(covectors, covectors // 2)
     side = functions * _binom(covectors, covectors // 2 - 1)
-    return mid * (mid + 2 * side)
+    star = _binom(2 * covectors, covectors) * (covectors // 2) ** 3
+    return mid * (mid + 2 * side) + star
 
 
 def _check_budget(cells: float) -> None:
@@ -202,15 +204,15 @@ def _cmd_cohomology(args) -> int:
         print(f"unknown theories: {','.join(unknown)}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
     _check_budget(_model_cells(args.model, args.n, args.cutoff))
-    windowed = args.model == "polynomial"  # the one model with a window
+    if "hodge" in theories:
+        coh.require_inner_product(args.model)
     if args.model == "torus":
         model = build_torus_model(args.n)
     elif args.model == "polynomial":
         model = build_polynomial_model(args.n, args.cutoff)
     else:
         model = build_suspension_model(args.cutoff)
-    reports = [getattr(coh, THEORIES[t])(model, windowed=windowed)
-               for t in theories if t != "hodge"]
+    reports = [getattr(coh, THEORIES[t])(model) for t in theories if t != "hodge"]
     hodge_reports = []
     if "hodge" in theories:
         dpl = next((r for r in reports if r.theory == "dPlusDLambda"), None)

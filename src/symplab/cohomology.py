@@ -11,9 +11,9 @@ ker dl because the two images live in different degrees.  Each quotient
 is one elimination over Q of the denominator vectors followed by the
 numerator vectors, taken as columns: the pivots that fall on numerator
 columns are the representatives, and their count is the dimension.  The
-windowed variants restrict numerators to the model window while
-denominators keep the full truncated space, which removes exactly the
-truncation-boundary classes.
+model is the only input: on a model with a window (the polynomial model)
+numerators are restricted to the window while denominators keep the full
+truncated space, which removes exactly the truncation-boundary classes.
 
 Every block of d and dl, in or out of the degree range, is read through
 ``model.d_block`` and ``model.dl_block``.  Also here: the reduction of an
@@ -29,9 +29,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q, qstr
+from .linalg import Matrix, Q
 from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
-                     form_vector, poincare_antiderivative)
+                     poincare_antiderivative)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class CohomologyReport:
     theory: str
     dims: tuple[int, ...]
     windowed: bool
-    representatives: dict[int, list[list[Fraction]]] | None = None
+    representatives: dict[int, list[list[Fraction]]]
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ def _ddl(model: ComplexModel, k: int) -> Matrix:
     return model.d_block(k - 1) @ model.dl_block(k)
 
 
-def _kernel(constraint: Matrix, model: ComplexModel, k: int, windowed: bool) -> Matrix:
-    """Basis of ker(constraint) as columns, optionally restricted to window columns."""
-    if not windowed or model.window is None:
+def _kernel(constraint: Matrix, model: ComplexModel, k: int) -> Matrix:
+    """Basis of ker(constraint) as columns, within the model's window if it has one."""
+    if model.window is None:
         return constraint.kernel_matrix()
     cols = model.window[k]
     embed = Matrix.identity(model.dim(k)).select_columns(cols)
@@ -96,41 +96,28 @@ def _quotient(num: Matrix, den: Matrix) -> list[list[Fraction]]:
     return [num.column(p - den.cols) for p in pivots if p >= den.cols]
 
 
-def _report(model: ComplexModel, theory: str, windowed: bool,
-            numerator, denominator, representatives: bool) -> CohomologyReport:
+def _report(model: ComplexModel, theory: str, numerator, denominator) -> CohomologyReport:
     reps = {k: _quotient(numerator(k), denominator(k))
             for k in range(model.top_degree + 1)}
-    dims = [len(rep) for rep in reps.values()]
-    return CohomologyReport(model.name, theory, tuple(dims), windowed,
-                            reps if representatives else None)
+    return CohomologyReport(model.name, theory, tuple(len(rep) for rep in reps.values()),
+                            model.window is not None, reps)
 
 
-def de_rham(model: ComplexModel, windowed: bool = False,
-            representatives: bool = False) -> CohomologyReport:
+def de_rham(model: ComplexModel) -> CohomologyReport:
+    return _report(model, "deRham", lambda k: _kernel(model.d_block(k), model, k),
+                   lambda k: model.d_block(k - 1))
+
+
+def d_plus_dlambda_cohomology(model: ComplexModel) -> CohomologyReport:
     return _report(
-        model, "deRham", windowed,
-        lambda k: _kernel(model.d_block(k), model, k, windowed),
-        lambda k: model.d_block(k - 1),
-        representatives)
+        model, "dPlusDLambda",
+        lambda k: _kernel(Matrix.vstack([model.d_block(k), model.dl_block(k)]), model, k),
+        lambda k: _ddl(model, k))
 
 
-def d_plus_dlambda_cohomology(model: ComplexModel, windowed: bool = False,
-                              representatives: bool = False) -> CohomologyReport:
-    return _report(
-        model, "dPlusDLambda", windowed,
-        lambda k: _kernel(Matrix.vstack([model.d_block(k), model.dl_block(k)]),
-                          model, k, windowed),
-        lambda k: _ddl(model, k),
-        representatives)
-
-
-def dd_lambda_cohomology(model: ComplexModel, windowed: bool = False,
-                         representatives: bool = False) -> CohomologyReport:
-    return _report(
-        model, "ddLambda", windowed,
-        lambda k: _kernel(_ddl(model, k), model, k, windowed),
-        lambda k: Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]),
-        representatives)
+def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
+    return _report(model, "ddLambda", lambda k: _kernel(_ddl(model, k), model, k),
+                   lambda k: Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]))
 
 
 def quotient_sanity(model: ComplexModel) -> bool:
@@ -173,40 +160,36 @@ def _constant_value(v: FormVector) -> Fraction:
     return value
 
 
-def reduction_constant(v: FormVector, _perturb_first: FormVector | None = None) -> Fraction:
+def reduction_constant(v: FormVector) -> Fraction:
     """Reduce an even-degree cocycle to its constant.
 
     Repeatedly take the radial d-antiderivative and apply the
     codifferential; the walk ends on a 0-form which is necessarily
     constant, and that constant is returned.  All antiderivative choices
     are deterministic (radial homotopy, zero integration constants); the
-    result does not depend on them, which ``_perturb_first`` lets the
-    tests confirm by adding an exact form to the first antiderivative.
+    result does not depend on them: adding a d-closed form to the first
+    antiderivative gives the same constant.
     """
-    model = v.model
-    if model.kind != "polynomial":
+    if v.model.kind != "polynomial":
         raise ValueError("reduction_constant lives in the polynomial model")
     if v.degree % 2 != 0:
         raise ValueError("reduction_constant needs an even-degree form")
     if not d_apply(v).is_zero() or (v.degree > 0 and not d_lambda_apply(v).is_zero()):
         raise ValueError("input is not a (d + d_lambda)-cocycle")
     current = v
-    first = True
     while current.degree > 0:
-        y = poincare_antiderivative(current, "d")
-        if first and _perturb_first is not None:
-            if _perturb_first.degree != y.degree:
-                raise ValueError("perturbation degree mismatch")
-            y = form_vector(model, y.degree,
-                            [a + b for a, b in zip(y.coords, _perturb_first.coords)])
-            if d_apply(y).coords != current.coords:
-                raise ValueError("perturbation must be d-closed")
-        first = False
-        current = d_lambda_apply(y)
+        current = d_lambda_apply(poincare_antiderivative(current, "d"))
     return _constant_value(current)
 
 
 # -- finite Hodge operator ----------------------------------------------------
+
+def require_inner_product(kind: str) -> None:
+    """The rule for which models get a Hodge check: the torus and suspension
+    bases are orthonormal, the polynomial model has no inner product."""
+    if kind == "polynomial":
+        raise ValueError("hodge_check requires a model with an inner product")
+
 
 def hodge_check(model: ComplexModel,
                 dpl: CohomologyReport | None = None) -> HodgeReport:
@@ -220,8 +203,7 @@ def hodge_check(model: ComplexModel,
     whether the three-summand decomposition ker D + im(d.dl) + (im d* +
     im dl*) is exhaustive.
     """
-    if model.kind == "polynomial":
-        raise ValueError("hodge_check requires a model with an inner product")
+    require_inner_product(model.kind)
     if dpl is None:
         dpl = d_plus_dlambda_cohomology(model)
     degrees = []
@@ -254,13 +236,8 @@ THEORY_CSV_NAMES = {"deRham": "dr", "dPlusDLambda": "dpl", "ddLambda": "ddl"}
 
 
 def report_to_json_dict(report: CohomologyReport) -> dict:
-    out = {"model": report.model_name, "theory": report.theory,
-           "dims": list(report.dims), "windowed": report.windowed}
-    if report.representatives is not None:
-        out["representatives"] = {
-            str(k): [[qstr(x) for x in v] for v in vs]
-            for k, vs in report.representatives.items()}
-    return out
+    return {"model": report.model_name, "theory": report.theory,
+            "dims": list(report.dims), "windowed": report.windowed}
 
 
 def hodge_to_json_dict(report: HodgeReport) -> dict:

@@ -281,9 +281,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def elements(self) -> list[AlgebraElement]:
-        return [AlgebraElement(self.context, r) for r in self.rows]
-
     def contains(self, coords: Sequence[Fraction]) -> bool:
         v = list(coords)
         for row, pivot in zip(self.rows, self.pivots):
@@ -438,16 +435,14 @@ def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
     return SpectralType(pos, neg, quads, defective, label)
 
 
-def random_element(ctx: AlgebraContext, rng: random.Random,
-                   low: int = -9, high: int = 9) -> AlgebraElement:
-    """Integer coordinates uniform in [low, high] in the block parametrization."""
-    return ctx.element([rng.randint(low, high) for _ in range(ctx.dim)])
+def random_element(ctx: AlgebraContext, rng: random.Random) -> AlgebraElement:
+    """Integer coordinates uniform in [-9, 9] in the block parametrization."""
+    return ctx.element([rng.randint(-9, 9) for _ in range(ctx.dim)])
 
 
-def random_regular_element(ctx: AlgebraContext, rng: random.Random,
-                           low: int = -9, high: int = 9) -> AlgebraElement:
+def random_regular_element(ctx: AlgebraContext, rng: random.Random) -> AlgebraElement:
     """Redraw until regular; regularity is Zariski-generic so this is fast."""
     while True:
-        a = random_element(ctx, rng, low, high)
+        a = random_element(ctx, rng)
         if is_regular(a):
             return a

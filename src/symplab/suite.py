@@ -49,9 +49,9 @@ def _timed(cid: int, name: str, expected: str, fn) -> CheckResult:
                        time.perf_counter() - start)
 
 
-def _sample_regular(ctx, seed: int, count: int = SAMPLES):
+def _sample_regular(ctx, seed: int):
     rng = random.Random(seed)
-    return [lie.random_regular_element(ctx, rng) for _ in range(count)]
+    return [lie.random_regular_element(ctx, rng) for _ in range(SAMPLES)]
 
 
 def check_rank_kernel(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -155,8 +155,8 @@ def check_kunneth_failure() -> CheckResult:
         ok = True
         for d in (4, 6, 8):
             model = build_polynomial_model(1, d)
-            dpl = coh.d_plus_dlambda_cohomology(model, windowed=True).dims
-            ddl = coh.dd_lambda_cohomology(model, windowed=True).dims
+            dpl = coh.d_plus_dlambda_cohomology(model).dims
+            ddl = coh.dd_lambda_cohomology(model).dims
             ok = ok and dpl == (1, 0, 1) and ddl == (0, 1, 0)
             parts.append(f"D={d}: dpl={dpl} ddl={ddl}")
         return "; ".join(parts), ok
@@ -229,9 +229,9 @@ def check_inequality() -> CheckResult:
         for d in (4, 6, 8):
             model = build_polynomial_model(1, d)
             checks = coh.inequality_check(
-                coh.de_rham(model, windowed=True),
-                coh.d_plus_dlambda_cohomology(model, windowed=True),
-                coh.dd_lambda_cohomology(model, windowed=True))
+                coh.de_rham(model),
+                coh.d_plus_dlambda_cohomology(model),
+                coh.dd_lambda_cohomology(model))
             ok = ok and all(checks.values())
         for n in (2, 4, 8):
             model = build_suspension_model(n)

@@ -160,7 +160,10 @@ def test_cohomology_polynomial_windowed_json(capsys):
     assert all(r["windowed"] for r in payload["reports"])
 
 
-def test_cohomology_hodge_refuses_the_polynomial_model(capsys):
+def test_cohomology_hodge_refuses_the_polynomial_model(capsys, monkeypatch):
+    def fail(*args):
+        pytest.fail("the model was built")  # not an Exception, so main cannot report it
+    monkeypatch.setattr("symplab.cli.build_polynomial_model", fail)
     code, out = run_cli(capsys, "cohomology", "--model", "polynomial", "--n", "1",
                         "--cutoff", "4", "--theories", "dpl,hodge")
     assert code == 1
@@ -258,6 +261,8 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
     (["algebra", "--n", "3", "--samples", "9000"], "lie.standard_basis"),
     (["algebra", "--n", "3", "--check", "closed-forms", "--samples", "9000"],
      "lie.standard_basis"),
+    (["cohomology", "--model", "torus", "--n", "6"], "build_torus_model"),  # the star solve
+    (["cohomology", "--model", "torus", "--n", "7"], "build_torus_model"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):
@@ -272,9 +277,12 @@ def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv
 
 def test_largest_model_within_budget():
     from symplab.cli import MAX_MATRIX_CELLS, _model_cells
-    assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150))
+    # the widest elimination plus the star solve: C(12, 6) pairings by 3 x 3 determinants
+    assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150)
+                                                             + 924 * 27)
     assert _model_cells("polynomial", 3, 4) <= MAX_MATRIX_CELLS
     assert _model_cells("polynomial", 3, 5) > MAX_MATRIX_CELLS
+    assert all(_model_cells("torus", n, 4) <= MAX_MATRIX_CELLS for n in range(1, 6))
 
 
 def test_sample_counts_in_use_within_budget():

@@ -9,7 +9,7 @@ import symplab.cohomology as coh
 from symplab.linalg import Matrix, rank_of_rows
 from symplab.models import (build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
-                            form_vector, w0_power_form)
+                            form_vector, poincare_antiderivative, w0_power_form)
 from shared_models import POLY_N2  # shared with test_models.py
 
 TORUS1 = build_torus_model(1)
@@ -44,9 +44,15 @@ def test_suspension_scaling_in_cutoff():
 
 
 def test_polynomial_windowed_dimensions():
-    assert coh.d_plus_dlambda_cohomology(POLY6, windowed=True).dims == (1, 0, 1)
-    assert coh.dd_lambda_cohomology(POLY6, windowed=True).dims == (0, 1, 0)
-    assert coh.de_rham(POLY6, windowed=True).dims == (1, 0, 0)
+    assert coh.d_plus_dlambda_cohomology(POLY6).dims == (1, 0, 1)
+    assert coh.dd_lambda_cohomology(POLY6).dims == (0, 1, 0)
+    assert coh.de_rham(POLY6).dims == (1, 0, 0)
+    # the window decides: the same model without one gives the unwindowed dims
+    unwindowed = dataclasses.replace(POLY6, window=None)
+    reports = (coh.de_rham(unwindowed), coh.d_plus_dlambda_cohomology(unwindowed),
+               coh.dd_lambda_cohomology(unwindowed))
+    assert [r.dims for r in reports] == [(1, 8, 7), (1, 15, 1), (7, 9, 7)]
+    assert not any(r.windowed for r in reports)
 
 
 def test_polynomial_n3_windowed_dimensions():
@@ -55,18 +61,18 @@ def test_polynomial_n3_windowed_dimensions():
     model = build_polynomial_model(3, 4)
     assert model.dims() == [210, 1260, 3150, 4200, 3150, 1260, 210]
     assert all(all(per.values()) for per in model.identities.values())
-    assert coh.de_rham(model, windowed=True).dims == (1, 0, 0, 0, 0, 0, 0)
-    assert coh.d_plus_dlambda_cohomology(model, windowed=True).dims == (1, 0, 1, 0, 1, 0, 1)
-    assert coh.dd_lambda_cohomology(model, windowed=True).dims == (0, 1, 0, 1, 0, 1, 0)
+    assert coh.de_rham(model).dims == (1, 0, 0, 0, 0, 0, 0)
+    assert coh.d_plus_dlambda_cohomology(model).dims == (1, 0, 1, 0, 1, 0, 1)
+    assert coh.dd_lambda_cohomology(model).dims == (0, 1, 0, 1, 0, 1, 0)
 
 
 def test_polynomial_windowed_stability_across_cutoffs():
     reference = None
     for cutoff in (4, 6, 8):
         model = build_polynomial_model(1, cutoff)
-        dims = (coh.de_rham(model, windowed=True).dims,
-                coh.d_plus_dlambda_cohomology(model, windowed=True).dims,
-                coh.dd_lambda_cohomology(model, windowed=True).dims)
+        dims = (coh.de_rham(model).dims,
+                coh.d_plus_dlambda_cohomology(model).dims,
+                coh.dd_lambda_cohomology(model).dims)
         if reference is None:
             reference = dims
         assert dims == reference
@@ -78,7 +84,7 @@ def test_quotient_sanity_all_models():
 
 
 def test_representatives_are_independent_mod_denominator():
-    rep = coh.d_plus_dlambda_cohomology(SUSP2, representatives=True)
+    rep = coh.d_plus_dlambda_cohomology(SUSP2)
     for k, vectors in rep.representatives.items():
         assert len(vectors) == rep.dims[k]
         den = coh._ddl(SUSP2, k).columns()
@@ -87,7 +93,7 @@ def test_representatives_are_independent_mod_denominator():
 
 def test_windowed_numerators_stay_in_window():
     model = build_polynomial_model(1, 4)
-    rep = coh.dd_lambda_cohomology(model, windowed=True, representatives=True)
+    rep = coh.dd_lambda_cohomology(model)
     for k, vectors in rep.representatives.items():
         allowed = set(model.window[k])
         for v in vectors:
@@ -124,8 +130,9 @@ def test_reduction_constant_kills_exact_cocycles():
 
 
 def test_reduction_constant_independent_of_antiderivative_choice():
-    # perturb the first antiderivative by an exact form: d of a random
-    # 0-form for w0 on R^2, d of a random 2-form for w0^2 on R^4
+    # another first antiderivative y = (the radial one) + d f, with f a random
+    # 0-form for w0 on R^2 and a random 2-form for w0^2 on R^4: the walk from
+    # dl(y) ends on the same constant as the walk from x
     rng = random.Random(52)
     for model, n in ((POLY6, 1), (POLY_N2, 2)):
         k = 2 * n - 2
@@ -133,13 +140,14 @@ def test_reduction_constant_independent_of_antiderivative_choice():
         perturbation = d_apply(f)
         assert not perturbation.is_zero()
         x = w0_power_form(model, n)
-        assert coh.reduction_constant(x) == coh.reduction_constant(x, _perturb_first=perturbation)
+        radial = poincare_antiderivative(x, "d")
+        y = form_vector(model, radial.degree,
+                        [a + b for a, b in zip(radial.coords, perturbation.coords)])
+        assert d_apply(y).coords == x.coords
+        assert coh.reduction_constant(x) == coh.reduction_constant(d_lambda_apply(y))
 
 
 def test_reduction_constant_preconditions():
-    with pytest.raises(ValueError):
-        coh.reduction_constant(w0_power_form(POLY6, 1),
-                               _perturb_first=w0_power_form(POLY6, 0))
     a = form_vector(POLY6, 1, [Q(0)] * POLY6.dim(1))
     with pytest.raises(ValueError):
         coh.reduction_constant(a)  # odd degree
@@ -158,7 +166,7 @@ def test_reduction_monomorphism_on_windowed_even_cocycles():
     model = POLY6
     for k in (0, 2):
         constraint = Matrix.vstack([model.d_block(k), model.dl_block(k)])
-        num = coh._kernel(constraint, model, k, True).columns()
+        num = coh._kernel(constraint, model, k).columns()
         den = coh._ddl(model, k).columns()
         den_rank = rank_of_rows(den)
         for v in num:
@@ -267,7 +275,7 @@ def _hodge_oracle(model):
 @pytest.mark.parametrize("model", [build_suspension_model(n) for n in (2, 4, 8)]
                          + [build_torus_model(n) for n in (1, 2, 3)]
                          + [dataclasses.replace(build_polynomial_model(n, d),
-                                                kind="monomial-orthonormal")
+                                                kind="monomial-orthonormal", window=None)
                             for n, d in ((1, 4), (2, 3))],
                          ids=lambda m: m.name)
 def test_hodge_matches_solved_adjoint_oracle(model):
@@ -289,9 +297,9 @@ def test_inequality_examples():
                                     coh.dd_lambda_cohomology(TORUS1))
     assert all(t_checks.values())
     # polynomial windowed, degree 0: 1 <= 1 + 0
-    p_checks = coh.inequality_check(coh.de_rham(POLY6, windowed=True),
-                                    coh.d_plus_dlambda_cohomology(POLY6, windowed=True),
-                                    coh.dd_lambda_cohomology(POLY6, windowed=True))
+    p_checks = coh.inequality_check(coh.de_rham(POLY6),
+                                    coh.d_plus_dlambda_cohomology(POLY6),
+                                    coh.dd_lambda_cohomology(POLY6))
     assert all(p_checks.values())
 
 
