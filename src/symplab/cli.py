@@ -104,8 +104,7 @@ def _algebra_cells(n: int, closed_forms: bool = False, samples: int = 0) -> floa
 
 def _model_cells(model: str, n: int, cutoff: int) -> float:
     """The widest elimination of a model: its middle degree k (dimension d_k)
-    against the images and kernels of d_(k-1), d_k and d_(k+1); plus the star solve
-    of every build: sum_k C(2m, k)^2 = C(4m, 2m) form pairings on 2m covectors, each m x m."""
+    against the images and kernels of d_(k-1), d_k and d_(k+1)."""
     if model == "suspension":
         functions, covectors = 2 * cutoff + 1, 2
     else:
@@ -113,8 +112,7 @@ def _model_cells(model: str, n: int, cutoff: int) -> float:
         covectors = 2 * n
     mid = functions * _binom(covectors, covectors // 2)
     side = functions * _binom(covectors, covectors // 2 - 1)
-    star = _binom(2 * covectors, covectors) * (covectors // 2) ** 3
-    return mid * (mid + 2 * side) + star
+    return mid * (mid + 2 * side)
 
 
 def _check_budget(cells: float) -> None:

@@ -40,7 +40,7 @@ class CohomologyReport:
     theory: str
     dims: tuple[int, ...]
     windowed: bool
-    representatives: dict[int, list[list[Fraction]]]
+    representatives: dict[int, Matrix]  # degree k -> one column per class
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,23 @@ def _kernel(constraint: Matrix, model: ComplexModel, k: int) -> Matrix:
     return embed @ constraint.select_columns(cols).kernel_matrix()
 
 
-def _quotient(num: Matrix, den: Matrix) -> list[list[Fraction]]:
-    """Columns of num that are independent modulo the column span of den.
+def _quotient(num: Matrix, den: Matrix) -> Matrix:
+    """The columns of num that are independent modulo the column span of den.
 
     Each is the first numerator column, in order, outside the span of the
     denominator and the numerator columns before it; they form a basis of
     the quotient, so their count is its dimension.
     """
     if not num.cols:
-        return []
+        return num
     _, pivots = Matrix.hstack([den, num]).rref()
-    return [num.column(p - den.cols) for p in pivots if p >= den.cols]
+    return num.select_columns([p - den.cols for p in pivots if p >= den.cols])
 
 
 def _report(model: ComplexModel, theory: str, numerator, denominator) -> CohomologyReport:
     reps = {k: _quotient(numerator(k), denominator(k))
             for k in range(model.top_degree + 1)}
-    return CohomologyReport(model.name, theory, tuple(len(rep) for rep in reps.values()),
+    return CohomologyReport(model.name, theory, tuple(rep.cols for rep in reps.values()),
                             model.window is not None, reps)
 
 

@@ -4,13 +4,14 @@ Covectors are interleaved, (dx1, dy1, ..., dxn, dyn), and the standard
 2-form is w0 = sum_i dxi ^ dyi, so w0^n = n! * dx1^dy1^...^dxn^dyn with a
 plus sign.  The pairing on covectors is the matrix inverse of w0 (hence
 G(dxi, dyi) = -1) and extends to k-forms as the determinant of pairwise
-pairings.  The symplectic star solves
+pairings.  The symplectic star is defined by
 
     alpha ^ star(beta) = G(alpha, beta) * vol,   vol = w0^n / n!
 
-degree by degree as an exact linear system; with the Liouville volume on
-the right the resulting star is an involution in every degree.
-"""
+and, since G couples dxi only with dyi, it sends each monomial to plus or
+minus one monomial: ``star_blocks`` reads the sign off the indices, and
+every block is a signed permutation.  With the Liouville volume on the
+right the star is an involution in every degree."""
 
 from __future__ import annotations
 
@@ -38,25 +39,6 @@ def wedge_monomials(a: Mono, b: Mono) -> tuple[int, Mono] | None:
         inversions += sum(1 for y in a if y > x)
     merged = tuple(sorted(a + b))
     return ((-1) ** inversions, merged)
-
-
-def covector_pairing(n: int) -> Matrix:
-    """Pairing of covectors: the matrix inverse of w0 on the interleaved basis."""
-    g = Matrix.zeros(2 * n, 2 * n)
-    for i in range(n):
-        g[2 * i, 2 * i + 1] = -1
-        g[2 * i + 1, 2 * i] = 1
-    return g
-
-
-def pairing_k(g1: Matrix, a: Mono, b: Mono) -> Fraction:
-    """Determinant extension of the covector pairing to k-forms."""
-    k = len(a)
-    if k != len(b):
-        raise ValueError("degree mismatch")
-    if k == 0:
-        return Q(1)
-    return g1.submatrix(a, b).det()
 
 
 def w0_coords(n: int) -> list[Fraction]:
@@ -105,27 +87,25 @@ def w0_power_coords(n: int, j: int) -> list[Fraction]:
 def star_blocks(n: int) -> dict[int, Matrix]:
     """Exact star matrices per degree k, mapping degree k to 2n - k.
 
-    Built by solving the defining identity against the Liouville volume;
-    the construction is convention-proof in the sense that only the
-    covector pairing and the wedge are used, no sign table.
+    Each block is a signed permutation.  G(alpha, beta) is nonzero only
+    for alpha = sigma(beta), sigma swapping each dxi with dyi, so
+    star(beta) = G(sigma beta, beta) * s * comp(sigma beta), where
+    sigma beta ^ comp(sigma beta) = s * vol.  G(sigma beta, beta) is the
+    determinant of a matching: one transposition per pair dxi, dyi that
+    beta holds whole, and a factor G(dxi, dyi) = -1 per dyi in beta.
     """
     m = 2 * n
-    g1 = covector_pairing(n)
-    vol = tuple(range(m))
     blocks: dict[int, Matrix] = {}
     for k in range(m + 1):
         src = ext_basis(m, k)
-        dst = ext_basis(m, m - k)
-        # wedge pairing matrix: alpha ^ gamma = W[alpha][gamma] * vol
-        wedge = Matrix.zeros(len(src), len(dst))
-        for i, a in enumerate(src):
-            for j, c in enumerate(dst):
-                w = wedge_monomials(a, c)
-                if w is not None and w[1] == vol:
-                    wedge[i, j] = w[0]
-        rhs = Matrix.zeros(len(src), len(src))
-        for i, a in enumerate(src):
-            for j, b in enumerate(src):
-                rhs[i, j] = pairing_k(g1, a, b)
-        blocks[k] = wedge.solve_matrix(rhs)
+        index = {mono: i for i, mono in enumerate(ext_basis(m, m - k))}
+        block = Matrix.zeros(len(index), len(src))
+        for j, beta in enumerate(src):
+            alpha = tuple(sorted(v ^ 1 for v in beta))
+            comp = tuple(v for v in range(m) if v not in alpha)
+            s, _ = wedge_monomials(alpha, comp)
+            pairs = sum(1 for v in beta if v % 2 == 0 and v + 1 in beta)
+            dys = sum(v % 2 for v in beta)
+            block[index[comp], j] = s * (-1) ** (pairs + dys)
+        blocks[k] = block
     return blocks

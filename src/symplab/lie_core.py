@@ -29,8 +29,8 @@ from math import lcm
 from typing import Sequence
 
 from .linalg import Matrix, Q, qf, reduced_basis, vec_is_zero
-from .polynomials import (charpoly, count_real_roots, even_part,
-                          is_squarefree, poly_deg, squarefree_part)
+from .polynomials import (charpoly, even_part, is_squarefree, poly_deg,
+                          real_root_counts, squarefree_part)
 
 
 def j_matrix(n: int) -> Matrix:
@@ -420,8 +420,7 @@ def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
     sf = squarefree_part(big)
     if sf[0] == 0:
         sf = sf[1:]  # drop the mu = 0 root
-    pos = count_real_roots(sf, Q(0), None) if poly_deg(sf) > 0 else 0
-    neg = count_real_roots(sf, None, Q(0)) if poly_deg(sf) > 0 else 0
+    neg, pos = real_root_counts(sf, [None, Q(0), None])  # one Sturm chain
     quads = (poly_deg(sf) - pos - neg) // 2
     defective = 2 * n - 2 * pos - 2 * neg - 4 * quads
     if defective > 0:

@@ -169,29 +169,35 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     return chain
 
 
+def real_root_counts(p: Poly, points: Sequence[Fraction | None]) -> list[int]:
+    """Distinct real roots of squarefree ``p`` in the open interval between
+    each two consecutive ``points``, all from one Sturm chain.
+
+    ``None`` means -infinity as the first point and +infinity as any other.
+    Finite points must not themselves be roots.
+    """
+    p = _integral(p)[1]
+    if poly_deg(p) <= 0:
+        return [0] * (len(points) - 1)
+    chain = _sturm_chain(p)
+    if poly_deg(chain[-1]) > 0:
+        raise ValueError("Sturm count requires a squarefree polynomial")
+    if any(x is not None and poly_eval(p, x) == 0 for x in points):
+        raise ValueError("interval endpoint is a root")
+
+    def variations(x: Fraction | None, at_infinity: int) -> int:
+        if x is not None:
+            return _variations([_sign(poly_eval(q, x)) for q in chain])
+        return _variations([_sign(q[-1]) * at_infinity ** poly_deg(q) for q in chain])
+
+    v = [variations(x, -1 if i == 0 else 1) for i, x in enumerate(points)]
+    return [a - b for a, b in zip(v, v[1:])]
+
+
 def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Distinct real roots of squarefree ``p`` in the open interval (lo, hi).
 
     ``None`` endpoints mean -infinity / +infinity.  Finite endpoints must
     not themselves be roots.
     """
-    p = _integral(p)[1]
-    if poly_deg(p) <= 0:
-        return 0
-    chain = _sturm_chain(p)
-    if poly_deg(chain[-1]) > 0:
-        raise ValueError("Sturm count requires a squarefree polynomial")
-    for endpoint in (lo, hi):
-        if endpoint is not None and poly_eval(p, endpoint) == 0:
-            raise ValueError("interval endpoint is a root")
-
-    def signs_at(x: Fraction | None, at_infinity: int = 0) -> list[int]:
-        if x is not None:
-            return [_sign(poly_eval(q, x)) for q in chain]
-        if at_infinity > 0:
-            return [_sign(q[-1]) for q in chain]
-        return [_sign(q[-1]) * (-1) ** poly_deg(q) for q in chain]
-
-    v_lo = _variations(signs_at(lo, at_infinity=-1))
-    v_hi = _variations(signs_at(hi, at_infinity=+1))
-    return v_lo - v_hi
+    return real_root_counts(p, [lo, hi])[0]

@@ -261,8 +261,8 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
     (["algebra", "--n", "3", "--samples", "9000"], "lie.standard_basis"),
     (["algebra", "--n", "3", "--check", "closed-forms", "--samples", "9000"],
      "lie.standard_basis"),
-    (["cohomology", "--model", "torus", "--n", "6"], "build_torus_model"),  # the star solve
-    (["cohomology", "--model", "torus", "--n", "7"], "build_torus_model"),
+    # 4.6e8 from the widest elimination alone: C(16, 8) * (C(16, 8) + 2 * C(16, 7))
+    (["cohomology", "--model", "torus", "--n", "8"], "build_torus_model"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):
@@ -277,12 +277,12 @@ def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv
 
 def test_largest_model_within_budget():
     from symplab.cli import MAX_MATRIX_CELLS, _model_cells
-    # the widest elimination plus the star solve: C(12, 6) pairings by 3 x 3 determinants
-    assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150)
-                                                             + 924 * 27)
+    # the widest elimination: the middle degree against its two neighbours
+    assert _model_cells("polynomial", 3, 4) == pytest.approx(4200 * (4200 + 2 * 3150))
     assert _model_cells("polynomial", 3, 4) <= MAX_MATRIX_CELLS
     assert _model_cells("polynomial", 3, 5) > MAX_MATRIX_CELLS
-    assert all(_model_cells("torus", n, 4) <= MAX_MATRIX_CELLS for n in range(1, 6))
+    assert all(_model_cells("torus", n, 4) <= MAX_MATRIX_CELLS for n in range(1, 8))
+    assert _model_cells("torus", 8, 4) > MAX_MATRIX_CELLS
 
 
 def test_sample_counts_in_use_within_budget():

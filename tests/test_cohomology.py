@@ -20,9 +20,11 @@ SUSP2 = build_suspension_model(2)
 
 def test_torus_reports_all_equal_full_exterior_algebra():
     # d = 0 everywhere, so every theory reports the binomial dimensions
+    torus6 = build_torus_model(6)
     for fn in (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology):
         assert fn(TORUS1).dims == (1, 2, 1)
         assert fn(TORUS2).dims == (1, 4, 6, 4, 1)
+        assert fn(torus6).dims == tuple(math.comb(12, k) for k in range(13))
 
 
 def test_suspension_de_rham():
@@ -84,19 +86,26 @@ def test_quotient_sanity_all_models():
 
 
 def test_representatives_are_independent_mod_denominator():
-    rep = coh.d_plus_dlambda_cohomology(SUSP2)
-    for k, vectors in rep.representatives.items():
-        assert len(vectors) == rep.dims[k]
-        den = coh._ddl(SUSP2, k).columns()
-        assert rank_of_rows(den + vectors) == rank_of_rows(den) + len(vectors)
+    # on POLY6 in degree 1 the first dim H numerator columns are dependent
+    # modulo the denominator, so only the right choice of columns passes
+    cases = ((SUSP2, coh.d_plus_dlambda_cohomology, lambda k: coh._ddl(SUSP2, k)),
+             (POLY6, coh.dd_lambda_cohomology,
+              lambda k: Matrix.hstack([POLY6.d_block(k - 1), POLY6.dl_block(k + 1)])))
+    for model, theory, denominator in cases:
+        rep = theory(model)
+        for k, reps in rep.representatives.items():
+            vectors = reps.columns()
+            assert len(vectors) == rep.dims[k]
+            den = denominator(k).columns()
+            assert rank_of_rows(den + vectors) == rank_of_rows(den) + len(vectors)
 
 
 def test_windowed_numerators_stay_in_window():
     model = build_polynomial_model(1, 4)
     rep = coh.dd_lambda_cohomology(model)
-    for k, vectors in rep.representatives.items():
+    for k, reps in rep.representatives.items():
         allowed = set(model.window[k])
-        for v in vectors:
+        for v in reps.columns():
             assert all(i in allowed for i, x in enumerate(v) if x != 0)
 
 

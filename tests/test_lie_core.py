@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symplab.lie_core as lie
+import symplab.polynomials as polys
 from symplab.linalg import Matrix, echelon_rows, vec_is_zero
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs)
@@ -284,6 +285,29 @@ def test_spectral_type_counts_match_numerical_oracle():
             nimag = sum(1 for z in eigs if abs(z.real) < 1e-9 and abs(z.imag) > 1e-9)
             assert st.real_pairs == nreal // 2
             assert st.imaginary_pairs == nimag // 2
+
+
+def test_spectral_type_builds_one_sturm_chain(monkeypatch):
+    """One Sturm chain per classification, on charpolys drawn like the omega
+    pool: sp(6) coordinates in [-9, 9], every fourth element rational; the
+    counts equal two separate half-line counts."""
+    calls = []
+    chain = polys._sturm_chain
+    monkeypatch.setattr(polys, "_sturm_chain", lambda p: calls.append(p) or chain(p))
+    rng = random.Random(7)
+    for i in range(24):
+        if i % 4 == 3:
+            a = CTX3.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(CTX3.dim)])
+        else:
+            a = lie.random_element(CTX3, rng)
+        p = polys.charpoly(a.to_matrix())
+        calls.clear()
+        st = lie.spectral_type_of(p, 3)
+        assert len(calls) == 1
+        sf = polys.squarefree_part(polys.even_part(p))
+        sf = sf[1:] if sf[0] == 0 else sf
+        assert st.real_pairs == polys.count_real_roots(sf, Q(0), None)
+        assert st.imaginary_pairs == polys.count_real_roots(sf, None, Q(0))
 
 
 def test_spectral_type_mixed_label():

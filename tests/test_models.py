@@ -12,6 +12,7 @@ from symplab.models import (alpha_form, build_polynomial_model,
                             poincare_antiderivative, star_s_apply,
                             suspension_full_complex, w0_power_form)
 from shared_models import POLY_N2 as POLY2  # built once, shared
+from star_oracle import covector_pairing, pairing_k, solved_star_blocks
 
 TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
@@ -36,10 +37,10 @@ def test_wedge_sign_oracle():
 
 def test_star_satisfies_defining_identity():
     # oracle: alpha ^ star(beta) = G(alpha, beta) * vol, checked by direct
-    # wedge expansion, independent of the solver that built the blocks
+    # wedge expansion, independent of the index rule that built the blocks
     for n in (1, 2):
         m = 2 * n
-        g1 = ext.covector_pairing(n)
+        g1 = covector_pairing(n)
         blocks = ext.star_blocks(n)
         for k in range(m + 1):
             basis_k = ext.ext_basis(m, k)
@@ -48,24 +49,30 @@ def test_star_satisfies_defining_identity():
                 for ai, alpha in enumerate(basis_k):
                     unit_a = [Q(1) if t == ai else Q(0) for t in range(len(basis_k))]
                     wedge = ext.wedge_vectors(m, k, m - k, unit_a, star_col)
-                    assert wedge == [ext.pairing_k(g1, alpha, beta)]
+                    assert wedge == [pairing_k(g1, alpha, beta)]
 
 
 def test_star_involution_all_degrees():
-    for n in (1, 2, 3):
+    # the index rule equals the star solved from the defining identity, and
+    # each block is a signed permutation
+    for n in (1, 2, 3, 4):
         blocks = ext.star_blocks(n)
+        assert blocks == solved_star_blocks(n)
         for k in range(2 * n + 1):
+            columns = blocks[k].transpose()
+            assert all([abs(v) for _, v in columns.row_items(j)] == [1]
+                       for j in range(columns.rows))
             comp = blocks[2 * n - k] @ blocks[k]
             assert comp == Matrix.identity(comp.rows)
 
 
 def test_pairing_examples():
-    g1 = ext.covector_pairing(1)
+    g1 = covector_pairing(1)
     # G is the matrix inverse of w0: G(dx, dy) = -1
     assert g1.data[0][1] == Q(-1)
     assert g1.data[1][0] == Q(1)
     w0 = ext.w0_coords(1)
-    assert ext.pairing_k(g1, (0, 1), (0, 1)) == Q(1)
+    assert pairing_k(g1, (0, 1), (0, 1)) == Q(1)
 
 
 # -- torus model ---------------------------------------------------------------
