@@ -1,11 +1,11 @@
-"""Chevalley-Eilenberg 1-, 2- and 3-forms on sp(2n, R).
+"""Chevalley-Eilenberg 2- and 3-forms on sp(2n, R).
 
-A 1-form is a covector, a 2-form is its antisymmetric Gram matrix on the
-fixed basis.  The invariant 2-form attached to an algebra element a is
-omega_a(x, y) = B(a, [x, y]); its kernel is the centralizer of a.  The
-differential on 1-forms follows d(theta)(x, y) = -theta([x, y]), so
-ce_d1 of the Killing dual of a is -omega_a: the sign between the two
-constructions is fixed here once and tested, not hidden.
+A 2-form is its antisymmetric Gram matrix on the fixed basis.  The
+invariant 2-form attached to an algebra element a is
+omega_a(x, y) = B(a, [x, y]); its kernel is the centralizer of a.  With
+the differential on 1-forms d(theta)(x, y) = -theta([x, y]), omega_a is
+minus the differential of the Killing dual B(a, .); that sign is checked
+by a test oracle (``tests/oracles.py``), which holds the 1-forms.
 
 omega_a is built over ``int``: the Killing row K (d a) of the element
 scaled to integers, paired with the integer structure constants, with d
@@ -19,24 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .lie_core import (AlgebraContext, AlgebraElement, Subspace, centralizer,
                        integer_coords, is_abelian, is_regular, random_element)
-from .linalg import Matrix, Q, qf, qstr
-
-
-@dataclass(frozen=True)
-class AlgebraOneForm:
-    context: AlgebraContext
-    covector: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.covector) != self.context.dim:
-            raise ValueError("covector length mismatch")
-
-    def __call__(self, coords: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.covector, coords) if c != 0 and x != 0), Q(0))
+from .linalg import Matrix, Q, qstr
 
 
 @dataclass(frozen=True)
@@ -59,15 +45,6 @@ class QuotientForm:
     complement: tuple[AlgebraElement, ...]
     reduced_gram: Matrix
     reduced_det: Fraction
-
-
-def one_form(ctx: AlgebraContext, covector: Sequence[int | str | Fraction]) -> AlgebraOneForm:
-    return AlgebraOneForm(ctx, tuple(qf(c) for c in covector))
-
-
-def killing_dual(a: AlgebraElement) -> AlgebraOneForm:
-    """The 1-form B(a, .) as a covector."""
-    return AlgebraOneForm(a.context, tuple(a.context.killing_gram.apply(list(a.coords))))
 
 
 def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
@@ -93,18 +70,6 @@ def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
     if d != 1:
         gram = [[Q(v, d) if v else 0 for v in row] for row in gram]
     return AlgebraTwoForm(ctx, Matrix(gram))
-
-
-def ce_d1(theta: AlgebraOneForm) -> AlgebraTwoForm:
-    """Differential of a 1-form: gram[i][j] = -theta([e_i, e_j])."""
-    ctx = theta.context
-    gram = Matrix.zeros(ctx.dim, ctx.dim)
-    for (i, j), entry in ctx._table.items():
-        val = -sum((c * theta.covector[k] for k, c in entry.items()
-                    if theta.covector[k] != 0), Q(0))
-        gram[i, j] = val
-        gram[j, i] = -val
-    return AlgebraTwoForm(ctx, gram)
 
 
 def is_closed_2form(omega: AlgebraTwoForm) -> bool:

@@ -178,7 +178,7 @@ def reduction_constant(v: FormVector) -> Fraction:
         raise ValueError("input is not a (d + d_lambda)-cocycle")
     current = v
     while current.degree > 0:
-        current = d_lambda_apply(poincare_antiderivative(current, "d"))
+        current = d_lambda_apply(poincare_antiderivative(current))
     return _constant_value(current)
 
 

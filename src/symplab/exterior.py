@@ -90,9 +90,11 @@ def star_blocks(n: int) -> dict[int, Matrix]:
     Each block is a signed permutation.  G(alpha, beta) is nonzero only
     for alpha = sigma(beta), sigma swapping each dxi with dyi, so
     star(beta) = G(sigma beta, beta) * s * comp(sigma beta), where
-    sigma beta ^ comp(sigma beta) = s * vol.  G(sigma beta, beta) is the
-    determinant of a matching: one transposition per pair dxi, dyi that
-    beta holds whole, and a factor G(dxi, dyi) = -1 per dyi in beta.
+    sigma beta ^ comp(sigma beta) = s * vol.  The index x in place i of
+    sigma beta passes the x - i smaller indices of the complement, so s is
+    the parity (-1)^(sum(sigma beta) - k(k-1)/2).  G(sigma beta, beta) is
+    the determinant of a matching: one transposition per pair dxi, dyi
+    that beta holds whole, and a factor G(dxi, dyi) = -1 per dyi in beta.
     """
     m = 2 * n
     blocks: dict[int, Matrix] = {}
@@ -103,9 +105,9 @@ def star_blocks(n: int) -> dict[int, Matrix]:
         for j, beta in enumerate(src):
             alpha = tuple(sorted(v ^ 1 for v in beta))
             comp = tuple(v for v in range(m) if v not in alpha)
-            s, _ = wedge_monomials(alpha, comp)
+            passes = sum(alpha) - k * (k - 1) // 2
             pairs = sum(1 for v in beta if v % 2 == 0 and v + 1 in beta)
             dys = sum(v % 2 for v in beta)
-            block[index[comp], j] = s * (-1) ** (pairs + dys)
+            block[index[comp], j] = (-1) ** (passes + pairs + dys)
         blocks[k] = block
     return blocks

@@ -33,14 +33,6 @@ from .polynomials import (charpoly, even_part, is_squarefree, poly_deg,
                           real_root_counts, squarefree_part)
 
 
-def j_matrix(n: int) -> Matrix:
-    m = Matrix.zeros(2 * n, 2 * n)
-    for i in range(n):
-        m[i, n + i] = -1
-        m[n + i, i] = 1
-    return m
-
-
 def integer_coords(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm d of the coordinates' denominators, and d * coords as ints."""
     d = lcm(1, *(c.denominator for c in coords))
@@ -70,14 +62,6 @@ def is_in_algebra(x: Matrix, n: int) -> bool:
             if x[mr, mc] != sign * v:
                 return False
     return True
-
-
-def is_in_group(x: Matrix, n: int) -> bool:
-    """Exact membership test x^t J x = J."""
-    if (x.rows, x.cols) != (2 * n, 2 * n):
-        raise ValueError(f"expected a {2*n}x{2*n} matrix, got {x.rows}x{x.cols}")
-    j = j_matrix(n)
-    return (x.transpose() @ j @ x) == j
 
 
 def _slots(n: int) -> list[tuple[int, int]]:
@@ -187,9 +171,6 @@ class AlgebraContext:
         coords[k] = Q(1)
         return AlgebraElement(self, tuple(coords))
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, tuple([Q(0)] * self.dim))
-
     # -- structure constants --------------------------------------------
     def pair_bracket(self, i: int, j: int) -> dict[int, int]:
         """Sparse integer coordinates of [e_i, e_j]."""
@@ -208,12 +189,6 @@ class AlgebraContext:
                 for k, c in entry.items():
                     out[k] += w * c
         return out
-
-    def bracket_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        dx, xs = integer_coords(x)
-        dy, ys = integer_coords(y)
-        d = dx * dy
-        return [Q(v, d) for v in self._bracket(xs, ys)]
 
     def ad_matrix(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad(x) acting on algebra coordinates."""
@@ -281,14 +256,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, coords: Sequence[Fraction]) -> bool:
-        v = list(coords)
-        for row, pivot in zip(self.rows, self.pivots):
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return vec_is_zero(v)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.context is other.context
                 and self.rows == other.rows)
@@ -305,46 +272,6 @@ def _require_same_context(a, b) -> None:
 def standard_basis(n: int) -> AlgebraContext:
     """Context for sp(2n, R) in the fixed block-ordered basis."""
     return AlgebraContext(n)
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _require_same_context(x, y)
-    return AlgebraElement(x.context, tuple(x.context.bracket_coords(x.coords, y.coords)))
-
-
-def killing_form(x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """trace(ad x . ad y), computed from the structure constants."""
-    _require_same_context(x, y)
-    ctx = x.context
-    ax = ctx.ad_matrix(x.coords)
-    ay = ctx.ad_matrix(y.coords)
-    return sum((a * ay[k, i] for i in range(ctx.dim) for k, a in ax.row_items(i)), Q(0))
-
-
-def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
-    """The constant c with B(x, y) = c * trace(xy) on this algebra.
-
-    Derived report: the Killing form is defined as the ad-trace, and the
-    proportionality is verified entrywise before c is returned.
-    """
-    c = None
-    for i in range(ctx.dim):
-        for j in range(i, ctx.dim):
-            prod = ctx.basis[i] @ ctx.basis[j]
-            tr = sum((prod[a, a] for a in range(prod.rows)), Q(0))
-            kij = ctx.killing_gram[i, j]
-            if tr == 0:
-                if kij != 0:
-                    raise AssertionError("Killing form is not proportional to the trace form")
-                continue
-            ratio = kij / tr
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                raise AssertionError("Killing form is not proportional to the trace form")
-    if c is None:
-        raise AssertionError("trace form vanished identically")
-    return c
 
 
 def is_regular(a: AlgebraElement) -> bool:
@@ -369,20 +296,6 @@ def is_abelian(s: Subspace) -> bool:
             if any(ctx._bracket(rows[i], rows[j])):
                 return False
     return True
-
-
-def is_maximal_abelian(s: Subspace) -> bool:
-    """True iff the joint centralizer of s equals s.
-
-    Raises ValueError on non-abelian input.
-    """
-    if not is_abelian(s):
-        raise ValueError("is_maximal_abelian requires an abelian subspace")
-    ctx = s.context
-    if not s.rows:
-        return False  # the whole algebra centralizes the zero subspace
-    stacked = Matrix.vstack([ctx.ad_matrix(r) for r in s.rows])
-    return Subspace.kernel_of(ctx, stacked) == s
 
 
 @dataclass(frozen=True)

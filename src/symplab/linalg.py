@@ -178,10 +178,8 @@ class Matrix:
         offset = 0
         for m in mats:
             for orow, row in zip(out._nz, m._nz):
-                if offset:
-                    orow.update((j + offset, v) for j, v in row.items())
-                else:
-                    orow.update(row)
+                if row:
+                    orow.update({j + offset: v for j, v in row.items()} if offset else row)
             offset += m.cols
         return out
 
@@ -357,25 +355,19 @@ class Matrix:
         return self.kernel_matrix().columns()
 
     def solve(self, b: Sequence[Fraction]) -> list[Fraction]:
-        """One exact solution of self @ x = b (free variables set to 0).
+        """One exact solution of self @ x = b (free variables set to 0): the
+        one-column case of ``solve_matrix``.
 
-        Raises ValueError when the system is inconsistent.
+        Raises ValueError when b has not one entry per row, or when the
+        system is inconsistent.
         """
-        aug = Matrix._of(self.rows, self.cols + 1, [dict(row) for row in self._nz])
-        for i, row in enumerate(aug._nz):
-            x = _num(b[i])
-            if x:
-                row[self.cols] = x
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
-            raise ValueError("inconsistent linear system")
-        x = [_ZERO] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = Q(red._nz[r].get(self.cols, 0))
-        return x
+        column = [{0: v} if (v := _num(x)) else {} for x in b]
+        return self.solve_matrix(Matrix._of(len(b), 1, column)).column(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix":
-        """Exact X with self @ X = rhs; raises when inconsistent."""
+        """Exact X with self @ X = rhs; raises ValueError when rhs has not
+        one row per row of self (through hstack), or when the system is
+        inconsistent."""
         aug = Matrix.hstack([self, rhs])
         red, pivots = aug.rref()
         if pivots and pivots[-1] >= self.cols:

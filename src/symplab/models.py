@@ -129,10 +129,6 @@ def d_lambda_apply(v: FormVector) -> FormVector:
     return _apply(v, v.model.dl_block, v.degree - 1)
 
 
-def star_s_apply(v: FormVector) -> FormVector:
-    return _apply(v, v.model.star_s.__getitem__, v.model.top_degree - v.degree)
-
-
 def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
                         k: int) -> Matrix:
     """The codifferential (-1)^(k+1) star . d . star on k-forms, k >= 1.
@@ -311,44 +307,23 @@ def w0_power_form(model: ComplexModel, j: int) -> FormVector:
     return form_vector(model, 2 * j, coords)
 
 
-def poincare_antiderivative(v: FormVector, operator: str = "d") -> FormVector:
-    """Primitive under d (or d_lambda) via the exact radial homotopy.
+def poincare_antiderivative(v: FormVector) -> FormVector:
+    """Primitive under d via the exact radial homotopy.
 
     For a closed k-form with monomial coefficients the homotopy sends
-    p * dI to sum_j (-1)^(j-1)/(deg p + k) * p*x_{i_j} * d(I without i_j);
-    the d_lambda primitive conjugates this by the star.  Deterministic:
-    integration constants are always zero.
+    p * dI to sum_j (-1)^(j-1)/(deg p + k) * p*x_{i_j} * d(I without i_j).
+    Deterministic: integration constants are always zero.
     """
     model = v.model
     if model.kind != "polynomial":
         raise ValueError("poincare_antiderivative is supported on polynomial models only")
-    if operator not in ("d", "d_lambda"):
-        raise ValueError("operator must be 'd' or 'd_lambda'")
-    if operator == "d_lambda":
-        if v.degree > model.top_degree - 1:
-            raise ValueError("d_lambda antiderivative needs degree <= top - 1")
-        if not d_lambda_apply(v).is_zero():
-            raise ValueError("input is not coclosed")
-        w = star_s_apply(_radial_homotopy(star_s_apply(v)))
-        # sign chosen so that d_lambda(w) = v under the signed codifferential
-        if v.degree % 2 == 1:
-            w = FormVector(model, w.degree, tuple(-c for c in w.coords))
-        return w
-    if v.degree < 1:
+    k = v.degree
+    if k < 1:
         raise ValueError("d antiderivative needs degree >= 1")
     if not d_apply(v).is_zero():
         raise ValueError("input is not closed")
-    return _radial_homotopy(v)
-
-
-def _radial_homotopy(v: FormVector) -> FormVector:
-    model = v.model
-    n = model.meta["n"]
+    m = 2 * model.meta["n"]
     cutoff = model.meta["D"]
-    m = 2 * n
-    k = v.degree
-    if k < 1:
-        raise ValueError("homotopy needs degree >= 1")
     monos = model.meta["monos"]
     mono_index = model.meta["mono_index"]
     ext_src = exterior.ext_basis(m, k)
@@ -369,20 +344,6 @@ def _radial_homotopy(v: FormVector) -> FormVector:
             row = mono_index[raised] * len(ext_dst) + ext_dst_index[target_ext]
             out[row] += c * weight * ((-1) ** pos)
     return form_vector(model, k - 1, out)
-
-
-def alpha_form(model: ComplexModel, k: int) -> FormVector:
-    """Normalized primitive of w0^k: d(alpha) = w0^k exactly.
-
-    The normalization is computed by the homotopy itself rather than
-    taken from a printed coefficient.
-    """
-    n = model.meta.get("n")
-    if model.kind != "polynomial":
-        raise ValueError("alpha_form lives in the polynomial model")
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    return poincare_antiderivative(w0_power_form(model, k), "d")
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +395,12 @@ def _derivative_entries(f: FourierMode, axis: int) -> list[tuple[int, FourierMod
     return [(coeff, ("cos", m))]
 
 
-def _pullback_function(f: FourierMode, box: int | None = None) -> list[tuple[Fraction, FourierMode]] | None:
-    """Composition with x -> Lx on modes: m -> L^t m = (m1, m1 + m2).
-
-    Returns None when the image mode leaves the cutoff box.
-    """
+def _pullback_function(f: FourierMode) -> list[tuple[Fraction, FourierMode]]:
+    """Composition with x -> Lx on modes: m -> L^t m = (m1, m1 + m2)."""
     kind, (m1, m2) = f
     if kind == "const":
         return [(Q(1), f)]
-    image = (m1, m1 + m2)
-    if box is not None and (abs(image[0]) > box or abs(image[1]) > box):
-        return None
-    sign, canon = _canonical_mode(image)
+    sign, canon = _canonical_mode((m1, m1 + m2))
     if kind == "cos":
         return [(Q(1), ("cos", canon))]
     return [(Q(sign), ("sin", canon))]
@@ -459,51 +414,27 @@ _PULLBACK_EXT: dict[exterior.Mono, list[tuple[int, exterior.Mono]]] = {
 }
 
 
-def _fourier_pullback(functions: list[FourierMode], box: int | None):
+def _fourier_pullback(functions: list[FourierMode]) -> dict[int, Matrix]:
     """Pullback matrices per degree on the function-major basis of a span of
-    Fourier modes on T^2, and the columns where they are defined."""
+    Fourier modes on T^2; raises when a mode's image leaves the span."""
     findex = {f: i for i, f in enumerate(functions)}
     p_blocks: dict[int, Matrix] = {}
-    stable: dict[int, list[int]] = {}
     for k in range(3):
         ext = exterior.ext_basis(2, k)
         ext_index = {mono: i for i, mono in enumerate(ext)}
         blk = Matrix.zeros(len(functions) * len(ext), len(functions) * len(ext))
-        cols: list[int] = []
         for fi, f in enumerate(functions):
-            transported = _pullback_function(f, box)
-            if transported is None or any(g not in findex for _, g in transported):
-                continue  # image mode leaves the cutoff: column stays undefined
+            transported = _pullback_function(f)
+            if any(g not in findex for _, g in transported):
+                raise AssertionError("stable sector is not closed under the pullback")
             for ei, emono in enumerate(ext):
                 col = fi * len(ext) + ei
                 for coeff, g in transported:
                     for esign, target in _PULLBACK_EXT[emono]:
                         row = findex[g] * len(ext) + ext_index[target]
                         blk[row, col] += esign * coeff
-                cols.append(col)
         p_blocks[k] = blk
-        stable[k] = cols
-    return p_blocks, stable
-
-
-def suspension_full_complex(cutoff: int):
-    """Full truncated complex on T^2 with the partial pullback operator.
-
-    Returns (functions, dims, d_blocks, p_blocks, stable_columns), with d
-    blocks in degrees 0 and 1; used to check that the pullback commutes
-    with d where both sides are defined and that w0 is pullback-invariant.
-    """
-    modes = []
-    for m1 in range(-cutoff, cutoff + 1):
-        for m2 in range(-cutoff, cutoff + 1):
-            if (m1, m2) == (0, 0):
-                continue
-            if _canonical_mode((m1, m2))[0] == 1 and _canonical_mode((m1, m2))[1] == (m1, m2):
-                modes.append((m1, m2))
-    functions = _fourier_functions(modes)
-    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
-    p_blocks, stable = _fourier_pullback(functions, cutoff)
-    return functions, {k: p_blocks[k].rows for k in range(3)}, d_blocks, p_blocks, stable
+    return p_blocks
 
 
 def build_suspension_model(cutoff: int) -> ComplexModel:
@@ -519,10 +450,7 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
     sector_modes = [(0, m2) for m2 in range(1, cutoff + 1)]
     functions = _fourier_functions(sector_modes)
     d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
-    p_blocks, stable = _fourier_pullback(functions, None)
-    for k in range(3):
-        if len(stable[k]) != p_blocks[k].cols:
-            raise AssertionError("stable sector is not closed under the pullback")
+    p_blocks = _fourier_pullback(functions)
 
     star_ext = exterior.star_blocks(1)
     star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])

@@ -82,25 +82,12 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int
     return m, q, r
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    (da, a), (db, b) = _integral(a), _integral(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    m, q, r = _pseudo_divmod(a, b)  # the rational quotient is q db / (m da)
-    return [Q(c * db, m * da) for c in q], [Q(c, m * da) for c in r]
-
-
 def _gcd(a: list[int], b: list[int]) -> list[int]:
     """A gcd of a and b by the primitive pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[2])
     return a
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    g = _gcd(_integral(a)[1], _integral(b)[1])
-    return [Q(c, g[-1]) for c in g]
 
 
 def is_squarefree(p: Poly) -> bool:

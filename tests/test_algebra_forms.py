@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import symplab.algebra_forms as forms
 import symplab.lie_core as lie
 from symplab.linalg import Matrix, echelon_rows
+from oracles import ce_d1, killing_dual, one_form
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs, sympy_oracle)
 
@@ -20,6 +21,7 @@ H = CTX1.element([1, 0, 0])
 E = CTX1.element([0, 1, 0])
 F = CTX1.element([0, 0, 1])
 J1 = CTX1.element([0, -1, 1])
+ZERO1 = CTX1.element([0] * CTX1.dim)
 
 
 def test_omega_from_H():
@@ -32,7 +34,7 @@ def test_omega_from_H():
 
 
 def test_omega_zero_and_rank_J():
-    assert forms.omega_from_element(CTX1.zero()).gram.is_zero()
+    assert forms.omega_from_element(ZERO1).gram.is_zero()
     assert forms.form_rank(forms.omega_from_element(J1)) == 2
 
 
@@ -43,11 +45,11 @@ def test_omega_gram_antisymmetric_validated():
 
 def test_ce_d1_examples():
     # theta dual to H: gram entry -1 at the (E, F) slot since [E,F] = H
-    theta = forms.one_form(CTX1, [1, 0, 0])
-    gram = forms.ce_d1(theta).gram
+    theta = one_form(CTX1, [1, 0, 0])
+    gram = ce_d1(theta).gram
     assert gram.data[1][2] == Q(-1) and gram.data[2][1] == Q(1)
     assert gram.data[0][1] == 0 and gram.data[0][2] == 0
-    assert forms.ce_d1(forms.one_form(CTX1, [0, 0, 0])).gram.is_zero()
+    assert ce_d1(one_form(CTX1, [0, 0, 0])).gram.is_zero()
 
 
 def test_ce_d1_of_killing_dual_is_minus_omega():
@@ -55,7 +57,7 @@ def test_ce_d1_of_killing_dual_is_minus_omega():
     for ctx in (CTX1, CTX2):
         for _ in range(10):
             a = lie.random_element(ctx, rng)
-            lhs = forms.ce_d1(forms.killing_dual(a)).gram
+            lhs = ce_d1(killing_dual(a)).gram
             rhs = forms.omega_from_element(a).gram.scale(-1)
             assert lhs == rhs
 
@@ -68,39 +70,33 @@ def test_omega_is_closed_for_random_elements():
             assert forms.is_closed_2form(forms.omega_from_element(a))
 
 
+def random_gram(dim: int, rng: random.Random) -> Matrix:
+    """An antisymmetric Gram, its upper triangle drawn row by row from [-9, 9]."""
+    gram = Matrix.zeros(dim, dim)
+    for i, j in combinations(range(dim), 2):
+        gram[i, j] = rng.randint(-9, 9)
+        gram[j, i] = -gram[i, j]
+    return gram
+
+
 def test_every_antisymmetric_gram_closed_for_n1():
     rng = random.Random(23)
     for _ in range(10):
-        gram = Matrix.zeros(3, 3)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                val = Q(rng.randint(-9, 9))
-                gram[i, j] = val
-                gram[j, i] = -val
+        gram = random_gram(3, rng)
         assert not gram.is_zero()
         assert forms.is_closed_2form(forms.AlgebraTwoForm(CTX1, gram))
 
 
 def test_generic_2form_not_closed_for_n2():
     rng = random.Random(24)
-    found_non_closed = False
-    for _ in range(10):
-        gram = Matrix.zeros(10, 10)
-        for i in range(10):
-            for j in range(i + 1, 10):
-                val = Q(rng.randint(-9, 9))
-                gram[i, j] = val
-                gram[j, i] = -val
-        if not forms.is_closed_2form(forms.AlgebraTwoForm(CTX2, gram)):
-            found_non_closed = True
-            break
-    assert found_non_closed
+    assert any(not forms.is_closed_2form(forms.AlgebraTwoForm(CTX2, random_gram(10, rng)))
+               for _ in range(10))
 
 
 def test_potential_examples():
     omega_h = forms.omega_from_element(H)
     assert forms.potential_element(omega_h).coords == H.coords
-    assert forms.potential_element(forms.omega_from_element(CTX1.zero())).is_zero()
+    assert forms.potential_element(forms.omega_from_element(ZERO1)).is_zero()
     # inverse of the A=H example: gram with only omega(E,F) = 8 recovers H
     gram = Matrix.zeros(3, 3)
     gram[1, 2] = Q(8)
@@ -118,27 +114,18 @@ def test_potential_roundtrip_random():
 
 def test_potential_rejects_non_closed():
     rng = random.Random(26)
-    for _ in range(10):
-        gram = Matrix.zeros(10, 10)
-        for i in range(10):
-            for j in range(i + 1, 10):
-                val = Q(rng.randint(-9, 9))
-                gram[i, j] = val
-                gram[j, i] = -val
-        omega = forms.AlgebraTwoForm(CTX2, gram)
-        if not forms.is_closed_2form(omega):
-            break
-    else:
-        pytest.fail("no non-closed 2-form in 10 draws")
+    draws = (forms.AlgebraTwoForm(CTX2, random_gram(10, rng)) for _ in range(10))
+    omega = next((w for w in draws if not forms.is_closed_2form(w)), None)
+    assert omega is not None, "no non-closed 2-form in 10 draws"
     with pytest.raises(ValueError, match="requires a closed 2-form"):
         forms.potential_element(omega)
 
 
 def test_form_kernel_examples():
     assert forms.form_kernel(forms.omega_from_element(H)) == lie.Subspace(CTX1, [H.coords])
-    assert forms.form_kernel(forms.omega_from_element(CTX1.zero())).dim == 3
+    assert forms.form_kernel(forms.omega_from_element(ZERO1)).dim == 3
     kj = forms.form_kernel(forms.omega_from_element(J1))
-    assert kj.dim == 1 and kj.contains(J1.coords)
+    assert kj.dim == 1 and kj == lie.Subspace(CTX1, [J1.coords])
 
 
 def test_form_rank_examples():

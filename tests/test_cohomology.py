@@ -149,7 +149,7 @@ def test_reduction_constant_independent_of_antiderivative_choice():
         perturbation = d_apply(f)
         assert not perturbation.is_zero()
         x = w0_power_form(model, n)
-        radial = poincare_antiderivative(x, "d")
+        radial = poincare_antiderivative(x)
         y = form_vector(model, radial.degree,
                         [a + b for a, b in zip(radial.coords, perturbation.coords)])
         assert d_apply(y).coords == x.coords

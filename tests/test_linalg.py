@@ -69,6 +69,17 @@ def test_solve_consistent_and_inconsistent():
         m.solve([Q(1), Q(0), Q(0)])
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # a long b was cut to the row count, a short one ran off its end
+    m = Matrix([[1, 0], [0, 1]])
+    assert m.solve([1, 2]) == [Q(1), Q(2)]
+    for b in ([1, 2, 99], [1], []):
+        with pytest.raises(ValueError, match="row mismatch"):
+            m.solve(b)
+    with pytest.raises(ValueError, match="row mismatch"):
+        m.solve_matrix(Matrix([[1], [2], [99]]))
+
+
 def test_inverse_roundtrip():
     m = Matrix([[1, 2], [3, 5]])
     inv = m.inverse()

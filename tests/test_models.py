@@ -5,12 +5,11 @@ import pytest
 
 import symplab.exterior as ext
 from symplab.linalg import Matrix
-from symplab.models import (alpha_form, build_polynomial_model,
-                            build_suspension_model, build_torus_model,
-                            d_apply, d_lambda_apply, form_vector,
-                            operator_identity_report,
-                            poincare_antiderivative, star_s_apply,
-                            suspension_full_complex, w0_power_form)
+from symplab.models import (build_polynomial_model, build_suspension_model,
+                            build_torus_model, d_apply, d_lambda_apply,
+                            form_vector, operator_identity_report,
+                            poincare_antiderivative, w0_power_form)
+from oracles import alpha_form, star_s_apply, suspension_full_complex
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
 
@@ -18,6 +17,15 @@ TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
 POLY1 = build_polynomial_model(1, 4)
 SUSP2 = build_suspension_model(2)
+
+
+def plane_1form(model, *terms):
+    """The 1-form on R^2 summing x^a dx_v over the terms (a, v)."""
+    e1 = ext.ext_basis(2, 1)
+    coords = [Q(0)] * model.dim(1)
+    for a, v in terms:
+        coords[model.meta["mono_index"][a] * len(e1) + e1.index((v,))] = Q(1)
+    return form_vector(model, 1, coords)
 
 
 def struct_identities_all_hold(model):
@@ -71,7 +79,6 @@ def test_pairing_examples():
     # G is the matrix inverse of w0: G(dx, dy) = -1
     assert g1.data[0][1] == Q(-1)
     assert g1.data[1][0] == Q(1)
-    w0 = ext.w0_coords(1)
     assert pairing_k(g1, (0, 1), (0, 1)) == Q(1)
 
 
@@ -117,11 +124,7 @@ def test_polynomial_dims_n1_D2():
 
 def test_polynomial_d_leibniz_example():
     # d(x * dy) = dx ^ dy = w0
-    mono_i = POLY1.meta["mono_index"][(1, 0)]
-    e1 = ext.ext_basis(2, 1)
-    coords = [Q(0)] * POLY1.dim(1)
-    coords[mono_i * len(e1) + e1.index((1,))] = Q(1)
-    dv = d_apply(form_vector(POLY1, 1, coords))
+    dv = d_apply(plane_1form(POLY1, ((1, 0), 1)))
     assert dv.coords == w0_power_form(POLY1, 1).coords
 
 
@@ -133,9 +136,7 @@ def test_polynomial_star_acts_on_exterior_factor_only():
         e_src = len(ext.ext_basis(2 * n, k))
         e_dst = len(ext.ext_basis(2 * n, 2 * n - k))
         for r in range(blk.rows):
-            for c in range(blk.cols):
-                if blk.data[r][c] != 0:
-                    assert r // e_dst == c // e_src
+            assert all(r // e_dst == c // e_src for c, _ in blk.row_items(r))
 
 
 def test_polynomial_d_lowers_coefficient_degree_by_one():
@@ -145,9 +146,8 @@ def test_polynomial_d_lowers_coefficient_degree_by_one():
         e_src = len(ext.ext_basis(2, k))
         e_dst = len(ext.ext_basis(2, k + 1))
         for r in range(blk.rows):
-            for c in range(blk.cols):
-                if blk.data[r][c] != 0:
-                    assert sum(monos[r // e_dst]) == sum(monos[c // e_src]) - 1
+            assert all(sum(monos[r // e_dst]) == sum(monos[c // e_src]) - 1
+                       for c, _ in blk.row_items(r))
 
 
 def test_polynomial_window_marks_low_degrees():
@@ -175,7 +175,7 @@ def test_polynomial_rejects_small_cutoff():
 # -- radial homotopy -------------------------------------------------------------
 
 def test_poincare_antiderivative_w0():
-    w = poincare_antiderivative(w0_power_form(POLY1, 1), "d")
+    w = poincare_antiderivative(w0_power_form(POLY1, 1))
     assert d_apply(w).coords == w0_power_form(POLY1, 1).coords
     # the radial primitive (x dy - y dx) / 2
     labels = {POLY1.graded_basis[1][i]: c for i, c in enumerate(w.coords) if c != 0}
@@ -183,11 +183,7 @@ def test_poincare_antiderivative_w0():
 
 
 def test_poincare_antiderivative_dx():
-    e1 = ext.ext_basis(2, 1)
-    const = POLY1.meta["mono_index"][(0, 0)]
-    coords = [Q(0)] * POLY1.dim(1)
-    coords[const * len(e1) + e1.index((0,))] = Q(1)  # dx1
-    w = poincare_antiderivative(form_vector(POLY1, 1, coords), "d")
+    w = poincare_antiderivative(plane_1form(POLY1, ((0, 0), 0)))  # dx1
     labels = {POLY1.graded_basis[0][i]: c for i, c in enumerate(w.coords) if c != 0}
     assert labels == {"x1": Q(1)}  # x, zero integration constant
 
@@ -198,49 +194,24 @@ def test_poincare_antiderivative_random_closed_forms():
     for _ in range(10):
         f = form_vector(model, 0, [Q(rng.randint(-5, 5)) for _ in range(model.dim(0))])
         v = d_apply(f)  # exact hence closed 1-form
-        w = poincare_antiderivative(v, "d")
+        w = poincare_antiderivative(v)
         assert d_apply(w).coords == v.coords
 
 
-def test_poincare_antiderivative_dlambda():
-    one = w0_power_form(POLY1, 0)
-    w = poincare_antiderivative(one, "d_lambda")
-    assert d_lambda_apply(w).coords == one.coords
-    assert w.degree == 1
-    # degree-2 coclosed input
-    rng = random.Random(42)
-    model = build_polynomial_model(1, 6)
-    z = form_vector(model, 2, [Q(rng.randint(-5, 5)) for _ in range(model.dim(2))])
-    v = d_lambda_apply(z)
-    w2 = poincare_antiderivative(v, "d_lambda")
-    assert d_lambda_apply(w2).coords == v.coords
-
-
 def test_poincare_antiderivative_preconditions():
-    e1 = ext.ext_basis(2, 1)
-    x_i = POLY1.meta["mono_index"][(1, 0)]
-    coords = [Q(0)] * POLY1.dim(1)
-    coords[x_i * len(e1) + e1.index((0,))] = Q(1)  # x dx is closed
-    coords[x_i * len(e1) + e1.index((1,))] = Q(1)  # x dy is not
+    with pytest.raises(ValueError):  # x dx is closed, x dy is not
+        poincare_antiderivative(plane_1form(POLY1, ((1, 0), 0), ((1, 0), 1)))
     with pytest.raises(ValueError):
-        poincare_antiderivative(form_vector(POLY1, 1, coords), "d")
+        poincare_antiderivative(form_vector(TORUS1, 2, [1]))
     with pytest.raises(ValueError):
-        poincare_antiderivative(w0_power_form(POLY1, 1), "curl")
-    with pytest.raises(ValueError):
-        poincare_antiderivative(form_vector(TORUS1, 2, [1]), "d")
-    with pytest.raises(ValueError):
-        poincare_antiderivative(w0_power_form(POLY1, 0), "d")  # degree 0 under d
+        poincare_antiderivative(w0_power_form(POLY1, 0))  # degree 0 under d
 
 
 def test_antiderivative_cutoff_overflow():
     model = build_polynomial_model(1, 2)
     # y^2 dy has coefficient degree D = 2; its primitive would need degree 3
-    e1 = ext.ext_basis(2, 1)
-    yy = model.meta["mono_index"][(0, 2)]
-    coords = [Q(0)] * model.dim(1)
-    coords[yy * len(e1) + e1.index((1,))] = Q(1)
     with pytest.raises(ValueError):
-        poincare_antiderivative(form_vector(model, 1, coords), "d")
+        poincare_antiderivative(plane_1form(model, ((0, 2), 1)))
 
 
 # -- alpha forms ------------------------------------------------------------------
@@ -301,12 +272,21 @@ def test_suspension_invariant_dims_against_nullspace_oracle():
     from symplab.models import _fourier_functions, _fourier_pullback
     cutoff = 3
     functions = _fourier_functions([(0, k) for k in range(1, cutoff + 1)])
-    p_blocks, _ = _fourier_pullback(functions, None)
+    p_blocks = _fourier_pullback(functions)
     for k, expected in ((0, 2 * cutoff + 1), (1, 2 * cutoff + 1), (2, 2 * cutoff + 1)):
         dim = len(functions) * len(ext.ext_basis(2, k))
         assert (p_blocks[k].rows, p_blocks[k].cols) == (dim, dim)
         delta = p_blocks[k] - Matrix.identity(dim)
         assert len(delta.nullspace()) == expected
+
+
+def test_suspension_sector_must_be_closed_under_the_pullback(monkeypatch):
+    # mode (1, 0) pulls back to (1, 1), which no sector holds
+    import symplab.models as models
+    sector = models._fourier_functions
+    monkeypatch.setattr(models, "_fourier_functions", lambda modes: sector(modes + [(1, 0)]))
+    with pytest.raises(AssertionError, match="stable sector is not closed under the pullback"):
+        build_suspension_model(2)
 
 
 def test_suspension_degree1_kills_dx1():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import symplab.lie_core as lie
 from symplab.linalg import Matrix
 from symplab.polynomials import (charpoly, count_real_roots, even_part,
-                                 is_squarefree, poly_derivative, poly_divmod,
-                                 poly_eval, poly_gcd, squarefree_part)
+                                 is_squarefree, poly_derivative, poly_eval,
+                                 squarefree_part)
+from oracles import poly_divmod, poly_gcd
 from strategies import (COORDINATES, PROPERTY, SIDE,  # shared with other modules
                         matrices, sympy_oracle)
 
