@@ -9,8 +9,10 @@ by a test oracle (``tests/oracles.py``), which holds the 1-forms.
 
 omega_a is built over ``int``: the Killing row K (d a) of the element
 scaled to integers, paired with the integer structure constants, with d
-divided out as each entry is written.  Closedness is one integer pass, and
-the kernel of a form is reduced once (``Subspace.kernel_of``).
+divided out as each entry is written.  Closedness is one integer pass.  The
+potential of a closed form is read off ad(a) = (Omega G^-1)^t, G^-1 being
+free because the Killing Gram has one nonzero per row, so it takes no
+elimination; the kernel of a form takes one (``Subspace.kernel_of``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .lie_core import (AlgebraContext, AlgebraElement, Subspace, centralizer,
                        integer_coords, is_abelian, is_regular, random_element)
@@ -96,31 +99,35 @@ def is_closed_2form(omega: AlgebraTwoForm) -> bool:
     return True
 
 
-def _potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]]:
-    """Rows of the linear map a -> (B(a,[e_i,e_j]))_{i<j} on coordinates."""
-    pairs = list(combinations(range(ctx.dim), 2))
-    m = Matrix.zeros(len(pairs), ctx.dim)
-    gram = ctx.killing_gram
-    for r, (i, j) in enumerate(pairs):
-        for mm, c in ctx.pair_bracket(i, j).items():
-            for k, g in gram.row_items(mm):
-                m[r, k] += c * g
-    return m, pairs
-
-
 def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
     """The unique a with omega = omega_from_element(a); requires closedness.
 
-    The solve is exact against the Killing form, and the round trip
-    omega_from_element(potential_element(omega)) == omega is re-checked
-    before returning.
+    Invariance gives omega_a(e_i, e_j) = B([a, e_i], e_j), so the Gram is
+    Omega = ad(a)^t G.  The Killing Gram G has one nonzero g_m per row, at
+    column pi(m), so ad(a) is read off Omega with no solve, and
+
+        g_k a_pi(k) = B(a, e_k) = tr(ad(a) ad(e_k))
+                    = sum_m sum_l c_km^l Omega_(l, pi(m)) / g_m.
+
+    The sums run over int, on the integer rows d Omega with each term
+    scaled by L / g_m for L the lcm of the g values, so each coordinate
+    costs one Fraction.  The round trip omega_from_element(a) == omega is
+    re-checked before returning.
     """
     if not is_closed_2form(omega):
         raise ValueError("potential_element requires a closed 2-form")
     ctx = omega.context
-    system, pairs = _potential_system(ctx)
-    rhs = [omega.gram[i, j] for (i, j) in pairs]
-    coords = system.solve(rhs)
+    d, rows = omega.gram.integer_rows()
+    partners = ctx.killing_partners
+    big = lcm(*(g for _, g in partners))
+    weights = [big // g for _, g in partners]
+    coords = [Q(0)] * ctx.dim
+    for k, (pk, gk) in enumerate(partners):
+        total = 0  # L d B(a, e_k); Omega_(l, pi(m)) = -rows[pi(m)][l] / d
+        for m, entry in ctx._ad[k].items():  # [e_k, e_m] = sum_l c_km^l e_l
+            row = rows[partners[m][0]]
+            total -= weights[m] * sum(c * row.get(l, 0) for l, c in entry.items())
+        coords[pk] = Q(total, big * d * gk)
     a = AlgebraElement(ctx, tuple(coords))
     if omega_from_element(a).gram != omega.gram:
         raise AssertionError("potential round trip failed on a closed form")

@@ -12,12 +12,15 @@ slots from the commutators of basis matrices, each summed from the two
 matrices' own nonzero entries (at most two each, grouped by row) with no
 matrix product.  The Killing Gram tr(ad_i ad_j) is summed over one index of
 the adjoint entries keyed by (column, row), so only nonzero products are
-visited.  All are computed over ``int`` once per context.
+visited.  All are computed over ``int`` once per context, with the Gram's
+one nonzero per row recorded as the partner table (pi(k), g_k).
 
 An element's ``Fraction`` coordinates are cleared of denominators once
 (``integer_coords``); brackets and ad(x) are built over ``int`` and divided
 by the common denominator only as the result is written.  A ``Subspace``
-is a reduced-echelon row basis, made from a kernel in one elimination.
+is a reduced-echelon row basis.  A kernel becomes one in a single
+elimination: with the columns reversed, the kernel vectors read back in
+order are already reduced echelon rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Q, qf, reduced_basis, vec_is_zero
+from .linalg import Matrix, Q, qf, vec_is_zero
 from .polynomials import (charpoly, even_part, is_squarefree, poly_deg,
                           real_root_counts, squarefree_part)
 
@@ -139,6 +142,13 @@ class AlgebraContext:
                 for j, d in index.get((b, a), ()):
                     row[j] += c * d
         self.killing_gram = Matrix(gram)
+        # the one nonzero of each Gram row: (pi(k), g_k) with B(e_k, e_pi(k)) = g_k
+        self.killing_partners: list[tuple[int, int]] = []
+        for k in range(self.dim):
+            entries = list(self.killing_gram.row_items(k))
+            if len(entries) != 1:
+                raise AssertionError("Killing Gram row without exactly one nonzero")
+            self.killing_partners.append(entries[0])
 
     # -- coordinates ---------------------------------------------------
     def coords_of_matrix(self, x: Matrix) -> list[Fraction]:
@@ -220,37 +230,39 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return vec_is_zero(self.coords)
 
-    def scale(self, c) -> "AlgebraElement":
-        c = qf(c)
-        return AlgebraElement(self.context, tuple(c * x for x in self.coords))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_context(self, other)
-        return AlgebraElement(self.context,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
-
 
 class Subspace:
     """Subspace of the algebra, stored as a reduced-echelon row basis and the
     leading (pivot) index of each row."""
 
-    def __init__(self, context: AlgebraContext, rows: Sequence[Sequence[Fraction]] | Matrix):
-        """The span of rows: coordinate vectors, or the rows of a matrix."""
-        if not isinstance(rows, Matrix):
-            rows = Matrix([list(r) for r in rows])
-        dense, pivots = reduced_basis(rows)
+    def __init__(self, context: AlgebraContext, rows: tuple[tuple[Fraction, ...], ...],
+                 pivots: tuple[int, ...]):
+        """rows must already be reduced echelon rows, pivots their leading
+        indices; ``kernel_of`` makes them."""
         self.context = context
-        self.rows = tuple(map(tuple, dense))
-        self.pivots = tuple(pivots)
+        self.rows = rows
+        self.pivots = pivots
 
     @classmethod
     def kernel_of(cls, context: AlgebraContext, m: Matrix) -> "Subspace":
-        """The kernel of m acting on coordinates: the sparse kernel basis,
-        transposed, is reduced once."""
-        return cls(context, m.kernel_matrix().transpose())
+        """The kernel of m acting on coordinates, from one elimination.
+
+        m is eliminated with its columns reversed.  Read back in the
+        original order, the kernel vector of each free column f has a 1 at
+        f, a 0 at every other free column and no entry before f: these
+        vectors, by increasing f, are the reduced echelon rows of the
+        kernel and the free columns its pivots, so no second rref runs.
+        """
+        n = m.cols
+        basis = m.select_columns(range(n - 1, -1, -1)).kernel_matrix().transpose()
+        rows, pivots = [], []
+        for t in reversed(range(basis.rows)):  # by increasing free column
+            row = [Q(0)] * n
+            for j, v in basis.row_items(t):
+                row[n - 1 - j] = qf(v)
+            rows.append(tuple(row))
+            pivots.append(next(i for i, x in enumerate(row) if x))
+        return cls(context, tuple(rows), tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -262,11 +274,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim})"
-
-
-def _require_same_context(a, b) -> None:
-    if a.context is not b.context:
-        raise ValueError("elements belong to different algebra contexts")
 
 
 def standard_basis(n: int) -> AlgebraContext:

@@ -1,20 +1,43 @@
-"""Reference constructions that only tests call: the J matrix, brackets, the
-Killing form as an ad-trace, maximal abelian subspaces, Chevalley-Eilenberg
-1-forms, the star of a form, the primitives alpha_k of w0^k, the full
-Fourier box on T^2 with its partial pullback, and rational polynomial
-division and gcd.  Each is built on the package's own basis, structure
-constants and helpers, so the tests that check it check those too."""
+"""Reference constructions that only tests call: the J matrix, element
+arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
+as a subspace, maximal abelian subspaces, the linear system whose solution
+is the potential of a 2-form, Chevalley-Eilenberg 1-forms, the star of a
+form, the primitives alpha_k of w0^k, the full Fourier box on T^2 with its
+partial pullback, and rational polynomial division and gcd.  Each is built
+on the package's own basis, structure constants and helpers, so the tests
+that check it check those too."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from symplab import exterior, models
 from symplab.algebra_forms import AlgebraTwoForm
 from symplab.lie_core import (AlgebraContext, AlgebraElement, Subspace,
-                              _require_same_context, integer_coords, is_abelian)
-from symplab.linalg import Matrix, Q, qf
+                              integer_coords, is_abelian)
+from symplab.linalg import Matrix, Q, qf, reduced_basis
 from symplab.polynomials import Poly, _gcd, _integral, _pseudo_divmod
+
+
+def _require_same_context(a, b) -> None:
+    if a.context is not b.context:
+        raise ValueError("elements belong to different algebra contexts")
+
+
+def scale(x: AlgebraElement, c) -> AlgebraElement:
+    c = qf(c)
+    return AlgebraElement(x.context, tuple(c * v for v in x.coords))
+
+
+def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    _require_same_context(x, y)
+    return AlgebraElement(x.context, tuple(a + b for a, b in zip(x.coords, y.coords)))
+
+
+def sub(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    return add(x, scale(y, -1))
+
 
 def j_matrix(n: int) -> Matrix:
     """J = [[0, -I], [I, 0]]."""
@@ -64,6 +87,13 @@ def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
     return ratios.pop()
 
 
+def span(ctx: AlgebraContext, vectors: Sequence[Sequence[Fraction]]) -> Subspace:
+    """The subspace spanned by coordinate vectors: the nonzero rows of their
+    reduced row echelon form, and its pivots."""
+    rows, pivots = reduced_basis(Matrix([list(v) for v in vectors]))
+    return Subspace(ctx, tuple(map(tuple, rows)), tuple(pivots))
+
+
 def is_maximal_abelian(s: Subspace) -> bool:
     """True iff the joint centralizer of s equals s; s must be abelian."""
     if not is_abelian(s):
@@ -73,6 +103,19 @@ def is_maximal_abelian(s: Subspace) -> bool:
         return False  # the whole algebra centralizes the zero subspace
     stacked = Matrix.vstack([ctx.ad_matrix(r) for r in s.rows])
     return Subspace.kernel_of(ctx, stacked) == s
+
+
+def potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]]:
+    """Rows of the linear map a -> (B(a,[e_i,e_j]))_{i<j} on coordinates: the
+    potential of a closed 2-form solves it against the form's upper triangle."""
+    pairs = list(combinations(range(ctx.dim), 2))
+    m = Matrix.zeros(len(pairs), ctx.dim)
+    gram = ctx.killing_gram
+    for r, (i, j) in enumerate(pairs):
+        for mm, c in ctx.pair_bracket(i, j).items():
+            for k, g in gram.row_items(mm):
+                m[r, k] += c * g
+    return m, pairs
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 import symplab.algebra_forms as forms
 import symplab.lie_core as lie
 from symplab.linalg import Matrix, echelon_rows
-from oracles import ce_d1, killing_dual, one_form
-from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
-                        element_pairs, sympy_oracle)
+from oracles import ce_d1, killing_dual, one_form, potential_system, span
+from strategies import (COORDINATES, PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
+                        element_pairs, matrices, sympy_oracle)
 
 CTX1 = lie.standard_basis(1)
 CTX2 = lie.standard_basis(2)
 CTX3 = lie.standard_basis(3)
+CONTEXTS = {1: CTX1, 2: CTX2, 3: CTX3}
 
 H = CTX1.element([1, 0, 0])
 E = CTX1.element([0, 1, 0])
@@ -121,11 +122,92 @@ def test_potential_rejects_non_closed():
         forms.potential_element(omega)
 
 
+@pytest.fixture(scope="module")
+def potential_oracle():
+    """The potential of a closed Gram for n = 1, 2, 3, solved in sympy's
+    DomainMatrix from the linear system a -> (B(a, [e_i, e_j]))_(i<j)."""
+    oracle = sympy_oracle()
+    systems = {}
+    for n, ctx in CONTEXTS.items():
+        m, pairs = potential_system(ctx)
+        systems[n] = oracle.of(m), pairs
+
+    def solve(n: int, gram: Matrix) -> tuple:
+        system, pairs = systems[n]
+        dim = CONTEXTS[n].dim
+        rhs = Matrix([[gram[i, j]] for i, j in pairs])
+        red, pivots = system.hstack(oracle.of(rhs)).rref()
+        assert pivots == tuple(range(dim))  # one solution, and consistent
+        return tuple(row[dim] for row in oracle.entries(red)[:dim])
+
+    return solve
+
+
+def test_potential_matches_sympy_solve(potential_oracle):
+    seen = set()
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        for a in pair:
+            omega = forms.omega_from_element(a)
+            potential = forms.potential_element(omega)
+            assert potential.coords == potential_oracle(a.context.n, omega.gram) == a.coords
+            seen.add((a.context.n, any(c.denominator != 1 for c in a.coords)))
+
+    check()
+    assert seen == {(n, rational) for n in (1, 2, 3) for rational in (False, True)}
+
+
+@st.composite
+def kernel_cases(draw):
+    """(kind, ctx, m): a sparse integer or rational matrix with CTX1 or CTX2
+    columns, the zero matrix, a matrix of full column rank (a unit upper
+    triangle under random rows), or ad(a) or the Gram of omega_a for n <= 3."""
+    kind = draw(st.sampled_from(["random", "zero", "full rank", "ad", "omega"]))
+    if kind in ("ad", "omega"):
+        ctx = draw(st.sampled_from([CTX1, CTX2, CTX3]))
+        a = ctx.element(draw(st.lists(draw(COORDINATES), min_size=ctx.dim, max_size=ctx.dim)))
+        return kind, ctx, ctx.ad_matrix(a.coords) if kind == "ad" else forms.omega_from_element(a).gram
+    ctx = draw(st.sampled_from([CTX1, CTX2]))
+    if kind == "zero":
+        return kind, ctx, Matrix.zeros(draw(st.integers(0, 12)), ctx.dim)
+    m = draw(matrices(rows=st.integers(0, 12), cols=st.just(ctx.dim)))
+    if kind == "full rank":
+        upper = draw(matrices(rows=st.just(ctx.dim), cols=st.just(ctx.dim)))
+        for i in range(ctx.dim):
+            upper[i, i] = 1
+            for j in range(i):
+                upper[i, j] = 0
+        m = Matrix.vstack([m, upper])
+    return kind, ctx, m
+
+
+def test_kernel_of_matches_sympy_rref_of_nullspace():
+    oracle = sympy_oracle()
+    seen = set()
+
+    @PROPERTY
+    @given(kernel_cases())
+    def check(case):
+        kind, ctx, m = case
+        kernel = lie.Subspace.kernel_of(ctx, m)
+        red, pivots = oracle.of(m).nullspace().rref()
+        assert kernel.rows == tuple(map(tuple, oracle.entries(red)[:len(pivots)]))
+        assert kernel.pivots == pivots
+        assert kernel.dim == m.cols - m.rank()
+        seen.add((kind, kernel.dim == 0, kernel.dim == m.cols))
+
+    check()
+    assert {("zero", False, True), ("full rank", True, False)} <= seen
+    assert {kind for kind, _, _ in seen} == {"random", "zero", "full rank", "ad", "omega"}
+
+
 def test_form_kernel_examples():
-    assert forms.form_kernel(forms.omega_from_element(H)) == lie.Subspace(CTX1, [H.coords])
+    assert forms.form_kernel(forms.omega_from_element(H)) == span(CTX1, [H.coords])
     assert forms.form_kernel(forms.omega_from_element(ZERO1)).dim == 3
     kj = forms.form_kernel(forms.omega_from_element(J1))
-    assert kj.dim == 1 and kj == lie.Subspace(CTX1, [J1.coords])
+    assert kj.dim == 1 and kj == span(CTX1, [J1.coords])
 
 
 def test_form_rank_examples():
@@ -253,9 +335,6 @@ def test_omega_report_schema():
 # -- closedness against the Chevalley-Eilenberg d2 matrix --------------------------
 # An independent construction: omega is closed iff ce_d2_matrix applied to its
 # upper triangle vanishes.  The product is taken in sympy's DomainMatrix.
-
-CONTEXTS = {1: CTX1, 2: CTX2, 3: CTX3}
-
 
 @pytest.fixture(scope="module")
 def d2_oracle():

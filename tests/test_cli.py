@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import symplab.cohomology as coh
+import symplab.polynomials as polys
 from symplab.cli import main
+from symplab.linalg import Matrix
 from symplab.suite import CheckResult
 
 
@@ -96,6 +98,33 @@ def test_omega_reports_match_golden_bytes(capsys):
     for index in indices:
         code, out = run_cli(capsys, *inputs.omega_request(index)["argv"])
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[inputs.omega_key(index)]
+
+
+def test_omega_request_eliminates_once(capsys, monkeypatch):
+    """One lab omega request, on an integer and on a rational sp(6) element of
+    the benchmark pool, runs one rref (the kernel), no solve (the potential is
+    read off ad(a)) and one Sturm chain (the spectral type)."""
+    inputs = _benchmark_inputs()
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Matrix, "rref")
+    count(Matrix, "solve_matrix")
+    count(polys, "_sturm_chain")
+    for index in (0, 3):  # lane 3 of the pool is rational
+        calls.update(rref=0, solve_matrix=0, _sturm_chain=0)
+        argv = inputs.omega_request(index)["argv"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["potential_roundtrip"] is True
+        assert ("/" in argv[-1]) == (index == 3)
+        assert calls == {"rref": 1, "solve_matrix": 0, "_sturm_chain": 1}
 
 
 def test_cohomology_sweep_matches_golden_csv(capsys):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import symplab.lie_core as lie
 import symplab.polynomials as polys
 from symplab.linalg import Matrix, echelon_rows, vec_is_zero
-from oracles import (bracket, bracket_coords, is_maximal_abelian, j_matrix,
-                     killing_form, killing_trace_constant)
+from oracles import (add, bracket, bracket_coords, is_maximal_abelian, j_matrix,
+                     killing_form, killing_trace_constant, scale, span, sub)
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs)
 
@@ -94,8 +94,11 @@ def test_bracket_examples():
     assert bracket(E, F).coords == (Q(1), Q(0), Q(0))  # [E,F] = H
     rng = random.Random(11)
     for _ in range(5):
-        x = lie.random_element(CTX2, rng)
+        x, y = lie.random_element(CTX2, rng), lie.random_element(CTX2, rng)
         assert bracket(x, x).is_zero()
+        # antisymmetric and bilinear: [x, y] = -[y, x] and [2x - y, y] = 2[x, y]
+        assert add(bracket(x, y), bracket(y, x)).is_zero()
+        assert sub(bracket(sub(scale(x, 2), y), y), scale(bracket(x, y), 2)).is_zero()
 
 
 def test_bracket_matches_matrix_commutator():
@@ -143,6 +146,32 @@ def test_killing_gram_nondegenerate_n123():
         assert ctx.killing_gram.det() != 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_killing_partners_are_the_gram_entries(n):
+    """Row k of the Killing Gram has its one nonzero g_k at column pi(k); pi is an
+    involution and g_k is 2(n + 1) or 4(n + 1)."""
+    ctx = lie.standard_basis(n)
+    partners = ctx.killing_partners
+    gram = Matrix.zeros(ctx.dim, ctx.dim)
+    for k, (pk, gk) in enumerate(partners):
+        assert partners[pk][0] == k
+        assert ctx.killing_gram[k, pk] == gk in (2 * (n + 1), 4 * (n + 1))
+        gram[k, pk] = gk
+    assert ctx.killing_gram == gram
+
+
+def test_killing_partners_need_one_nonzero_per_row(monkeypatch):
+    """A Killing Gram row with a second nonzero stops the construction."""
+    class Perturbed(Matrix):
+        def __init__(self, data):
+            super().__init__(data)
+            self[0, 1] = self[0, 1] + 1
+
+    monkeypatch.setattr(lie, "Matrix", Perturbed)
+    with pytest.raises(AssertionError, match="Killing Gram row"):
+        lie.AlgebraContext(1)
+
+
 def test_killing_trace_constant():
     assert killing_trace_constant(CTX1) == Q(4)
     assert killing_trace_constant(CTX2) == Q(6)
@@ -153,17 +182,15 @@ def test_jacobi_identity():
     for ctx in (CTX1, CTX2):
         for i, j, k in combinations(range(ctx.dim), 3):
             ei, ej, ek = (ctx.basis_element(t) for t in (i, j, k))
-            total = (bracket(bracket(ei, ej), ek)
-                     + bracket(bracket(ej, ek), ei)
-                     + bracket(bracket(ek, ei), ej))
+            total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
+                        bracket(bracket(ek, ei), ej))
             assert total.is_zero()
     rng = random.Random(15)
     for _ in range(30):
         i, j, k = (rng.randrange(CTX3.dim) for _ in range(3))
         ei, ej, ek = (CTX3.basis_element(t) for t in (i, j, k))
-        total = (bracket(bracket(ei, ej), ek)
-                 + bracket(bracket(ej, ek), ei)
-                 + bracket(bracket(ek, ei), ej))
+        total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
+                    bracket(bracket(ek, ei), ej))
         assert total.is_zero()
 
 
@@ -206,7 +233,7 @@ def test_centralizer_examples():
     zh = lie.centralizer(H)
     assert zh.dim == 1 and zh.rows == ((Q(1), Q(0), Q(0)),)
     zj = lie.centralizer(J1)
-    assert zj.dim == 1 and zj == lie.Subspace(CTX1, [J1.coords])
+    assert zj.dim == 1 and zj == span(CTX1, [J1.coords])
     z0 = lie.centralizer(CTX1.element([0] * CTX1.dim))
     assert z0.dim == 3
 
@@ -225,31 +252,31 @@ def test_centralizer_of_regular_is_abelian_cartan():
 
 
 def test_is_abelian_examples():
-    assert lie.is_abelian(lie.Subspace(CTX1, [H.coords]))
-    assert not lie.is_abelian(lie.Subspace(CTX1, [H.coords, E.coords]))
-    assert not lie.is_abelian(lie.Subspace(CTX1, [E.coords, F.coords]))
+    assert lie.is_abelian(span(CTX1, [H.coords]))
+    assert not lie.is_abelian(span(CTX1, [H.coords, E.coords]))
+    assert not lie.is_abelian(span(CTX1, [E.coords, F.coords]))
 
 
 def test_is_maximal_abelian_examples():
-    assert is_maximal_abelian(lie.Subspace(CTX1, [H.coords]))
+    assert is_maximal_abelian(span(CTX1, [H.coords]))
     # the ad(E) nullspace is one-dimensional (oracle), so span{E} is its own
     # joint centralizer and therefore maximal abelian
     assert len(CTX1.ad_matrix(E.coords).nullspace()) == 1
-    assert lie.centralizer(E) == lie.Subspace(CTX1, [E.coords])
-    assert is_maximal_abelian(lie.Subspace(CTX1, [E.coords]))
+    assert lie.centralizer(E) == span(CTX1, [E.coords])
+    assert is_maximal_abelian(span(CTX1, [E.coords]))
     # diagonal Cartan subalgebra of sp(4,R): A[1,1] and A[2,2]
-    cartan = lie.Subspace(CTX2, [CTX2.basis_element(0).coords, CTX2.basis_element(3).coords])
+    cartan = span(CTX2, [CTX2.basis_element(0).coords, CTX2.basis_element(3).coords])
     assert cartan.dim == 2
     assert is_maximal_abelian(cartan)
 
 
 def test_is_maximal_abelian_rejects_non_abelian():
     with pytest.raises(ValueError):
-        is_maximal_abelian(lie.Subspace(CTX1, [H.coords, E.coords]))
+        is_maximal_abelian(span(CTX1, [H.coords, E.coords]))
 
 
 def test_is_maximal_abelian_zero_subspace():
-    assert not is_maximal_abelian(lie.Subspace(CTX1, []))
+    assert not is_maximal_abelian(span(CTX1, []))
 
 
 def test_spectral_type_examples():
@@ -320,11 +347,11 @@ def test_random_regular_element_is_regular_and_deterministic():
 
 
 def test_subspace_contains_and_equality():
-    s = lie.Subspace(CTX1, [H.coords, E.coords])
+    s = span(CTX1, [H.coords, E.coords])
     # v lies in s exactly when adding it leaves the dimension unchanged
-    assert lie.Subspace(CTX1, s.rows + ((Q(2), Q(3), Q(0)),)).dim == s.dim
-    assert lie.Subspace(CTX1, s.rows + (F.coords,)).dim != s.dim
-    t = lie.Subspace(CTX1, [E.coords, H.coords])
+    assert span(CTX1, s.rows + ((Q(2), Q(3), Q(0)),)).dim == s.dim
+    assert span(CTX1, s.rows + (F.coords,)).dim != s.dim
+    t = span(CTX1, [E.coords, H.coords])
     assert s == t
 
 
