@@ -1,24 +1,27 @@
 """Exact cohomology of a finite cochain model.
 
-Three theories per degree k:
+Three theories per degree k, each a quotient ker(num) / im(den):
 
 * de Rham:            ker d / im d
 * (d+dl)-cohomology:  (ker d  intersect  ker dl) / im(d.dl)
 * dl.d-cohomology:    ker(d.dl) / (im d + im dl)
 
-The kernel of the degree-mixing operator d + dl equals ker d intersect
-ker dl because the two images live in different degrees.  Each quotient
-is one elimination over Q of the denominator vectors followed by the
-numerator vectors, taken as columns: the pivots that fall on numerator
-columns are the representatives, and their count is the dimension.  The
-model is the only input: on a model with a window (the polynomial model)
-numerators are restricted to the window while denominators keep the full
-truncated space, which removes exactly the truncation-boundary classes.
+(ker(d + dl) is ker d intersect ker dl: the two images live in different
+degrees.)  On a model with a window W (the polynomial model) numerators
+are restricted to W while denominators keep the full truncated space,
+which removes exactly the truncation-boundary classes.  Dimensions come
+from ranks alone, each a forward fraction-free elimination over int:
 
-Every block of d and dl, in or out of the degree range, is read through
-``model.d_block`` and ``model.dl_block``.  Also here: the reduction of an
-even-degree cocycle to its constant, the finite Hodge operator, whose
-adjoints are transposes in the orthonormal torus and suspension bases,
+    dim H^k = |W| - rank(num|W) - rank(den) + rank(den rows outside W)
+
+(no window: W is every coordinate and the last term is 0).  It rests on
+im(den) inside ker(num), so that the numerator meets im(den) in its
+vectors supported on W; that follows from d.d = 0, dl.dl = 0 and
+d.dl + dl.d = 0, and the theories refuse a model whose recorded
+``model.identities`` do not all hold.  Blocks are read through
+``model.d_block``, ``model.dl_block`` and ``model.d_dl``.  Also here: the
+reduction of an even cocycle to its constant, the finite Hodge operator
+(adjoints are transposes in the orthonormal torus and suspension bases),
 and the per-degree inequality check between the theories.
 """
 
@@ -28,9 +31,10 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .linalg import Matrix, Q
-from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
+from .models import (IDENTITIES, ComplexModel, FormVector, d_apply, d_lambda_apply,
                      poincare_antiderivative)
 
 
@@ -40,7 +44,6 @@ class CohomologyReport:
     theory: str
     dims: tuple[int, ...]
     windowed: bool
-    representatives: dict[int, Matrix]  # degree k -> one column per class
 
 
 @dataclass(frozen=True)
@@ -67,73 +70,59 @@ class HodgeReport:
                    for d in self.degrees)
 
 
-# -- operator block helpers --------------------------------------------------
+# -- dimensions from ranks ----------------------------------------------------
 
-def _ddl(model: ComplexModel, k: int) -> Matrix:
-    """The composite d . d_lambda acting on degree k."""
-    return model.d_block(k - 1) @ model.dl_block(k)
-
-
-def _kernel(constraint: Matrix, model: ComplexModel, k: int) -> Matrix:
-    """Basis of ker(constraint) as columns, within the model's window if it has one."""
-    if model.window is None:
-        return constraint.kernel_matrix()
-    cols = model.window[k]
-    embed = Matrix.identity(model.dim(k)).select_columns(cols)
-    return embed @ constraint.select_columns(cols).kernel_matrix()
+def _require_identities(model: ComplexModel) -> None:
+    """The rank formula's premise: the model records all five identities as holding."""
+    failed = [name for name in IDENTITIES
+              if name not in model.identities or not all(model.identities[name].values())]
+    if failed:
+        raise ValueError(f"{model.name} does not satisfy {', '.join(failed)}: "
+                         "its cohomology dimensions are not defined")
 
 
-def _quotient(num: Matrix, den: Matrix) -> Matrix:
-    """The columns of num that are independent modulo the column span of den.
-
-    Each is the first numerator column, in order, outside the span of the
-    denominator and the numerator columns before it; they form a basis of
-    the quotient, so their count is its dimension.
-    """
-    if not num.cols:
-        return num
-    _, pivots = Matrix.hstack([den, num]).rref()
-    return num.select_columns([p - den.cols for p in pivots if p >= den.cols])
+def quotient_dim(num: Matrix, den: Matrix, window: Sequence[int]) -> int:
+    """dim of (ker num within the window's columns) / im den, for im den inside ker num."""
+    inside = set(window)
+    rank_outside, rank_den = den.nested_ranks([i for i in range(den.rows) if i not in inside])
+    return len(window) - num.select_columns(window).rank() - rank_den + rank_outside
 
 
 def _report(model: ComplexModel, theory: str, numerator, denominator) -> CohomologyReport:
-    reps = {k: _quotient(numerator(k), denominator(k))
-            for k in range(model.top_degree + 1)}
-    return CohomologyReport(model.name, theory, tuple(rep.cols for rep in reps.values()),
-                            model.window is not None, reps)
+    _require_identities(model)
+    window = model.window
+    dims = tuple(quotient_dim(numerator(k), denominator(k),
+                              range(model.dim(k)) if window is None else window[k])
+                 for k in range(model.top_degree + 1))
+    return CohomologyReport(model.name, theory, dims, window is not None)
 
 
 def de_rham(model: ComplexModel) -> CohomologyReport:
-    return _report(model, "deRham", lambda k: _kernel(model.d_block(k), model, k),
-                   lambda k: model.d_block(k - 1))
+    if model.window is not None:
+        return _report(model, "deRham", model.d_block, lambda k: model.d_block(k - 1))
+    _require_identities(model)  # rank d_k serves as num of degree k and den of k + 1
+    rank = {k: block.rank() for k, block in model.d.items()}
+    dims = [model.dim(k) - rank.get(k, 0) - rank.get(k - 1, 0) for k in range(model.top_degree + 1)]
+    return CohomologyReport(model.name, "deRham", tuple(dims), False)
 
 
 def d_plus_dlambda_cohomology(model: ComplexModel) -> CohomologyReport:
-    return _report(
-        model, "dPlusDLambda",
-        lambda k: _kernel(Matrix.vstack([model.d_block(k), model.dl_block(k)]), model, k),
-        lambda k: _ddl(model, k))
+    return _report(model, "dPlusDLambda",
+                   lambda k: Matrix.vstack([model.d_block(k), model.dl_block(k)]),
+                   model.d_dl.__getitem__)
 
 
 def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
-    return _report(model, "ddLambda", lambda k: _kernel(_ddl(model, k), model, k),
+    return _report(model, "ddLambda", model.d_dl.__getitem__,
                    lambda k: Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]))
 
 
 def quotient_sanity(model: ComplexModel) -> bool:
     """Both quotients are well formed: im(d.dl) inside ker d and ker dl,
     and im d + im dl inside ker(d.dl); exact matrix identities."""
-    for k in range(model.top_degree + 1):
-        s = _ddl(model, k)
-        if not (model.d_block(k) @ s).is_zero():
-            return False
-        if not (model.dl_block(k) @ s).is_zero():
-            return False
-        if not (s @ model.d_block(k - 1)).is_zero():
-            return False
-        if not (s @ model.dl_block(k + 1)).is_zero():
-            return False
-    return True
+    return all((model.d_block(k) @ s).is_zero() and (model.dl_block(k) @ s).is_zero()
+               and (s @ model.d_block(k - 1)).is_zero() and (s @ model.dl_block(k + 1)).is_zero()
+               for k, s in model.d_dl.items())
 
 
 def inequality_check(dr: CohomologyReport, dpl: CohomologyReport,
@@ -209,7 +198,7 @@ def hodge_check(model: ComplexModel,
     degrees = []
     for k in range(model.top_degree + 1):
         nk = model.dim(k)
-        s = _ddl(model, k)
+        s = model.d_dl[k]
         d_k, dl_k = model.d_block(k), model.dl_block(k)
         m = Matrix.vstack([s.transpose(), s, d_k, dl_k,
                            model.dl_block(k + 2).transpose() @ d_k,

@@ -95,13 +95,17 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(out) if out else out
 
 
-def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: Iterable[dict], cols: int,
+             found: dict | None = None) -> tuple[list[dict[int, int]], list[int]]:
     """Integer echelon rows and their leading columns, in increasing order.
 
     Rows are grouped by leading column; for each column in turn the
     shortest row of its group is the pivot and is eliminated from the rest
     of the group, which then regroup by their new, later, leading columns.
+    A column with a row in ``found`` (echelon rows of earlier rows, by
+    leading column) takes that row as its pivot; only new pivots return.
     """
+    found = found or {}
     groups: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
@@ -112,9 +116,11 @@ def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], lis
         group = groups.pop(c, None)
         if group is None:
             continue
-        pivot = min(group, key=len)
-        echelon.append(pivot)
-        pivots.append(c)
+        pivot = found.get(c)
+        if pivot is None:
+            pivot = min(group, key=len)
+            echelon.append(pivot)
+            pivots.append(c)
         for row in group:
             if row is pivot:
                 continue
@@ -304,11 +310,11 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        where: dict[int, list[int]] = {}
-        for t, j in enumerate(col_idx):
-            where.setdefault(j, []).append(t)
-        nz = [{t: v for j, v in self._nz[i].items() for t in where.get(j, ())}
-              for i in row_idx]
+        """The entries at the given rows and the given distinct columns."""
+        where = {j: t for t, j in enumerate(col_idx)}
+        if len(where) != len(col_idx):
+            raise ValueError("repeated column index")
+        nz = [{where[j]: v for j, v in self._nz[i].items() if j in where} for i in row_idx]
         return Matrix._of(len(nz), len(col_idx), nz)
 
     def select_columns(self, col_idx: Sequence[int]) -> "Matrix":
@@ -337,6 +343,14 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_echelon(self._nz, self.cols)[1])
+
+    def nested_ranks(self, row_idx: Sequence[int]) -> tuple[int, int]:
+        """The rank of the rows row_idx, then of the matrix: one elimination, those rows first."""
+        first = set(row_idx)
+        echelon, pivots = _echelon((self._nz[i] for i in row_idx), self.cols)
+        rest = _echelon((row for i, row in enumerate(self._nz) if i not in first), self.cols,
+                        dict(zip(pivots, echelon)))[1]
+        return len(pivots), len(pivots) + len(rest)
 
     def kernel_matrix(self) -> "Matrix":
         """The nullspace basis as the columns of a cols x nullity matrix."""

@@ -25,7 +25,8 @@ builders assemble d with one routine, d(f dI) = sum_v (d f / d x_v) dx_v ^
 dI, given a derivative rule for their coefficient functions.  Every
 builder ends in ``_complex_model``, which composes the codifferential
 (-1)^(k+1) star . d . star, checks the five operator identities once and
-stores their report as ``model.identities``.  The degree sign is what
+stores their report as ``model.identities``, and the composites d.dl the
+anticommutation check forms as ``model.d_dl``.  The degree sign is what
 makes d and the codifferential anticommute (it drops out of every kernel,
 image and cohomology dimension, and is +1 in the odd degrees the
 reduction procedure walks through).
@@ -39,6 +40,7 @@ from fractions import Fraction
 from . import exterior
 from .linalg import Matrix, Q, qf
 
+IDENTITIES = ("d.d=0", "star.star=id", "dl=signed star.d.star", "dl.dl=0", "d.dl+dl.d=0")
 EXT_NAMES_XY = ("dx", "dy")  # interleaved pairs dx_i, dy_i
 
 
@@ -75,6 +77,7 @@ class ComplexModel:
     window: dict[int, list[int]] | None = None
     meta: dict = field(default_factory=dict)
     identities: dict[str, dict[int, bool]] = field(default_factory=dict)
+    d_dl: dict[int, Matrix] = field(default_factory=dict)  # degree k -> k: d_(k-1) . dl_k
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.top_degree:
@@ -142,13 +145,11 @@ def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
 
 
 def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
-    """Exact per-degree checks of the five structural matrix identities."""
+    """Exact per-degree checks of the five structural matrix identities; the
+    composites d_(k-1) . dl_k formed for d.dl+dl.d=0 are kept as ``model.d_dl``."""
     top = model.top_degree
     d, star, dl = model.d_block, model.star_s, model.dl_block
-    report: dict[str, dict[int, bool]] = {
-        "d.d=0": {}, "star.star=id": {}, "dl=signed star.d.star": {},
-        "dl.dl=0": {}, "d.dl+dl.d=0": {},
-    }
+    report: dict[str, dict[int, bool]] = {name: {} for name in IDENTITIES}
     for k in range(top):
         report["d.d=0"][k] = (d(k + 1) @ d(k)).is_zero()
     for k in range(top + 1):
@@ -160,7 +161,8 @@ def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
     for k in range(top + 1):
         report["dl.dl=0"][k] = (dl(k - 1) @ dl(k)).is_zero()
     for k in range(top + 1):
-        report["d.dl+dl.d=0"][k] = (d(k - 1) @ dl(k) + dl(k + 1) @ d(k)).is_zero()
+        model.d_dl[k] = d(k - 1) @ dl(k)
+        report["d.dl+dl.d=0"][k] = (model.d_dl[k] + dl(k + 1) @ d(k)).is_zero()
     return report
 
 

@@ -3,7 +3,8 @@ arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
 as a subspace, maximal abelian subspaces, the linear system whose solution
 is the potential of a 2-form, Chevalley-Eilenberg 1-forms, the star of a
 form, the primitives alpha_k of w0^k, the full Fourier box on T^2 with its
-partial pullback, and rational polynomial division and gcd.  Each is built
+partial pullback, the cohomology quotients with their representatives, and
+rational polynomial division and gcd.  Each is built
 on the package's own basis, structure constants and helpers, so the tests
 that check it check those too."""
 
@@ -201,6 +202,50 @@ def suspension_full_complex(cutoff: int):
                 stable[k].append(col)
         p_blocks[k] = blk
     return functions, {k: p_blocks[k].rows for k in range(3)}, d_blocks, p_blocks, stable
+
+
+def windowed_kernel(constraint: Matrix, window: list[int] | None) -> Matrix:
+    """Basis of ker(constraint) as columns, within the window's columns
+    unless it is None."""
+    if window is None:
+        return constraint.kernel_matrix()
+    embed = Matrix.identity(constraint.cols).select_columns(window)
+    return embed @ constraint.select_columns(window).kernel_matrix()
+
+
+def quotient(num: Matrix, den: Matrix) -> Matrix:
+    """The columns of num that are independent modulo the column span of den.
+
+    Each is the first numerator column, in order, outside the span of the
+    denominator and the numerator columns before it; they form a basis of
+    the quotient, so their count is its dimension.
+    """
+    if not num.cols:
+        return num
+    _, pivots = Matrix.hstack([den, num]).rref()
+    return num.select_columns([p - den.cols for p in pivots if p >= den.cols])
+
+
+def quotient_blocks(model: models.ComplexModel, theory: str, k: int) -> tuple[Matrix, Matrix]:
+    """The constraint whose kernel is a theory's numerator in degree k, and
+    its denominator, with d.dl formed here rather than read off the model."""
+    d, dl = model.d_block, model.dl_block
+    if theory == "deRham":
+        return d(k), d(k - 1)
+    if theory == "dPlusDLambda":
+        return Matrix.vstack([d(k), dl(k)]), d(k - 1) @ dl(k)
+    return d(k - 1) @ dl(k), Matrix.hstack([d(k - 1), dl(k + 1)])
+
+
+def representatives(model: models.ComplexModel, theory: str) -> dict[int, Matrix]:
+    """Degree k -> one column per class: a windowed kernel basis of the
+    numerator, and a second elimination beside the denominator."""
+    out = {}
+    for k in range(model.top_degree + 1):
+        constraint, den = quotient_blocks(model, theory, k)
+        window = None if model.window is None else model.window[k]
+        out[k] = quotient(windowed_kernel(constraint, window), den)
+    return out
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

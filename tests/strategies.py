@@ -45,8 +45,10 @@ def sympy_oracle():
     class Oracle:
         @staticmethod
         def of(m: Matrix):
-            return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
-                                 for row in m.data], (m.rows, m.cols), QQ)
+            """m as a dense DomainMatrix, converted entry by nonzero entry."""
+            rows = {i: {j: QQ(x.numerator, x.denominator) for j, x in m.row_items(i)}
+                    for i in range(m.rows) if m.row_items(i)}
+            return DomainMatrix(rows, (m.rows, m.cols), QQ).to_dense()
 
         @staticmethod
         def entries(dm) -> list[list[Q]]:

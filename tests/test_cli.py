@@ -127,6 +127,25 @@ def test_omega_request_eliminates_once(capsys, monkeypatch):
         assert calls == {"rref": 1, "solve_matrix": 0, "_sturm_chain": 1}
 
 
+def test_cohomology_request_runs_no_rref(capsys, monkeypatch):
+    """A lab cohomology request for the three theories reads every dimension
+    off forward-pass ranks: no reduced row echelon form, so no kernel basis
+    and no quotient elimination."""
+    calls = {"rref": 0}
+    original = Matrix.rref
+
+    def counted(*args, **kwargs):
+        calls["rref"] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(Matrix, "rref", counted)
+    code, out = run_cli(capsys, "cohomology", "--model", "polynomial", "--n", "2",
+                        "--cutoff", "4", "--theories", "dr,dpl,ddl")
+    assert code == 0
+    assert [r["dims"] for r in json.loads(out)["reports"]] == [
+        [1, 0, 0, 0, 0], [1, 0, 1, 0, 1], [0, 1, 0, 1, 0]]
+    assert calls == {"rref": 0}
+
+
 def test_cohomology_sweep_matches_golden_csv(capsys):
     """The benchmark's ten cohomology-sweep requests; each CSV report must equal
     its golden capture in perfbench/golden/reports/cohomology, which is only read."""

@@ -4,13 +4,18 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symplab.cohomology as coh
 from symplab.linalg import Matrix, rank_of_rows
-from symplab.models import (build_polynomial_model, build_suspension_model,
+from symplab.models import (ComplexModel, build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
-                            form_vector, poincare_antiderivative, w0_power_form)
+                            form_vector, operator_identity_report,
+                            poincare_antiderivative, w0_power_form)
+from oracles import quotient, quotient_blocks, representatives, windowed_kernel
 from shared_models import POLY_N2  # shared with test_models.py
+from strategies import PROPERTY, matrices, sympy_oracle
 
 TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
@@ -88,12 +93,13 @@ def test_quotient_sanity_all_models():
 def test_representatives_are_independent_mod_denominator():
     # on POLY6 in degree 1 the first dim H numerator columns are dependent
     # modulo the denominator, so only the right choice of columns passes
-    cases = ((SUSP2, coh.d_plus_dlambda_cohomology, lambda k: coh._ddl(SUSP2, k)),
+    cases = ((SUSP2, coh.d_plus_dlambda_cohomology,
+              lambda k: SUSP2.d_block(k - 1) @ SUSP2.dl_block(k)),
              (POLY6, coh.dd_lambda_cohomology,
               lambda k: Matrix.hstack([POLY6.d_block(k - 1), POLY6.dl_block(k + 1)])))
     for model, theory, denominator in cases:
         rep = theory(model)
-        for k, reps in rep.representatives.items():
+        for k, reps in representatives(model, rep.theory).items():
             vectors = reps.columns()
             assert len(vectors) == rep.dims[k]
             den = denominator(k).columns()
@@ -102,11 +108,101 @@ def test_representatives_are_independent_mod_denominator():
 
 def test_windowed_numerators_stay_in_window():
     model = build_polynomial_model(1, 4)
-    rep = coh.dd_lambda_cohomology(model)
-    for k, reps in rep.representatives.items():
+    reps = representatives(model, "ddLambda")
+    assert tuple(r.cols for r in reps.values()) == coh.dd_lambda_cohomology(model).dims
+    for k, r in reps.items():
         allowed = set(model.window[k])
-        for v in reps.columns():
+        for v in r.columns():
             assert all(i in allowed for i, x in enumerate(v) if x != 0)
+
+
+# -- dimensions from ranks ---------------------------------------------------------
+
+def _formula_matches_oracle(num, den, window):
+    """The rank formula against the quotient oracle's column count, for im den
+    inside ker num and the window as a list of columns."""
+    assert (num @ den).is_zero()
+    assert coh.quotient_dim(num, den, window) == quotient(windowed_kernel(num, window), den).cols
+
+
+@st.composite
+def quotient_cases(draw):
+    """A random num, a den whose columns are random combinations of a basis of
+    ker num, and a window: every column of num, or a random subset of them."""
+    num = draw(matrices())
+    kernel = num.kernel_matrix()
+    den = kernel @ draw(matrices(rows=st.just(kernel.cols), cols=st.integers(0, 5)))
+    mask = draw(st.lists(st.booleans(), min_size=num.cols, max_size=num.cols))
+    window = draw(st.sampled_from([list(range(num.cols)),
+                                   [j for j, keep in enumerate(mask) if keep]]))
+    return num, den, window
+
+
+@PROPERTY
+@given(quotient_cases())
+def test_rank_formula_matches_quotient_oracle(case):
+    _formula_matches_oracle(*case)
+
+
+def test_rank_formula_at_the_edges():
+    # 0-row num (d at the top degree), 0-column den (d below degree 0), and the
+    # empty and the full window, on a num with a kernel and a den inside it
+    num = Matrix([[1, 2, 0, -1], [0, 0, 3, 0]])  # ker num: (2, -1, 0, 0), (1, 0, 0, 1)
+    den = Matrix([[2, 0], [-1, 0], [0, 0], [0, 0]])
+    for window in ([], [0, 1, 2, 3], [0, 1], [2, 3], [3], [3, 1]):
+        _formula_matches_oracle(num, den, window)
+        _formula_matches_oracle(num, Matrix.zeros(4, 0), window)
+        _formula_matches_oracle(Matrix.zeros(0, 4), den, window)
+        _formula_matches_oracle(Matrix.zeros(0, 4), Matrix.zeros(4, 0), window)
+    _formula_matches_oracle(Matrix.zeros(3, 0), Matrix.zeros(0, 2), [])
+    # within columns 0, 1 the kernel is (2, -1, 0, 0), which den hits
+    assert coh.quotient_dim(num, den, [0, 1]) == 0
+    assert coh.quotient_dim(num, Matrix.zeros(4, 0), [0, 1]) == 1
+    assert coh.quotient_dim(num, den, range(4)) == 1
+
+
+SWEEP_MODELS = ([build_polynomial_model(1, d) for d in (10, 12, 14, 16)] + [POLY_N2]
+                + [build_suspension_model(c) for c in (16, 32, 64)]
+                + [build_torus_model(n) for n in (2, 3)])
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.name)
+def test_rank_terms_match_sympy_on_sweep_models(model):
+    # each rank of the formula, on the blocks of every theory and degree,
+    # against sympy's DomainMatrix.rank(); the sum is the reported dimension
+    oracle = sympy_oracle()
+    reports = {rep.theory: rep for rep in (coh.de_rham(model), coh.d_plus_dlambda_cohomology(model),
+                                           coh.dd_lambda_cohomology(model))}
+    for theory, report in reports.items():
+        for k in range(model.top_degree + 1):
+            num, den = quotient_blocks(model, theory, k)
+            window = list(range(model.dim(k))) if model.window is None else model.window[k]
+            inside = set(window)
+            outside = [i for i in range(den.rows) if i not in inside]
+            restricted = num.select_columns(window)
+            rank_num, (rank_out, rank_den) = restricted.rank(), den.nested_ranks(outside)
+            assert rank_num == oracle.of(restricted).to_sparse().rank()
+            assert rank_out == oracle.of(den.submatrix(outside, range(den.cols))).to_sparse().rank()
+            assert rank_den == oracle.of(den).to_sparse().rank()
+            assert report.dims[k] == len(window) - rank_num - rank_den + rank_out
+
+
+def test_theories_refuse_a_model_without_its_identities():
+    # d.d != 0 breaks im den inside ker num, on which the rank formula rests
+    one = Matrix.identity(1)
+    broken = ComplexModel(name="broken", kind="torus", top_degree=2,
+                          graded_basis={0: ["a"], 1: ["b"], 2: ["c"]},
+                          d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
+                          d_lambda={1: Matrix.zeros(1, 1), 2: Matrix.zeros(1, 1)})
+    broken.identities = operator_identity_report(broken)
+    assert broken.identities["d.d=0"] == {0: False, 1: True}
+    lacking = dataclasses.replace(TORUS1, identities={
+        name: per for name, per in TORUS1.identities.items() if name != "dl.dl=0"})
+    for model, missing in ((broken, "d.d=0"), (lacking, "dl.dl=0"),
+                           (dataclasses.replace(POLY6, identities={}), "d.d=0")):
+        for theory in (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology):
+            with pytest.raises(ValueError, match=missing):
+                theory(model)
 
 
 # -- reduction constants ---------------------------------------------------------
@@ -175,8 +271,8 @@ def test_reduction_monomorphism_on_windowed_even_cocycles():
     model = POLY6
     for k in (0, 2):
         constraint = Matrix.vstack([model.d_block(k), model.dl_block(k)])
-        num = coh._kernel(constraint, model, k).columns()
-        den = coh._ddl(model, k).columns()
+        num = windowed_kernel(constraint, model.window[k]).columns()
+        den = model.d_dl[k].columns()
         den_rank = rank_of_rows(den)
         for v in num:
             exact = rank_of_rows(den + [v]) == den_rank

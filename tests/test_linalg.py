@@ -183,6 +183,16 @@ def test_rref_pivots_and_rank_match_oracle(oracle, m):
 
 
 @PROPERTY
+@given(matrices(), st.data())
+def test_nested_ranks_match_oracle(oracle, m, data):
+    # any subset of the rows, in any order, taken first: its rank, then the matrix's
+    order = data.draw(st.permutations(range(m.rows)))
+    first = order[:data.draw(st.integers(0, m.rows))]
+    assert m.nested_ranks(first) == (oracle.of(m.submatrix(first, range(m.cols))).rank(),
+                                     oracle.of(m).rank())
+
+
+@PROPERTY
 @given(matrices())
 def test_nullspace_dimension_and_kernel_match_oracle(oracle, m):
     basis = m.nullspace()
@@ -232,3 +242,11 @@ def test_solve_matches_oracle_on_consistent_and_inconsistent_systems(oracle, ab,
             else:
                 with pytest.raises(ValueError):
                     a.solve(b)
+
+
+def test_submatrix_takes_distinct_columns():
+    m = Matrix([[1, 2, 3], [4, 5, 6]])
+    assert m.submatrix([1, 0], [2, 0]) == Matrix([[6, 4], [3, 1]])
+    assert m.select_columns([]) == Matrix.zeros(2, 0)
+    with pytest.raises(ValueError, match="repeated column"):
+        m.submatrix([0], [1, 1])

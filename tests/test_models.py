@@ -29,8 +29,12 @@ def plane_1form(model, *terms):
 
 
 def struct_identities_all_hold(model):
+    stored = dict(model.d_dl)
     report = operator_identity_report(model)
     assert report == model.identities  # the report the build stored
+    # the composites the build kept are d_(k-1) . dl_k, and the report refreshes them
+    assert model.d_dl == stored == {k: model.d_block(k - 1) @ model.dl_block(k)
+                                    for k in range(model.top_degree + 1)}
     return all(ok for per_degree in report.values() for ok in per_degree.values())
 
 
