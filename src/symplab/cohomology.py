@@ -98,12 +98,7 @@ def _report(model: ComplexModel, theory: str, numerator, denominator) -> Cohomol
 
 
 def de_rham(model: ComplexModel) -> CohomologyReport:
-    if model.window is not None:
-        return _report(model, "deRham", model.d_block, lambda k: model.d_block(k - 1))
-    _require_identities(model)  # rank d_k serves as num of degree k and den of k + 1
-    rank = {k: block.rank() for k, block in model.d.items()}
-    dims = [model.dim(k) - rank.get(k, 0) - rank.get(k - 1, 0) for k in range(model.top_degree + 1)]
-    return CohomologyReport(model.name, "deRham", tuple(dims), False)
+    return _report(model, "deRham", model.d_block, lambda k: model.d_block(k - 1))
 
 
 def d_plus_dlambda_cohomology(model: ComplexModel) -> CohomologyReport:
@@ -119,10 +114,12 @@ def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
 
 def quotient_sanity(model: ComplexModel) -> bool:
     """Both quotients are well formed: im(d.dl) inside ker d and ker dl,
-    and im d + im dl inside ker(d.dl); exact matrix identities."""
-    return all((model.d_block(k) @ s).is_zero() and (model.dl_block(k) @ s).is_zero()
-               and (s @ model.d_block(k - 1)).is_zero() and (s @ model.dl_block(k + 1)).is_zero()
-               for k, s in model.d_dl.items())
+    and im d + im dl inside ker(d.dl); exact matrix identities on the products
+    d.dl the build kept, in every degree (a model without them raises KeyError)."""
+    d, dl = model.d_block, model.dl_block
+    products = ((k, model.d_dl[k]) for k in range(model.top_degree + 1))
+    return all((d(k) @ s).is_zero() and (dl(k) @ s).is_zero()
+               and (s @ d(k - 1)).is_zero() and (s @ dl(k + 1)).is_zero() for k, s in products)
 
 
 def inequality_check(dr: CohomologyReport, dpl: CohomologyReport,

@@ -95,17 +95,13 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(out) if out else out
 
 
-def _echelon(rows: Iterable[dict], cols: int,
-             found: dict | None = None) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], list[int]]:
     """Integer echelon rows and their leading columns, in increasing order.
 
     Rows are grouped by leading column; for each column in turn the
     shortest row of its group is the pivot and is eliminated from the rest
     of the group, which then regroup by their new, later, leading columns.
-    A column with a row in ``found`` (echelon rows of earlier rows, by
-    leading column) takes that row as its pivot; only new pivots return.
     """
-    found = found or {}
     groups: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
@@ -116,11 +112,9 @@ def _echelon(rows: Iterable[dict], cols: int,
         group = groups.pop(c, None)
         if group is None:
             continue
-        pivot = found.get(c)
-        if pivot is None:
-            pivot = min(group, key=len)
-            echelon.append(pivot)
-            pivots.append(c)
+        pivot = min(group, key=len)
+        echelon.append(pivot)
+        pivots.append(c)
         for row in group:
             if row is pivot:
                 continue
@@ -345,12 +339,11 @@ class Matrix:
         return len(_echelon(self._nz, self.cols)[1])
 
     def nested_ranks(self, row_idx: Sequence[int]) -> tuple[int, int]:
-        """The rank of the rows row_idx, then of the matrix: one elimination, those rows first."""
+        """The rank of the rows row_idx, then of the matrix, eliminated on from their echelon."""
         first = set(row_idx)
         echelon, pivots = _echelon((self._nz[i] for i in row_idx), self.cols)
-        rest = _echelon((row for i, row in enumerate(self._nz) if i not in first), self.cols,
-                        dict(zip(pivots, echelon)))[1]
-        return len(pivots), len(pivots) + len(rest)
+        rest = [row for i, row in enumerate(self._nz) if i not in first]
+        return len(pivots), len(_echelon(echelon + rest, self.cols)[1])
 
     def kernel_matrix(self) -> "Matrix":
         """The nullspace basis as the columns of a cols x nullity matrix."""

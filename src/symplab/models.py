@@ -144,12 +144,13 @@ def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
     return composed if k % 2 == 1 else composed.scale(-1)
 
 
-def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
-    """Exact per-degree checks of the five structural matrix identities; the
-    composites d_(k-1) . dl_k formed for d.dl+dl.d=0 are kept as ``model.d_dl``."""
+def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matrix]]:
+    """Exact per-degree checks of the five structural matrix identities, and
+    the composites d_(k-1) . dl_k that the check of d.dl+dl.d=0 forms."""
     top = model.top_degree
     d, star, dl = model.d_block, model.star_s, model.dl_block
     report: dict[str, dict[int, bool]] = {name: {} for name in IDENTITIES}
+    d_dl: dict[int, Matrix] = {}
     for k in range(top):
         report["d.d=0"][k] = (d(k + 1) @ d(k)).is_zero()
     for k in range(top + 1):
@@ -161,9 +162,9 @@ def operator_identity_report(model: ComplexModel) -> dict[str, dict[int, bool]]:
     for k in range(top + 1):
         report["dl.dl=0"][k] = (dl(k - 1) @ dl(k)).is_zero()
     for k in range(top + 1):
-        model.d_dl[k] = d(k - 1) @ dl(k)
-        report["d.dl+dl.d=0"][k] = (model.d_dl[k] + dl(k + 1) @ d(k)).is_zero()
-    return report
+        d_dl[k] = d(k - 1) @ dl(k)
+        report["d.dl+dl.d=0"][k] = (d_dl[k] + dl(k + 1) @ d(k)).is_zero()
+    return report, d_dl
 
 
 def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
@@ -172,13 +173,14 @@ def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
 
     ``d`` holds the blocks of degrees 0..top-1; the codifferential, in
     degrees 1..top, and the identity report are added here.  A failed
-    identity raises; the report is kept as ``model.identities``.
+    identity raises; the report and the products d_(k-1) . dl_k it formed
+    are kept, as built, as ``model.identities`` and ``model.d_dl``.
     """
     top = len(basis) - 1
     dl = {k: _signed_star_d_star(d, star, top, k) for k in range(1, top + 1)}
     model = ComplexModel(name=name, kind=kind, top_degree=top, graded_basis=basis,
                          d=d, star_s=star, d_lambda=dl, **extra)
-    model.identities = operator_identity_report(model)
+    model.identities, model.d_dl = operator_identity_report(model)
     for identity, per_degree in model.identities.items():
         bad = [k for k, ok in per_degree.items() if not ok]
         if bad:

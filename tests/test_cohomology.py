@@ -90,6 +90,21 @@ def test_quotient_sanity_all_models():
         assert coh.quotient_sanity(model)
 
 
+def test_quotient_sanity_needs_the_products_of_every_degree():
+    # a model built directly keeps no d.dl products: the check must not pass
+    # vacuously; given them, d.d != 0 with dl = id fails, as d_1 . (d_0 . dl_1) != 0
+    one = Matrix.identity(1)
+    broken = ComplexModel(name="broken", kind="torus", top_degree=2,
+                          graded_basis={0: ["a"], 1: ["b"], 2: ["c"]},
+                          d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
+                          d_lambda={1: one, 2: one})
+    for model in (broken, dataclasses.replace(TORUS1, d_dl={0: TORUS1.d_dl[0]})):
+        with pytest.raises(KeyError):
+            coh.quotient_sanity(model)
+    broken.d_dl = operator_identity_report(broken)[1]
+    assert not coh.quotient_sanity(broken)
+
+
 def test_representatives_are_independent_mod_denominator():
     # on POLY6 in degree 1 the first dim H numerator columns are dependent
     # modulo the denominator, so only the right choice of columns passes
@@ -194,7 +209,7 @@ def test_theories_refuse_a_model_without_its_identities():
                           graded_basis={0: ["a"], 1: ["b"], 2: ["c"]},
                           d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
                           d_lambda={1: Matrix.zeros(1, 1), 2: Matrix.zeros(1, 1)})
-    broken.identities = operator_identity_report(broken)
+    broken.identities = operator_identity_report(broken)[0]
     assert broken.identities["d.d=0"] == {0: False, 1: True}
     lacking = dataclasses.replace(TORUS1, identities={
         name: per for name, per in TORUS1.identities.items() if name != "dl.dl=0"})
