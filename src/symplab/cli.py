@@ -115,7 +115,12 @@ def _model_cells(model: str, n: int, cutoff: int) -> float:
     return mid * (mid + 2 * side)
 
 
-def _check_budget(cells: float) -> None:
+def _check_budget(estimate, *params) -> None:
+    """Refuse params whose estimate(*params) exceeds the limit, or overflows a float."""
+    try:
+        cells = estimate(*params)
+    except OverflowError:
+        cells = math.inf
     if cells > MAX_MATRIX_CELLS:
         raise ValueError(f"refused: an estimated {cells:.3g} matrix entries, "
                          f"above the limit of {MAX_MATRIX_CELLS:.3g}")
@@ -128,7 +133,7 @@ RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
 
 
 def _cmd_algebra(args) -> int:
-    _check_budget(_algebra_cells(args.n, args.check == "closed-forms", args.samples))
+    _check_budget(_algebra_cells, args.n, args.check == "closed-forms", args.samples)
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)
     if args.check == "rank-kernel":
@@ -169,12 +174,12 @@ def _parse_element(text: str) -> Matrix:
         if isinstance(obj, dict):
             return Matrix.from_json_dict(obj)
         return Matrix(obj)
-    except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, KeyError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed element: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_omega(args) -> int:
-    _check_budget(_algebra_cells(args.n))
+    _check_budget(_algebra_cells, args.n)
     ctx = lie.standard_basis(args.n)
     mat = _parse_element(args.element)
     a = ctx.element_from_matrix(mat)
@@ -201,7 +206,7 @@ def _cmd_cohomology(args) -> int:
     if unknown:
         print(f"unknown theories: {','.join(unknown)}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-    _check_budget(_model_cells(args.model, args.n, args.cutoff))
+    _check_budget(_model_cells, args.model, args.n, args.cutoff)
     if "hodge" in theories:
         coh.require_inner_product(args.model)
     if args.model == "torus":

@@ -20,22 +20,25 @@ Operators are plain dicts ``{degree: Matrix}`` of the blocks in range: d
 in degrees 0..top-1, d^Lambda in 1..top.  Outside it a block is the zero
 map, and ``model.d_block(k)`` and ``model.dl_block(k)`` are the one place
 that says so.  The torus and suspension bases are orthonormal, so there
-the adjoint of a block is its transpose.  The polynomial and suspension
-builders assemble d with one routine, d(f dI) = sum_v (d f / d x_v) dx_v ^
-dI, given a derivative rule for their coefficient functions.  Every
-builder ends in ``_complex_model``, which composes the codifferential
-(-1)^(k+1) star . d . star, checks the five operator identities once and
-stores their report as ``model.identities``, and the composites d.dl the
-anticommutation check forms as ``model.d_dl``.  The degree sign is what
-makes d and the codifferential anticommute (it drops out of every kernel,
-image and cohomology dimension, and is +1 in the odd degrees the
-reduction procedure walks through).
+the adjoint of a block is its transpose.  Each model is coefficient
+functions (x) exterior forms, assembled by one routine from a derivative
+rule for the functions: d = sum_v (d/dx_v) (x) (dx_v ^ .) and star =
+1 (x) star_ext through ``Matrix.kron`` (the torus's one function is
+constant, so its d is zero).  Every builder ends in ``_complex_model``,
+which composes the codifferential (-1)^(k+1) star . d . star, checks the
+five operator identities once and stores their report as
+``model.identities``, and the composites d.dl the anticommutation check
+forms as ``model.d_dl``.  The degree sign is what makes d and the
+codifferential anticommute (it drops out of every kernel, image and
+cohomology dimension, and is +1 in the odd degrees the reduction
+procedure walks through).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import exterior
 from .linalg import Matrix, Q, qf
@@ -188,33 +191,49 @@ def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
     return model
 
 
-def _exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matrix]:
-    """d(f dI) = sum_v (d f / d x_v) dx_v ^ dI in degrees 0..m-1.
+def _rule_matrix(rule, src: list, dst: list) -> Matrix:
+    """The matrix sending the j-th element b of ``src`` to the sum of
+    coeff * g over the pairs (coeff, g) that ``rule(b)`` lists, every g one
+    of ``dst``."""
+    index = {g: i for i, g in enumerate(dst)}
+    m = Matrix.zeros(len(dst), len(src))
+    for j, b in enumerate(src):
+        for coeff, g in rule(b):
+            m[index[g], j] += coeff
+    return m
 
-    A form of degree k is indexed function-major: coefficient function
-    ``functions[i]`` times the j-th degree-k exterior monomial over m
-    covectors sits at i * C(m, k) + j.  ``derivative(f, v)`` lists the
-    pairs (coefficient, g) whose sum is the partial derivative of f in the
-    v-th variable; every g must be one of ``functions``.
+
+def _coefficient_forms(functions: list, function_labels: list[str], derivative, n: int,
+                       ext_label) -> tuple[dict[int, list[str]], dict[int, Matrix],
+                                           dict[int, Matrix]]:
+    """Basis labels, d and star of coefficient functions (x) exterior forms
+    over 2n covectors.
+
+    A k-form is indexed function-major, as ``Matrix.kron`` orders it:
+    ``functions[i]`` times the j-th degree-k exterior monomial sits at
+    i * C(2n, k) + j.  ``derivative(f, v)`` lists the pairs (coefficient,
+    g) whose sum is the partial derivative of f in the v-th variable; every
+    g must be one of ``functions``.  Then d_k = sum_v (d/dx_v) (x) (dx_v ^ .),
+    where a zero derivative adds no term, and star_k = 1 (x) star_blocks(n)[k].
     """
-    findex = {f: i for i, f in enumerate(functions)}
-    blocks: dict[int, Matrix] = {}
+    m = 2 * n
+    ext = [exterior.ext_basis(m, k) for k in range(m + 1)]
+    basis = {k: _product_labels(function_labels, [ext_label(e) for e in ext[k]])
+             for k in range(m + 1)}
+    partials = {v: _rule_matrix(lambda f: derivative(f, v), functions, functions)
+                for v in range(m)}
+    d: dict[int, Matrix] = {}
     for k in range(m):
-        src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k + 1)
-        dst_index = {mono: i for i, mono in enumerate(dst)}
-        blk = Matrix.zeros(len(functions) * len(dst), len(functions) * len(src))
-        for fi, f in enumerate(functions):
-            for ei, emono in enumerate(src):
-                col = fi * len(src) + ei
-                for v in range(m):
-                    w = exterior.wedge_monomials((v,), emono)
-                    if w is None:
-                        continue
-                    sign, target = w
-                    for coeff, g in derivative(f, v):
-                        blk[findex[g] * len(dst) + dst_index[target], col] += sign * coeff
-        blocks[k] = blk
-    return blocks
+        d[k] = Matrix.zeros(len(functions) * len(ext[k + 1]), len(functions) * len(ext[k]))
+        for v, partial in partials.items():
+            if not partial.is_zero():
+                wedge = _rule_matrix(
+                    lambda e: [] if v in e else [exterior.wedge_monomials((v,), e)],
+                    ext[k], ext[k + 1])
+                d[k] = d[k] + Matrix.kron(partial, wedge)
+    one = Matrix.identity(len(functions))
+    star = {k: Matrix.kron(one, block) for k, block in exterior.star_blocks(n).items()}
+    return basis, d, star
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +241,13 @@ def _exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matri
 # ---------------------------------------------------------------------------
 
 def build_torus_model(n: int) -> ComplexModel:
-    """Constant-coefficient forms on a 2n-torus: d = 0, star from w0."""
+    """Constant-coefficient forms on a 2n-torus: the one coefficient
+    function is the constant monomial, so d = 0; the star comes from w0."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    m = 2 * n
-    basis = {k: [_ext_label_xy(mono) for mono in exterior.ext_basis(m, k)]
-             for k in range(m + 1)}
-    dims = {k: len(basis[k]) for k in basis}
-    d = {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)}
-    return _complex_model(f"torus-n{n}", "torus", basis, d, exterior.star_blocks(n),
-                          meta={"n": n})
+    basis, d, star = _coefficient_forms(_monomials(2 * n, 0), ["1"], _monomial_derivative,
+                                        n, _ext_label_xy)
+    return _complex_model(f"torus-n{n}", "torus", basis, d, star, meta={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +279,25 @@ def _mono_label(mono: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _monomial_derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
+    """d/dx_v of x^a: a_v * x^(a - e_v)."""
+    e = mono[v]
+    return [(e, mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
+
+
 def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
     """Polynomial-coefficient forms on R^2n, coefficient degree <= cutoff."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    m = 2 * n
-    monos = _monomials(m, cutoff)
-    ext = {k: exterior.ext_basis(m, k) for k in range(m + 1)}
-
-    mono_labels = [_mono_label(mono) for mono in monos]
-    basis = {k: _product_labels(mono_labels, [_ext_label_xy(e) for e in ext[k]])
-             for k in range(m + 1)}
-
-    def derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
-        e = mono[v]  # x^a -> a_v * x^(a - e_v)
-        return [(e, mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
-
-    d = _exterior_derivative(monos, m, derivative)
-    star_ext = exterior.star_blocks(n)
-    star = {k: Matrix.kron(Matrix.identity(len(monos)), star_ext[k]) for k in range(m + 1)}
-    window = {k: [mi * len(ext[k]) + ei
-                  for mi, mono in enumerate(monos) if sum(mono) <= cutoff - 2
-                  for ei in range(len(ext[k]))]
-              for k in range(m + 1)}
+    monos = _monomials(2 * n, cutoff)
+    basis, d, star = _coefficient_forms(monos, [_mono_label(mono) for mono in monos],
+                                        _monomial_derivative, n, _ext_label_xy)
+    # the monomials run by degree, so the window is the leading ones of
+    # degree <= cutoff - 2, each with all its exterior monomials
+    low = sum(1 for mono in monos if sum(mono) <= cutoff - 2)
+    window = {k: list(range(low * comb(2 * n, k))) for k in basis}
     return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
                           window=window,
                           meta={"n": n, "D": cutoff, "monos": monos,
@@ -302,7 +312,6 @@ def w0_power_form(model: ComplexModel, j: int) -> FormVector:
         return form_vector(model, 2 * j, ext_coords)
     if model.kind != "polynomial":
         raise ValueError("w0 powers are built on torus or polynomial models")
-    monos = model.meta["monos"]
     const_i = model.meta["mono_index"][(0,) * (2 * n)]
     ecount = len(ext_coords)
     coords = [Q(0)] * model.dim(2 * j)
@@ -420,25 +429,14 @@ _PULLBACK_EXT: dict[exterior.Mono, list[tuple[int, exterior.Mono]]] = {
 
 def _fourier_pullback(functions: list[FourierMode]) -> dict[int, Matrix]:
     """Pullback matrices per degree on the function-major basis of a span of
-    Fourier modes on T^2; raises when a mode's image leaves the span."""
-    findex = {f: i for i, f in enumerate(functions)}
-    p_blocks: dict[int, Matrix] = {}
-    for k in range(3):
-        ext = exterior.ext_basis(2, k)
-        ext_index = {mono: i for i, mono in enumerate(ext)}
-        blk = Matrix.zeros(len(functions) * len(ext), len(functions) * len(ext))
-        for fi, f in enumerate(functions):
-            transported = _pullback_function(f)
-            if any(g not in findex for _, g in transported):
-                raise AssertionError("stable sector is not closed under the pullback")
-            for ei, emono in enumerate(ext):
-                col = fi * len(ext) + ei
-                for coeff, g in transported:
-                    for esign, target in _PULLBACK_EXT[emono]:
-                        row = findex[g] * len(ext) + ext_index[target]
-                        blk[row, col] += esign * coeff
-        p_blocks[k] = blk
-    return p_blocks
+    Fourier modes on T^2, the functions' pullback (x) the exterior forms';
+    raises when a mode's image leaves the span."""
+    span = set(functions)
+    if any(g not in span for f in functions for _, g in _pullback_function(f)):
+        raise AssertionError("stable sector is not closed under the pullback")
+    p_fun = _rule_matrix(_pullback_function, functions, functions)
+    return {k: Matrix.kron(p_fun, _rule_matrix(_PULLBACK_EXT.__getitem__, ext, ext))
+            for k, ext in enumerate(exterior.ext_basis(2, k) for k in range(3))}
 
 
 def build_suspension_model(cutoff: int) -> ComplexModel:
@@ -453,12 +451,10 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
         raise ValueError("cutoff must be a positive integer")
     sector_modes = [(0, m2) for m2 in range(1, cutoff + 1)]
     functions = _fourier_functions(sector_modes)
-    d_blocks = _exterior_derivative(functions, 2, _derivative_entries)
+    sector_labels, d_sector, star_sector = _coefficient_forms(
+        functions, [_mode_label(f) for f in functions], _derivative_entries, 1,
+        _ext_label_torus2)
     p_blocks = _fourier_pullback(functions)
-
-    star_ext = exterior.star_blocks(1)
-    star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])
-                   for k in range(3)}
 
     embed = {k: (p_blocks[k] - Matrix.identity(p_blocks[k].rows)).kernel_matrix()
              for k in range(3)}
@@ -467,23 +463,20 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
         image = block @ embed[k_src]
         return embed[k_dst].solve_matrix(image)
 
-    d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
+    d_inv = {k: restrict(d_sector[k], k, k + 1) for k in range(2)}
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
 
-    mode_labels = [_mode_label(f) for f in functions]
     labels: dict[int, list[str]] = {}
     for k in range(3):
-        sector_labels = _product_labels(
-            mode_labels, [_ext_label_torus2(mono) for mono in exterior.ext_basis(2, k)])
         labels[k] = []
         columns = embed[k].transpose()
         for j in range(columns.rows):
             support = sorted(columns.row_items(j))
             if len(support) == 1 and support[0][1] == 1:
-                labels[k].append(sector_labels[support[0][0]])
+                labels[k].append(sector_labels[k][support[0][0]])
             else:
                 labels[k].append(" + ".join(
-                    f"{qf(x)}*{sector_labels[i]}" for i, x in support))
+                    f"{qf(x)}*{sector_labels[k][i]}" for i, x in support))
 
     return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
                           meta={"N": cutoff})

@@ -2,9 +2,10 @@
 arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
 as a subspace, maximal abelian subspaces, the linear system whose solution
 is the potential of a 2-form, Chevalley-Eilenberg 1-forms, the star of a
-form, the primitives alpha_k of w0^k, the full Fourier box on T^2 with its
-partial pullback, the cohomology quotients with their representatives, and
-rational polynomial division and gcd.  Each is built
+form, the primitives alpha_k of w0^k, d and the Fourier pullback assembled
+entry by entry and the models built from them, the full Fourier box on T^2
+with its partial pullback, the cohomology quotients with their
+representatives, and rational polynomial division and gcd.  Each is built
 on the package's own basis, structure constants and helpers, so the tests
 that check it check those too."""
 
@@ -167,13 +168,137 @@ def alpha_form(model: models.ComplexModel, k: int) -> models.FormVector:
     return models.poincare_antiderivative(models.w0_power_form(model, k))
 
 
+def exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matrix]:
+    """d(f dI) = sum_v (d f / d x_v) dx_v ^ dI in degrees 0..m-1.
+
+    A form of degree k is indexed function-major: coefficient function
+    ``functions[i]`` times the j-th degree-k exterior monomial over m
+    covectors sits at i * C(m, k) + j.  ``derivative(f, v)`` lists the
+    pairs (coefficient, g) whose sum is the partial derivative of f in the
+    v-th variable; every g must be one of ``functions``.
+    """
+    findex = {f: i for i, f in enumerate(functions)}
+    blocks: dict[int, Matrix] = {}
+    for k in range(m):
+        src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k + 1)
+        dst_index = {mono: i for i, mono in enumerate(dst)}
+        blk = Matrix.zeros(len(functions) * len(dst), len(functions) * len(src))
+        for fi, f in enumerate(functions):
+            for ei, emono in enumerate(src):
+                col = fi * len(src) + ei
+                for v in range(m):
+                    w = exterior.wedge_monomials((v,), emono)
+                    if w is None:
+                        continue
+                    sign, target = w
+                    for coeff, g in derivative(f, v):
+                        blk[findex[g] * len(dst) + dst_index[target], col] += sign * coeff
+        blocks[k] = blk
+    return blocks
+
+
+def fourier_pullback(functions: list) -> dict[int, Matrix]:
+    """Pullback matrices per degree on the function-major basis of a span of
+    Fourier modes on T^2; raises when a mode's image leaves the span."""
+    findex = {f: i for i, f in enumerate(functions)}
+    p_blocks: dict[int, Matrix] = {}
+    for k in range(3):
+        ext = exterior.ext_basis(2, k)
+        ext_index = {mono: i for i, mono in enumerate(ext)}
+        blk = Matrix.zeros(len(functions) * len(ext), len(functions) * len(ext))
+        for fi, f in enumerate(functions):
+            transported = models._pullback_function(f)
+            if any(g not in findex for _, g in transported):
+                raise AssertionError("stable sector is not closed under the pullback")
+            for ei, emono in enumerate(ext):
+                col = fi * len(ext) + ei
+                for coeff, g in transported:
+                    for esign, target in models._PULLBACK_EXT[emono]:
+                        row = findex[g] * len(ext) + ext_index[target]
+                        blk[row, col] += esign * coeff
+        p_blocks[k] = blk
+    return p_blocks
+
+
+def monomial_derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
+    e = mono[v]  # x^a -> a_v * x^(a - e_v)
+    return [(e, mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
+
+
+def loop_model(kind: str, *args: int) -> models.ComplexModel:
+    """The model ``build_<kind>_model(*args)`` builds, assembled entry by
+    entry: d from ``exterior_derivative``, the pullback from
+    ``fourier_pullback``, the star as 1 (x) star_blocks, and labels and
+    window one basis element at a time.  ``models._complex_model`` adds dl,
+    the identity report and d.dl, as for the builders."""
+    if kind == "torus":
+        (n,) = args
+        m = 2 * n
+        basis = {k: [models._ext_label_xy(mono) for mono in exterior.ext_basis(m, k)]
+                 for k in range(m + 1)}
+        d = {k: Matrix.zeros(len(basis[k + 1]), len(basis[k])) for k in range(m)}
+        return models._complex_model(f"torus-n{n}", "torus", basis, d, exterior.star_blocks(n),
+                                     meta={"n": n})
+    if kind == "polynomial":
+        n, cutoff = args
+        m = 2 * n
+        monos = models._monomials(m, cutoff)
+        ext = {k: exterior.ext_basis(m, k) for k in range(m + 1)}
+        mono_labels = [models._mono_label(mono) for mono in monos]
+        basis = {k: models._product_labels(mono_labels, [models._ext_label_xy(e) for e in ext[k]])
+                 for k in range(m + 1)}
+        d = exterior_derivative(monos, m, monomial_derivative)
+        star_ext = exterior.star_blocks(n)
+        star = {k: Matrix.kron(Matrix.identity(len(monos)), star_ext[k]) for k in range(m + 1)}
+        window = {k: [mi * len(ext[k]) + ei
+                      for mi, mono in enumerate(monos) if sum(mono) <= cutoff - 2
+                      for ei in range(len(ext[k]))]
+                  for k in range(m + 1)}
+        meta = {"n": n, "D": cutoff, "monos": monos,
+                "mono_index": {mono: i for i, mono in enumerate(monos)}}
+        return models._complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
+                                     window=window, meta=meta)
+    (cutoff,) = args
+    functions = models._fourier_functions([(0, m2) for m2 in range(1, cutoff + 1)])
+    d_blocks = exterior_derivative(functions, 2, models._derivative_entries)
+    p_blocks = fourier_pullback(functions)
+    star_ext = exterior.star_blocks(1)
+    star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])
+                   for k in range(3)}
+    embed = {k: (p_blocks[k] - Matrix.identity(p_blocks[k].rows)).kernel_matrix()
+             for k in range(3)}
+
+    def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
+        return embed[k_dst].solve_matrix(block @ embed[k_src])
+
+    d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
+    star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
+    mode_labels = [models._mode_label(f) for f in functions]
+    labels: dict[int, list[str]] = {}
+    for k in range(3):
+        sector_labels = models._product_labels(
+            mode_labels, [models._ext_label_torus2(mono) for mono in exterior.ext_basis(2, k)])
+        labels[k] = []
+        columns = embed[k].transpose()
+        for j in range(columns.rows):
+            support = sorted(columns.row_items(j))
+            if len(support) == 1 and support[0][1] == 1:
+                labels[k].append(sector_labels[support[0][0]])
+            else:
+                labels[k].append(" + ".join(
+                    f"{qf(x)}*{sector_labels[i]}" for i, x in support))
+    return models._complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
+                                 meta={"N": cutoff})
+
+
 def suspension_full_complex(cutoff: int):
     """Full truncated complex on T^2 with the partial pullback operator.
 
     Every mode (m1, m2) of the box |m1|, |m2| <= cutoff is kept; the
     pullback m -> (m1, m1 + m2) is defined on a column only when the image
     mode stays in the box.  Returns (functions, dims, d_blocks, p_blocks,
-    stable_columns), with d blocks in degrees 0 and 1.
+    stable_columns), with d blocks in degrees 0 and 1 from
+    ``exterior_derivative``, not from the package's assembly.
     """
     modes = []
     for m1 in range(-cutoff, cutoff + 1):
@@ -182,7 +307,7 @@ def suspension_full_complex(cutoff: int):
                 modes.append((m1, m2))
     functions = models._fourier_functions(modes)
     findex = {f: i for i, f in enumerate(functions)}
-    d_blocks = models._exterior_derivative(functions, 2, models._derivative_entries)
+    d_blocks = exterior_derivative(functions, 2, models._derivative_entries)
     p_blocks: dict[int, Matrix] = {}
     stable: dict[int, list[int]] = {}
     for k in range(3):

@@ -280,6 +280,7 @@ def test_bad_n_usage_error(capsys):
       '{"entries":[],"rows":1000000,"cols":2}'], 1),
     (["omega", "--n", "1", "--element", '{"entries":[],"rows":-3,"cols":2}'], 1),  # negative
     (["omega", "--n", "1", "--element", "[[1,0],[0]]"], 1),             # ragged rows
+    (["omega", "--n", "1", "--element", "[" * 100000], 1),              # nested too deep to parse
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
     got, out = run_cli(capsys, *argv)
@@ -311,6 +312,15 @@ def test_bad_input_exits_without_traceback(capsys, argv, code):
      "lie.standard_basis"),
     # 4.6e8 from the widest elimination alone: C(16, 8) * (C(16, 8) + 2 * C(16, 7))
     (["cohomology", "--model", "torus", "--n", "8"], "build_torus_model"),
+    # parameters too large for a float estimate: refused as infinite, not an OverflowError
+    (["algebra", "--n", str(10 ** 150)], "lie.standard_basis"),
+    (["omega", "--n", str(10 ** 200), "--element", "[[0]]"], "lie.standard_basis"),
+    (["cohomology", "--model", "torus", "--n", str(10 ** 307)], "build_torus_model"),
+    (["cohomology", "--model", "polynomial", "--n", str(10 ** 400)], "build_polynomial_model"),
+    (["cohomology", "--model", "polynomial", "--cutoff", str(10 ** 400)],
+     "build_polynomial_model"),
+    (["cohomology", "--model", "suspension", "--cutoff", str(10 ** 400)],
+     "build_suspension_model"),
 ])
 def test_explosive_parameters_refused_before_any_build(capsys, monkeypatch, argv, builder):
     def fail(*args):

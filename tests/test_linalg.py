@@ -161,9 +161,9 @@ def test_zero_row_matrices_compose():
 
 
 @st.composite
-def pairs(draw):
+def pairs(draw, side=SIDE):
     """Matrices a (r x k) and b (k x c) with a shared inner dimension."""
-    r, k, c = draw(SIDE), draw(SIDE), draw(SIDE)
+    r, k, c = draw(side), draw(side), draw(side)
     return draw(matrices(st.just(r), st.just(k))), draw(matrices(st.just(k), st.just(c)))
 
 
@@ -215,6 +215,31 @@ def test_det_matches_oracle(oracle, m):
 def test_matmul_matches_oracle(oracle, ab):
     a, b = ab
     assert [list(row) for row in (a @ b).data] == oracle.entries(oracle.of(a) * oracle.of(b))
+
+
+KRON_SIDE = st.integers(0, 4)  # a kron of two is up to 16 x 16
+
+
+@PROPERTY
+@given(matrices(KRON_SIDE, KRON_SIDE), matrices(KRON_SIDE, KRON_SIDE))
+def test_kron_entries_match_oracle(oracle, a, b):
+    # entry (i * b.rows + p, j * b.cols + q) is a[i, j] * b[p, q], in QQ
+    k = Matrix.kron(a, b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    ea, eb, ek = (oracle.entries(oracle.of(m)) for m in (a, b, k))
+    assert all(ek[i * b.rows + p][j * b.cols + q] == ea[i][j] * eb[p][q]
+               for i in range(a.rows) for j in range(a.cols)
+               for p in range(b.rows) for q in range(b.cols))
+
+
+@PROPERTY
+@given(pairs(KRON_SIDE), pairs(KRON_SIDE))
+def test_kron_mixed_product(oracle, ac, bd):
+    # (A (x) B)(C (x) D) = AC (x) BD, and the left side agrees with the oracle's product
+    (a, c), (b, d) = ac, bd
+    lhs = Matrix.kron(a, b) @ Matrix.kron(c, d)
+    assert lhs == Matrix.kron(a @ c, b @ d)
+    assert oracle.of(lhs) == oracle.of(Matrix.kron(a, b)) * oracle.of(Matrix.kron(c, d))
 
 
 def _consistent(oracle, a, rhs) -> bool:

@@ -1,15 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 import symplab.exterior as ext
+import symplab.models as models
 from symplab.linalg import Matrix
 from symplab.models import (build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
-from oracles import alpha_form, star_s_apply, suspension_full_complex
+from oracles import (alpha_form, fourier_pullback, loop_model, star_s_apply,
+                     suspension_full_complex)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
 
@@ -285,7 +288,6 @@ def test_suspension_invariant_dims_against_nullspace_oracle():
 
 def test_suspension_sector_must_be_closed_under_the_pullback(monkeypatch):
     # mode (1, 0) pulls back to (1, 1), which no sector holds
-    import symplab.models as models
     sector = models._fourier_functions
     monkeypatch.setattr(models, "_fourier_functions", lambda modes: sector(modes + [(1, 0)]))
     with pytest.raises(AssertionError, match="stable sector is not closed under the pullback"):
@@ -386,10 +388,29 @@ def test_apply_degree_out_of_range():
 
 
 def test_corrupted_d_matrix_detected():
-    # negative path: breaking a d block must trip the identity report
+    # negative path: a d block broken after the build, so dl no longer is the
+    # signed star.d.star of d; only that identity catches it, in degree 2,
+    # where the codifferential reads d[0] (every other identity still holds)
     model = build_torus_model(1)
     bad = Matrix.zeros(model.dim(1), model.dim(0))
     bad[0, 0] = Q(1)
     model.d[0] = bad
     report, _ = operator_identity_report(model)
-    assert not all(ok for per in report.values() for ok in per.values())
+    failed = [(name, k) for name, per in report.items() for k, ok in per.items() if not ok]
+    assert failed == [("dl=signed star.d.star", 2)]
+
+
+@pytest.mark.parametrize("kind, args", [("torus", (n,)) for n in (1, 2, 3, 4)]
+                         + [("polynomial", a) for a in ((1, 4), (1, 8), (2, 4), (3, 4))]
+                         + [("suspension", (cutoff,)) for cutoff in (1, 2, 8)])
+def test_kron_assembly_matches_the_index_loops(kind, args):
+    # the builders' kron assembly against the entry-by-entry loops: every
+    # d, star, dl and d.dl block, the labels, window, meta and identities
+    built = {"torus": build_torus_model, "polynomial": build_polynomial_model,
+             "suspension": build_suspension_model}[kind](*args)
+    oracle = loop_model(kind, *args)
+    for field in dataclasses.fields(built):
+        assert getattr(built, field.name) == getattr(oracle, field.name), field.name
+    if kind == "suspension":
+        functions = models._fourier_functions([(0, m2) for m2 in range(1, args[0] + 1)])
+        assert models._fourier_pullback(functions) == fourier_pullback(functions)
