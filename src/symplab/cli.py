@@ -202,9 +202,9 @@ def _cmd_cohomology(args) -> int:
     theories = [t.strip() for t in args.theories.split(",") if t.strip()]
     if not theories:
         raise SystemExit(USAGE_EXIT)
-    unknown = [t for t in theories if t not in THEORIES and t != "hodge"]
-    if unknown:
-        print(f"unknown theories: {','.join(unknown)}", file=sys.stderr)
+    bad = [t for t in theories if t not in {*THEORIES, "hodge"} or theories.count(t) > 1]
+    if bad:
+        print(f"unknown or repeated theories: {','.join(dict.fromkeys(bad))}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
     _check_budget(_model_cells, args.model, args.n, args.cutoff)
     if "hodge" in theories:

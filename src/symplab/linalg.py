@@ -285,11 +285,15 @@ class Matrix:
         onz = other._nz
         nz = []
         for row in self._nz:
-            acc: dict = {}
-            for k, a in row.items():
+            terms = iter(row.items())
+            k, a = next(terms, (0, 0))  # the first term seeds the row; a one-term row is done
+            acc = {j: v if type(v := a * b) is int else _num(v)
+                   for j, b in onz[k].items()} if a else {}
+            for k, a in terms:
                 for j, b in onz[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            nz.append({j: v if type(v) is int else _num(v) for j, v in acc.items() if v})
+            nz.append({j: v if type(v) is int else _num(v) for j, v in acc.items() if v}
+                      if len(row) > 1 else acc)
         return Matrix._of(self.rows, other.cols, nz)
 
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:

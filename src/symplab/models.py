@@ -13,8 +13,8 @@ Three builders:
 * ``build_suspension_model(N)`` -- the holonomy-invariant subcomplex of
   Fourier-truncated forms on T^2 for the torus map x -> Lx with
   L = [[1, 1], [0, 1]], i.e. the basic complex of the suspension
-  foliation.  Derivatives absorb the factor 2*pi into the basis scaling,
-  so every matrix stays rational with integer entries.
+  foliation, sector functions (x) ker(P_ext - I).  Derivatives absorb the
+  2*pi into the basis scaling, so every entry is an integer.
 
 Operators are plain dicts ``{degree: Matrix}`` of the blocks in range: d
 in degrees 0..top-1, d^Lambda in 1..top.  Outside it a block is the zero
@@ -25,8 +25,9 @@ functions (x) exterior forms, assembled by one routine from a derivative
 rule for the functions: d = sum_v (d/dx_v) (x) (dx_v ^ .) and star =
 1 (x) star_ext through ``Matrix.kron`` (the torus's one function is
 constant, so its d is zero).  Every builder ends in ``_complex_model``,
-which composes the codifferential (-1)^(k+1) star . d . star, checks the
-five operator identities once and stores their report as
+which writes the codifferential (-1)^(k+1) star . d . star by index rule
+on the stars' signed permutations, checks the five operator identities
+once (dl against that product) and stores their report as
 ``model.identities``, and the composites d.dl the anticommutation check
 forms as ``model.d_dl``.  The degree sign is what makes d and the
 codifferential anticommute (it drops out of every kernel, image and
@@ -137,7 +138,7 @@ def d_lambda_apply(v: FormVector) -> FormVector:
 
 def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
                         k: int) -> Matrix:
-    """The codifferential (-1)^(k+1) star . d . star on k-forms, k >= 1.
+    """The codifferential (-1)^(k+1) star . d . star on k-forms, k >= 1, as a product.
 
     The degree sign is forced: without it the anticommutation identity
     d.dl + dl.d = 0 fails already for 1-forms on R^2.  On the odd degrees
@@ -147,18 +148,46 @@ def _signed_star_d_star(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
     return composed if k % 2 == 1 else composed.scale(-1)
 
 
+def _signed_permutation(block: Matrix) -> tuple[list[int], list[int]]:
+    """The row and the sign of the one entry +-1 in each column of a signed permutation."""
+    rows, signs = [None] * block.cols, [0] * block.cols
+    for i in range(block.rows):
+        for j, v in block.row_items(i):
+            if rows[j] is not None or v not in (1, -1):
+                raise AssertionError("star block is not a signed permutation")
+            rows[j], signs[j] = i, v
+    if None in rows or len(set(rows)) != block.rows:
+        raise AssertionError("star block is not a signed permutation")
+    return rows, signs
+
+
+def _codifferential(d: dict[int, Matrix], perms: dict[int, tuple], top: int, k: int) -> Matrix:
+    """``_signed_star_d_star`` in O(nnz), the stars given as ``_signed_permutation``
+    reads them: d[i, c] goes to row p_out(i) and column p_in^-1(c)."""
+    (p_in, s_in), (p_out, s_out) = perms[k], perms[top - k + 1]
+    col, col_sign = [0] * len(p_in), [0] * len(p_in)  # p_in^-1(c), and the sign there
+    for j, (c, sj) in enumerate(zip(p_in, s_in)):
+        col[c], col_sign[c] = j, sj
+    nz: list[dict] = [{} for _ in p_out]
+    for i, (r, si) in enumerate(zip(p_out, s_out if k % 2 == 1 else [-si for si in s_out])):
+        nz[r] = {col[c]: si * col_sign[c] * v for c, v in d[top - k].row_items(i)}
+    return Matrix._of(len(p_out), len(p_in), nz)
+
+
 def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matrix]]:
     """Exact per-degree checks of the five structural matrix identities, and
     the composites d_(k-1) . dl_k that the check of d.dl+dl.d=0 forms."""
     top = model.top_degree
     d, star, dl = model.d_block, model.star_s, model.dl_block
+    perms = {k: _signed_permutation(block) for k, block in star.items()}
     report: dict[str, dict[int, bool]] = {name: {} for name in IDENTITIES}
     d_dl: dict[int, Matrix] = {}
     for k in range(top):
         report["d.d=0"][k] = (d(k + 1) @ d(k)).is_zero()
     for k in range(top + 1):
-        comp = star[top - k] @ star[k]
-        report["star.star=id"][k] = comp == Matrix.identity(model.dim(k))
+        (p, s), (q, t) = perms[k], perms[top - k]
+        report["star.star=id"][k] = len(p) == model.dim(k) and all(
+            q[pj] == j and sj * t[pj] == 1 for j, (pj, sj) in enumerate(zip(p, s)))
     for k in range(top + 1):
         report["dl=signed star.d.star"][k] = (
             k == 0 or dl(k) == _signed_star_d_star(model.d, star, top, k))
@@ -166,7 +195,7 @@ def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matri
         report["dl.dl=0"][k] = (dl(k - 1) @ dl(k)).is_zero()
     for k in range(top + 1):
         d_dl[k] = d(k - 1) @ dl(k)
-        report["d.dl+dl.d=0"][k] = (d_dl[k] + dl(k + 1) @ d(k)).is_zero()
+        report["d.dl+dl.d=0"][k] = dl(k + 1) @ d(k) == -d_dl[k]
     return report, d_dl
 
 
@@ -174,13 +203,14 @@ def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
                    d: dict[int, Matrix], star: dict[int, Matrix], **extra) -> ComplexModel:
     """The one way every builder finishes a model.
 
-    ``d`` holds the blocks of degrees 0..top-1; the codifferential, in
-    degrees 1..top, and the identity report are added here.  A failed
-    identity raises; the report and the products d_(k-1) . dl_k it formed
-    are kept, as built, as ``model.identities`` and ``model.d_dl``.
+    ``d`` holds the blocks of degrees 0..top-1, ``star`` signed permutations;
+    dl, in degrees 1..top, by index rule, and the identity report are added
+    here.  A failed identity raises; the report and the products
+    d_(k-1) . dl_k it formed are kept as ``model.identities`` and ``model.d_dl``.
     """
     top = len(basis) - 1
-    dl = {k: _signed_star_d_star(d, star, top, k) for k in range(1, top + 1)}
+    perms = {k: _signed_permutation(block) for k, block in star.items()}
+    dl = {k: _codifferential(d, perms, top, k) for k in range(1, top + 1)}
     model = ComplexModel(name=name, kind=kind, top_degree=top, graded_basis=basis,
                          d=d, star_s=star, d_lambda=dl, **extra)
     model.identities, model.d_dl = operator_identity_report(model)
@@ -204,35 +234,53 @@ def _rule_matrix(rule, src: list, dst: list) -> Matrix:
 
 
 def _coefficient_forms(functions: list, function_labels: list[str], derivative, n: int,
-                       ext_label) -> tuple[dict[int, list[str]], dict[int, Matrix],
-                                           dict[int, Matrix]]:
+                       ext_label, embed: dict[int, Matrix] | None = None
+                       ) -> tuple[dict[int, list[str]], dict[int, Matrix], dict[int, Matrix]]:
     """Basis labels, d and star of coefficient functions (x) exterior forms
-    over 2n covectors.
+    over 2n covectors: all forms, or those spanned by the columns of each
+    ``embed[k]`` as ``kernel_matrix`` gives them (a column ends in a 1 that
+    no other column has, at its unit coordinate).
 
     A k-form is indexed function-major, as ``Matrix.kron`` orders it:
-    ``functions[i]`` times the j-th degree-k exterior monomial sits at
-    i * C(2n, k) + j.  ``derivative(f, v)`` lists the pairs (coefficient,
-    g) whose sum is the partial derivative of f in the v-th variable; every
-    g must be one of ``functions``.  Then d_k = sum_v (d/dx_v) (x) (dx_v ^ .),
-    where a zero derivative adds no term, and star_k = 1 (x) star_blocks(n)[k].
+    ``functions[i]`` times the j-th degree-k exterior basis form sits at
+    i * r_k + j.  ``derivative(f, v)`` lists the pairs (coefficient, g)
+    summing to the partial derivative of f in the v-th variable, each g in
+    ``functions``.  d_k = sum_v (d/dx_v) (x) (dx_v ^ .) and star_k = 1 (x)
+    star_blocks(n)[k], exterior factors read at the unit coordinates and
+    checked exactly (AssertionError if one leaves the subspace).
     """
     m = 2 * n
     ext = [exterior.ext_basis(m, k) for k in range(m + 1)]
-    basis = {k: _product_labels(function_labels, [ext_label(e) for e in ext[k]])
-             for k in range(m + 1)}
+    labels = {k: [ext_label(e) for e in ext[k]] for k in range(m + 1)}
+    if embed is not None:
+        cols = {k: [sorted(c.row_items(t)) for t in range(c.rows)]
+                for k, c in ((k, e.transpose()) for k, e in embed.items())}
+        labels = {k: [" + ".join(labels[k][i] if col == [(i, 1)] else f"{qf(x)}*{labels[k][i]}"
+                                 for i, x in col) for col in cols[k]] for k in cols}
+
+    def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
+        if embed is None:
+            return block
+        image = block @ embed[k_src]
+        x = image.submatrix([col[-1][0] for col in cols[k_dst]], range(image.cols))
+        if embed[k_dst] @ x != image:
+            raise AssertionError("an operator leaves the exterior subspace")
+        return x
+
+    basis = {k: _product_labels(function_labels, labels[k]) for k in labels}
     partials = {v: _rule_matrix(lambda f: derivative(f, v), functions, functions)
                 for v in range(m)}
     d: dict[int, Matrix] = {}
     for k in range(m):
-        d[k] = Matrix.zeros(len(functions) * len(ext[k + 1]), len(functions) * len(ext[k]))
+        d[k] = Matrix.zeros(len(basis[k + 1]), len(basis[k]))
         for v, partial in partials.items():
             if not partial.is_zero():
                 wedge = _rule_matrix(
                     lambda e: [] if v in e else [exterior.wedge_monomials((v,), e)],
                     ext[k], ext[k + 1])
-                d[k] = d[k] + Matrix.kron(partial, wedge)
+                d[k] = d[k] + Matrix.kron(partial, restrict(wedge, k, k + 1))
     one = Matrix.identity(len(functions))
-    star = {k: Matrix.kron(one, block) for k, block in exterior.star_blocks(n).items()}
+    star = {k: Matrix.kron(one, restrict(b, k, m - k)) for k, b in exterior.star_blocks(n).items()}
     return basis, d, star
 
 
@@ -427,57 +475,25 @@ _PULLBACK_EXT: dict[exterior.Mono, list[tuple[int, exterior.Mono]]] = {
 }
 
 
-def _fourier_pullback(functions: list[FourierMode]) -> dict[int, Matrix]:
-    """Pullback matrices per degree on the function-major basis of a span of
-    Fourier modes on T^2, the functions' pullback (x) the exterior forms';
-    raises when a mode's image leaves the span."""
-    span = set(functions)
-    if any(g not in span for f in functions for _, g in _pullback_function(f)):
-        raise AssertionError("stable sector is not closed under the pullback")
-    p_fun = _rule_matrix(_pullback_function, functions, functions)
-    return {k: Matrix.kron(p_fun, _rule_matrix(_PULLBACK_EXT.__getitem__, ext, ext))
-            for k, ext in enumerate(exterior.ext_basis(2, k) for k in range(3))}
-
-
 def build_suspension_model(cutoff: int) -> ComplexModel:
     """Basic complex of the suspension foliation at Fourier cutoff N.
 
     Only modes whose orbit under m -> (m1, m1 + m2) stays inside the box
     can support invariant vectors (the orbit is finite exactly when
-    m1 = 0), so the invariance solve runs on that stable sector; the
-    invariant subcomplex is the exact nullspace of P - I in each degree.
+    m1 = 0).  The pullback fixes every function of that stable sector
+    (AssertionError otherwise), so the invariant subcomplex is the sector
+    (x) ker(P_ext - I), the nullspaces of 1x1, 2x2 and 1x1 exterior blocks.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
-    sector_modes = [(0, m2) for m2 in range(1, cutoff + 1)]
-    functions = _fourier_functions(sector_modes)
-    sector_labels, d_sector, star_sector = _coefficient_forms(
-        functions, [_mode_label(f) for f in functions], _derivative_entries, 1,
-        _ext_label_torus2)
-    p_blocks = _fourier_pullback(functions)
-
-    embed = {k: (p_blocks[k] - Matrix.identity(p_blocks[k].rows)).kernel_matrix()
-             for k in range(3)}
-
-    def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
-        image = block @ embed[k_src]
-        return embed[k_dst].solve_matrix(image)
-
-    d_inv = {k: restrict(d_sector[k], k, k + 1) for k in range(2)}
-    star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
-
-    labels: dict[int, list[str]] = {}
-    for k in range(3):
-        labels[k] = []
-        columns = embed[k].transpose()
-        for j in range(columns.rows):
-            support = sorted(columns.row_items(j))
-            if len(support) == 1 and support[0][1] == 1:
-                labels[k].append(sector_labels[k][support[0][0]])
-            else:
-                labels[k].append(" + ".join(
-                    f"{qf(x)}*{sector_labels[k][i]}" for i, x in support))
-
-    return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
+    functions = _fourier_functions([(0, m2) for m2 in range(1, cutoff + 1)])
+    if not {g for f in functions for _, g in _pullback_function(f)} <= set(functions):
+        raise AssertionError("stable sector is not closed under the pullback")
+    if any(_pullback_function(f) != [(1, f)] for f in functions):
+        raise AssertionError("the pullback moves a function of the stable sector")
+    fixed = {k: (_rule_matrix(_PULLBACK_EXT.__getitem__, e, e) - Matrix.identity(len(e)))
+             .kernel_matrix() for k, e in enumerate(exterior.ext_basis(2, k) for k in range(3))}
+    labels, d, star = _coefficient_forms(functions, [_mode_label(f) for f in functions],
+                                         _derivative_entries, 1, _ext_label_torus2, fixed)
+    return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d, star,
                           meta={"N": cutoff})
-

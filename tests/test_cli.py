@@ -15,7 +15,12 @@ from symplab.suite import CheckResult
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """The exit code and stdout of ``lab argv``; a usage error that raises
+    SystemExit, as argparse's do, gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr().out
     return code, out
 
@@ -281,6 +286,9 @@ def test_bad_n_usage_error(capsys):
     (["omega", "--n", "1", "--element", '{"entries":[],"rows":-3,"cols":2}'], 1),  # negative
     (["omega", "--n", "1", "--element", "[[1,0],[0]]"], 1),             # ragged rows
     (["omega", "--n", "1", "--element", "[" * 100000], 1),              # nested too deep to parse
+    (["cohomology", "--model", "torus", "--n", "1", "--theories", "dr,dr"], 2),  # a theory twice
+    (["cohomology", "--model", "torus", "--n", "1", "--theories", "hodge,dpl,hodge"], 2),
+    (["cohomology", "--model", "torus", "--n", "1", "--theories", "dr, ddl,dr"], 2),
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
     got, out = run_cli(capsys, *argv)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symplab.exterior as ext
 import symplab.models as models
@@ -15,6 +17,7 @@ from oracles import (alpha_form, fourier_pullback, loop_model, star_s_apply,
                      suspension_full_complex)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
+from strategies import PROPERTY, SIDE, matrices
 
 TORUS1 = build_torus_model(1)
 TORUS2 = build_torus_model(2)
@@ -275,10 +278,9 @@ def test_suspension_invariant_dimensions():
 
 def test_suspension_invariant_dims_against_nullspace_oracle():
     # oracle: solve ker(P - I) on the stable sector directly
-    from symplab.models import _fourier_functions, _fourier_pullback
     cutoff = 3
-    functions = _fourier_functions([(0, k) for k in range(1, cutoff + 1)])
-    p_blocks = _fourier_pullback(functions)
+    functions = models._fourier_functions([(0, k) for k in range(1, cutoff + 1)])
+    p_blocks = fourier_pullback(functions)
     for k, expected in ((0, 2 * cutoff + 1), (1, 2 * cutoff + 1), (2, 2 * cutoff + 1)):
         dim = len(functions) * len(ext.ext_basis(2, k))
         assert (p_blocks[k].rows, p_blocks[k].cols) == (dim, dim)
@@ -292,6 +294,37 @@ def test_suspension_sector_must_be_closed_under_the_pullback(monkeypatch):
     monkeypatch.setattr(models, "_fourier_functions", lambda modes: sector(modes + [(1, 0)]))
     with pytest.raises(AssertionError, match="stable sector is not closed under the pullback"):
         build_suspension_model(2)
+
+
+def test_suspension_pullback_must_fix_the_sector(monkeypatch):
+    # cos(2 pi x2) -> cos(4 pi x2) keeps the sector closed but moves a mode,
+    # so the sector would not be fixed, and the build's premise fails
+    pullback = models._pullback_function
+    monkeypatch.setattr(models, "_pullback_function", lambda f: (
+        [(Q(1), ("cos", (0, 2)))] if f == ("cos", (0, 1)) else pullback(f)))
+    with pytest.raises(AssertionError, match="the pullback moves a function of the stable sector"):
+        build_suspension_model(2)
+
+
+def test_exterior_factor_leaving_the_subspace_refused():
+    # d/dx1 of f is g, so d(f) = g dx1, which span(dx2) in degree 1 does not hold
+    unit = Matrix.identity(1)
+    dx2 = Matrix([[0], [1]])
+    with pytest.raises(AssertionError, match="an operator leaves the exterior subspace"):
+        models._coefficient_forms(["f", "g"], ["f", "g"],
+                                  lambda h, v: [(1, "g")] if (h, v) == ("f", 0) else [], 1,
+                                  models._ext_label_torus2, {0: unit, 1: dx2, 2: unit})
+
+
+def test_exterior_subspace_with_a_combined_basis_form():
+    # span(2 dx1 + dx2) in degree 1: the star, -1 on 1-forms, is read at the
+    # unit coordinate dx2, and the label names the combination
+    unit = Matrix.identity(1)
+    basis, d, star = models._coefficient_forms(["c"], ["1"], lambda h, v: [], 1,
+                                               models._ext_label_torus2,
+                                               {0: unit, 1: Matrix([[2], [1]]), 2: unit})
+    assert basis == {0: ["1"], 1: ["2*dx1 + 1*dx2"], 2: ["dx1^dx2"]}
+    assert star[1] == Matrix([[-1]]) and all(block.is_zero() for block in d.values())
 
 
 def test_suspension_degree1_kills_dx1():
@@ -400,9 +433,73 @@ def test_corrupted_d_matrix_detected():
     assert failed == [("dl=signed star.d.star", 2)]
 
 
+@pytest.mark.parametrize("degree, failed", [
+    # star_0 and star_2 are each other's inverse; dl_k uses star_k and
+    # star_(top-k+1) for k >= 1, never star_0
+    (0, [("star.star=id", 0), ("star.star=id", 2)]),
+    # star_1 is -1 on R^2, so one flipped sign keeps star_1 an involution; only
+    # dl_2 = -star_1 . d_0 . star_2 sees it, through d(x) = dx
+    (1, [("dl=signed star.d.star", 2)]),
+    (2, [("star.star=id", 0), ("star.star=id", 2), ("dl=signed star.d.star", 1)]),
+])
+def test_flipped_star_sign_detected(degree, failed):
+    # negative path: one sign of a star block flipped after the build; the
+    # star.star check reads the permutations again, and the dl check compares
+    # the stored index-rule dl with the product star . d . star
+    model = build_polynomial_model(1, 2)
+    block = model.star_s[degree]
+    row = next(i for i in range(block.rows) if block[i, 0])
+    block[row, 0] = -block[row, 0]
+    report, _ = operator_identity_report(model)
+    assert [(name, k) for name, per in report.items()
+            for k, ok in per.items() if not ok] == failed
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("own", 0),     # an empty column
+    ("other", 1),   # a second entry in the column
+    ("own", 2),     # an entry that is not +-1
+])
+def test_star_that_is_no_signed_permutation_refused(entry, value):
+    star = {k: block.scale(1) for k, block in TORUS1.star_s.items()}  # copies
+    own = next(i for i in range(star[1].rows) if star[1][i, 0])
+    star[1][own if entry == "own" else 1 - own, 0] = value
+    with pytest.raises(AssertionError, match="star block is not a signed permutation"):
+        models._complex_model("bad", "torus", TORUS1.graded_basis, dict(TORUS1.d), star)
+
+
+@st.composite
+def signed_permutations(draw, side):
+    block = Matrix.zeros(side, side)
+    for j, i in enumerate(draw(st.permutations(range(side)))):
+        block[i, j] = draw(st.sampled_from([1, -1]))
+    return block
+
+
+@PROPERTY
+@given(st.data())
+def test_codifferential_index_rule_matches_the_product(data):
+    # any signed permutations as stars and any sparse int or rational d of the
+    # right shapes, 0 rows and 0 columns included: the entry-by-entry dl is
+    # the product (-1)^(k+1) star . d . star, entry types included
+    top = data.draw(st.integers(1, 4))
+    dims = {k: data.draw(SIDE) for k in range(top // 2 + 1)}
+    dims.update({top - k: dim for k, dim in dims.items()})
+    star = {k: data.draw(signed_permutations(dims[k])) for k in range(top + 1)}
+    d = {k: data.draw(matrices(st.just(dims[k + 1]), st.just(dims[k]))) for k in range(top)}
+    perm = {k: models._signed_permutation(block) for k, block in star.items()}
+    for k in range(1, top + 1):
+        rule = models._codifferential(d, perm, top, k)
+        product = models._signed_star_d_star(d, star, top, k)
+        assert rule == product
+        assert all(sorted((j, type(v)) for j, v in rule.row_items(i))
+                   == sorted((j, type(v)) for j, v in product.row_items(i))
+                   for i in range(rule.rows))
+
+
 @pytest.mark.parametrize("kind, args", [("torus", (n,)) for n in (1, 2, 3, 4)]
                          + [("polynomial", a) for a in ((1, 4), (1, 8), (2, 4), (3, 4))]
-                         + [("suspension", (cutoff,)) for cutoff in (1, 2, 8)])
+                         + [("suspension", (cutoff,)) for cutoff in (1, 2, 8, 16, 64)])
 def test_kron_assembly_matches_the_index_loops(kind, args):
     # the builders' kron assembly against the entry-by-entry loops: every
     # d, star, dl and d.dl block, the labels, window, meta and identities
@@ -412,5 +509,10 @@ def test_kron_assembly_matches_the_index_loops(kind, args):
     for field in dataclasses.fields(built):
         assert getattr(built, field.name) == getattr(oracle, field.name), field.name
     if kind == "suspension":
+        # the build's premise: on the sector the oracle's pullback is 1 (x) P_ext
         functions = models._fourier_functions([(0, m2) for m2 in range(1, args[0] + 1)])
-        assert models._fourier_pullback(functions) == fourier_pullback(functions)
+        one = Matrix.identity(len(functions))
+        for k, p_block in fourier_pullback(functions).items():
+            e = ext.ext_basis(2, k)
+            p_ext = models._rule_matrix(models._PULLBACK_EXT.__getitem__, e, e)
+            assert p_block == Matrix.kron(one, p_ext)
