@@ -10,11 +10,12 @@ Subcommands:
 * ``lab suite``      -- run every acceptance criterion and print an
                         expected-vs-computed table.
 
-Exit codes: 0 success, 1 precondition or computation failure, including an
-output path that cannot be written (with a JSON error record on stdout), 2
-usage errors.  Parameters whose largest matrix, or for ``lab algebra`` the
-largest matrix plus the per-sample work, would exceed ``MAX_MATRIX_CELLS``
-entries are refused before any work.
+Exit codes, each returned by ``main``: 0 success, 1 precondition or
+computation failure, including an output path that cannot be written (with
+a JSON error record on stdout), 2 usage errors, argparse's own included.
+Parameters whose largest matrix, or for ``lab algebra`` the largest matrix
+plus the per-sample work, would exceed ``MAX_MATRIX_CELLS`` entries are
+refused before any work.
 Identical arguments and seed produce byte-identical report files; set
 LAB_OUTPUT_DIR to redirect any --output path into a fixed directory.
 """
@@ -200,12 +201,10 @@ THEORIES = {"dr": "de_rham", "dpl": "d_plus_dlambda_cohomology", "ddl": "dd_lamb
 
 def _cmd_cohomology(args) -> int:
     theories = [t.strip() for t in args.theories.split(",") if t.strip()]
-    if not theories:
-        raise SystemExit(USAGE_EXIT)
     bad = [t for t in theories if t not in {*THEORIES, "hodge"} or theories.count(t) > 1]
-    if bad:
-        print(f"unknown or repeated theories: {','.join(dict.fromkeys(bad))}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+    if bad or not theories:
+        print(f"unknown, repeated or no theories: {args.theories!r}", file=sys.stderr)
+        return USAGE_EXIT
     _check_budget(_model_cells, args.model, args.n, args.cutoff)
     if "hodge" in theories:
         coh.require_inner_product(args.model)
@@ -293,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors, and --help's 0
+        return exc.code
     for name, least in (("cutoff", 1), ("n", 1), ("samples", 0)):
         if getattr(args, name, least) < least:
             print(f"{name} must be >= {least}", file=sys.stderr)

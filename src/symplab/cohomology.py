@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, Q
+from .linalg import Matrix
 from .models import (IDENTITIES, ComplexModel, FormVector, d_apply, d_lambda_apply,
                      poincare_antiderivative)
 
@@ -134,18 +134,6 @@ def inequality_check(dr: CohomologyReport, dpl: CohomologyReport,
 
 # -- reduction of an even cocycle to its constant ----------------------------
 
-def _constant_value(v: FormVector) -> Fraction:
-    model = v.model
-    const_i = model.meta["mono_index"][(0,) * (2 * model.meta["n"])]
-    value = Q(0)
-    for i, c in enumerate(v.coords):
-        if i == const_i:
-            value = c
-        elif c != 0:
-            raise AssertionError("expected a constant function")
-    return value
-
-
 def reduction_constant(v: FormVector) -> Fraction:
     """Reduce an even-degree cocycle to its constant.
 
@@ -165,7 +153,9 @@ def reduction_constant(v: FormVector) -> Fraction:
     current = v
     while current.degree > 0:
         current = d_lambda_apply(poincare_antiderivative(current))
-    return _constant_value(current)
+    if any(current.coords[1:]):  # coordinate 0 is the constant monomial
+        raise AssertionError("expected a constant function")
+    return current.coords[0]
 
 
 # -- finite Hodge operator ----------------------------------------------------

@@ -185,12 +185,33 @@ class Matrix:
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        nz = []
-        for arow in a._nz:
-            for brow in b._nz:
-                nz.append({j * b.cols + q: _num(x * y)
-                           for j, x in arow.items() for q, y in brow.items()})
-        return cls._of(a.rows * b.rows, a.cols * b.cols, nz)
+        return cls.kron_sum((a.rows * b.rows, a.cols * b.cols), [(a, b)])
+
+    @classmethod
+    def kron_sum(cls, shape: tuple[int, int],
+                 terms: Sequence[tuple["Matrix", "Matrix"]]) -> "Matrix":
+        """The sum, of the given shape, of kron(a, b) over the pairs of
+        ``terms``, each term's rows written into one set of rows in one pass."""
+        if any((a.rows * b.rows, a.cols * b.cols) != shape for a, b in terms):
+            raise ValueError("shape mismatch in kron_sum")
+        nz: list[dict] = [{} for _ in range(shape[0])]
+        for a, b in terms:
+            for i, arow in enumerate(a._nz):
+                for r, brow in enumerate(b._nz if arow else (), i * b.rows):
+                    if not brow:
+                        continue
+                    part = {j * b.cols + q: v if type(v := x * y) is int else _num(v)
+                            for j, x in arow.items() for q, y in brow.items()}
+                    row = nz[r]
+                    if not row:
+                        nz[r] = part
+                        continue
+                    for j, v in part.items():
+                        if s := row.get(j, 0) + v:
+                            row[j] = s if type(s) is int else _num(s)
+                        else:
+                            del row[j]
+        return cls._of(*shape, nz)
 
     # -- entries --------------------------------------------------------
     def _check(self, key: tuple[int, int]) -> tuple[int, int]:

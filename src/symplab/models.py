@@ -9,7 +9,8 @@ Three builders:
   by one and the star acts on the exterior factor only, so all five
   operator identities hold exactly on the truncated space.  The window
   marks coefficients of degree <= D-2, the sub-basis whose cohomology is
-  unaffected by the truncation boundary.
+  unaffected by the truncation boundary.  The radial homotopy is the
+  Euler contraction iota_E = sum_v (x_v .) (x) iota_v, built on demand.
 * ``build_suspension_model(N)`` -- the holonomy-invariant subcomplex of
   Fourier-truncated forms on T^2 for the torus map x -> Lx with
   L = [[1, 1], [0, 1]], i.e. the basic complex of the suspension
@@ -22,12 +23,13 @@ map, and ``model.d_block(k)`` and ``model.dl_block(k)`` are the one place
 that says so.  The torus and suspension bases are orthonormal, so there
 the adjoint of a block is its transpose.  Each model is coefficient
 functions (x) exterior forms, assembled by one routine from a derivative
-rule for the functions: d = sum_v (d/dx_v) (x) (dx_v ^ .) and star =
-1 (x) star_ext through ``Matrix.kron`` (the torus's one function is
-constant, so its d is zero).  Every builder ends in ``_complex_model``,
-which writes the codifferential (-1)^(k+1) star . d . star by index rule
-on the stars' signed permutations, checks the five operator identities
-once (dl against that product) and stores their report as
+rule for the functions: d = sum_v (d/dx_v) (x) (dx_v ^ .), like iota_E
+one ``Matrix.kron_sum`` of ``_rule_matrix`` factors, and star = 1 (x)
+star_ext through ``Matrix.kron`` (the torus's one function is constant,
+so its d is zero).  Every builder ends in ``_complex_model``, which
+writes the codifferential (-1)^(k+1) star . d . star by index rule on
+the stars' signed permutations, checks the five operator identities once
+(dl against that product) and stores their report as
 ``model.identities``, and the composites d.dl the anticommutation check
 forms as ``model.d_dl``.  The degree sign is what makes d and the
 codifferential anticommute (it drops out of every kernel, image and
@@ -268,17 +270,12 @@ def _coefficient_forms(functions: list, function_labels: list[str], derivative, 
         return x
 
     basis = {k: _product_labels(function_labels, labels[k]) for k in labels}
-    partials = {v: _rule_matrix(lambda f: derivative(f, v), functions, functions)
-                for v in range(m)}
-    d: dict[int, Matrix] = {}
-    for k in range(m):
-        d[k] = Matrix.zeros(len(basis[k + 1]), len(basis[k]))
-        for v, partial in partials.items():
-            if not partial.is_zero():
-                wedge = _rule_matrix(
-                    lambda e: [] if v in e else [exterior.wedge_monomials((v,), e)],
-                    ext[k], ext[k + 1])
-                d[k] = d[k] + Matrix.kron(partial, restrict(wedge, k, k + 1))
+    partials = {v: p for v in range(m) if not (
+        p := _rule_matrix(lambda f: derivative(f, v), functions, functions)).is_zero()}
+    d = {k: Matrix.kron_sum((len(basis[k + 1]), len(basis[k])), [
+        (p, restrict(_rule_matrix(lambda e: [] if v in e else [exterior.wedge_monomials((v,), e)],
+                                  ext[k], ext[k + 1]), k, k + 1))
+        for v, p in partials.items()]) for k in range(m)}
     one = Matrix.identity(len(functions))
     star = {k: Matrix.kron(one, restrict(b, k, m - k)) for k, b in exterior.star_blocks(n).items()}
     return basis, d, star
@@ -347,33 +344,41 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
     low = sum(1 for mono in monos if sum(mono) <= cutoff - 2)
     window = {k: list(range(low * comb(2 * n, k))) for k in basis}
     return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
-                          window=window,
-                          meta={"n": n, "D": cutoff, "monos": monos,
-                                "mono_index": {mono: i for i, mono in enumerate(monos)}})
+                          window=window, meta={"n": n, "D": cutoff, "monos": monos})
 
 
 def w0_power_form(model: ComplexModel, j: int) -> FormVector:
-    """w0^j as a constant-coefficient form of degree 2j."""
-    n = model.meta["n"]
-    ext_coords = exterior.w0_power_coords(n, j)
-    if model.kind == "torus":
-        return form_vector(model, 2 * j, ext_coords)
-    if model.kind != "polynomial":
+    """w0^j as a constant-coefficient form of degree 2j: the constant is
+    function 0 of the torus and polynomial models, so its exterior
+    coordinates lead the vector and zeros follow."""
+    if model.kind not in ("torus", "polynomial"):
         raise ValueError("w0 powers are built on torus or polynomial models")
-    const_i = model.meta["mono_index"][(0,) * (2 * n)]
-    ecount = len(ext_coords)
-    coords = [Q(0)] * model.dim(2 * j)
-    for ei, c in enumerate(ext_coords):
-        coords[const_i * ecount + ei] = c
-    return form_vector(model, 2 * j, coords)
+    ext_coords = exterior.w0_power_coords(model.meta["n"], j)
+    return form_vector(model, 2 * j, ext_coords + [0] * (model.dim(2 * j) - len(ext_coords)))
+
+
+def euler_contraction(model: ComplexModel, k: int) -> Matrix:
+    """iota_E from k-forms to (k-1)-forms of a polynomial model, E = sum_v
+    x_v d/dx_v the Euler field: sum_v (x_v .) (x) iota_v, iota_v taking
+    dx_v out of its place i with the sign (-1)^i.  A column of coefficient
+    degree D is zero, since x_v would raise it past the cutoff."""
+    m, cutoff, monos = 2 * model.meta["n"], model.meta["D"], model.meta["monos"]
+    src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k - 1)
+    return Matrix.kron_sum((model.dim(k - 1), model.dim(k)), [
+        (_rule_matrix(lambda a: [(1, a[:v] + (a[v] + 1,) + a[v + 1:])] if sum(a) < cutoff else [],
+                      monos, monos),
+         _rule_matrix(lambda e: [((-1) ** e.index(v), tuple(u for u in e if u != v))]
+                      if v in e else [], src, dst))
+        for v in range(m)])
 
 
 def poincare_antiderivative(v: FormVector) -> FormVector:
     """Primitive under d via the exact radial homotopy.
 
-    For a closed k-form with monomial coefficients the homotopy sends
-    p * dI to sum_j (-1)^(j-1)/(deg p + k) * p*x_{i_j} * d(I without i_j).
-    Deterministic: integration constants are always zero.
+    On k-forms with coefficients homogeneous of degree p, d iota_E +
+    iota_E d = p + k, so a closed form v has the primitive iota_E applied
+    to v / (p + k), taken coordinate by coordinate.  Deterministic:
+    integration constants are always zero.
     """
     model = v.model
     if model.kind != "polynomial":
@@ -383,28 +388,11 @@ def poincare_antiderivative(v: FormVector) -> FormVector:
         raise ValueError("d antiderivative needs degree >= 1")
     if not d_apply(v).is_zero():
         raise ValueError("input is not closed")
-    m = 2 * model.meta["n"]
-    cutoff = model.meta["D"]
-    monos = model.meta["monos"]
-    mono_index = model.meta["mono_index"]
-    ext_src = exterior.ext_basis(m, k)
-    ext_dst = exterior.ext_basis(m, k - 1)
-    ext_dst_index = {mono: i for i, mono in enumerate(ext_dst)}
-    out = [Q(0)] * model.dim(k - 1)
-    for idx, c in enumerate(v.coords):
-        if c == 0:
-            continue
-        mi, ei = divmod(idx, len(ext_src))
-        mono, emono = monos[mi], ext_src[ei]
-        weight = Q(1, sum(mono) + k)
-        for pos, var in enumerate(emono):
-            if sum(mono) + 1 > cutoff:
-                raise ValueError("antiderivative leaves the coefficient cutoff")
-            raised = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
-            target_ext = emono[:pos] + emono[pos + 1:]
-            row = mono_index[raised] * len(ext_dst) + ext_dst_index[target_ext]
-            out[row] += c * weight * ((-1) ** pos)
-    return form_vector(model, k - 1, out)
+    degrees = [sum(a) for a in model.meta["monos"] for _ in range(comb(2 * model.meta["n"], k))]
+    if any(c and p == model.meta["D"] for c, p in zip(v.coords, degrees)):
+        raise ValueError("antiderivative leaves the coefficient cutoff")
+    scaled = [c / (p + k) for c, p in zip(v.coords, degrees)]
+    return form_vector(model, k - 1, euler_contraction(model, k).apply(scaled))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@
 arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
 as a subspace, maximal abelian subspaces, the linear system whose solution
 is the potential of a 2-form, Chevalley-Eilenberg 1-forms, the star of a
-form, the primitives alpha_k of w0^k, d and the Fourier pullback assembled
-entry by entry and the models built from them, the full Fourier box on T^2
-with its partial pullback, the cohomology quotients with their
-representatives, and rational polynomial division and gcd.  Each is built
-on the package's own basis, structure constants and helpers, so the tests
-that check it check those too."""
+form, the primitives alpha_k of w0^k, the wedge of coordinate vectors and
+the powers of w0 taken by it, the radial homotopy as an index loop and
+seeded random closed forms to feed it, the Cartan identity of the Euler
+contraction, d and the Fourier pullback assembled entry by entry and the
+models built from them, the full Fourier box on T^2 with its partial
+pullback, the cohomology quotients with their representatives, and
+rational polynomial division and gcd.  Each is built on the package's own
+basis, structure constants and helpers, so the tests that check it check
+those too."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from symplab import exterior, models
@@ -168,6 +172,97 @@ def alpha_form(model: models.ComplexModel, k: int) -> models.FormVector:
     return models.poincare_antiderivative(models.w0_power_form(model, k))
 
 
+def wedge_vectors(m: int, ka: int, kb: int,
+                  va: list[Fraction], vb: list[Fraction]) -> list[Fraction]:
+    """Wedge product of coordinate vectors in degrees ka, kb over m covectors."""
+    ba, bb = exterior.ext_basis(m, ka), exterior.ext_basis(m, kb)
+    index = {mono: i for i, mono in enumerate(exterior.ext_basis(m, ka + kb))}
+    out = [Q(0)] * len(index)
+    for i, xa in enumerate(va):
+        for j, xb in enumerate(vb):
+            w = exterior.wedge_monomials(ba[i], bb[j]) if xa and xb else None
+            if w is not None:
+                out[index[w[1]]] += w[0] * xa * xb
+    return out
+
+
+def w0_power_by_wedges(n: int, j: int) -> list[Fraction]:
+    """w0^j in the degree-2j exterior basis, as j wedges with w0 = sum dxi^dyi."""
+    m = 2 * n
+    w0 = [Q(1) if b == a + 1 and a % 2 == 0 else Q(0) for a, b in exterior.ext_basis(m, 2)]
+    acc = [Q(1)]
+    for deg in range(0, 2 * j, 2):
+        acc = wedge_vectors(m, deg, 2, acc, w0)
+    return acc
+
+
+def radial_antiderivative(v: models.FormVector) -> models.FormVector:
+    """The radial homotopy, monomial by monomial: p * dI goes to
+    sum_j (-1)^(j-1)/(deg p + k) * p*x_{i_j} * d(I without i_j), each
+    coordinate found by function-major index arithmetic.  Raises
+    ValueError as ``models.poincare_antiderivative`` does."""
+    model = v.model
+    if model.kind != "polynomial":
+        raise ValueError("poincare_antiderivative is supported on polynomial models only")
+    k = v.degree
+    if k < 1:
+        raise ValueError("d antiderivative needs degree >= 1")
+    if not models.d_apply(v).is_zero():
+        raise ValueError("input is not closed")
+    m, cutoff, monos = 2 * model.meta["n"], model.meta["D"], model.meta["monos"]
+    mono_index = {mono: i for i, mono in enumerate(monos)}
+    ext_src, ext_dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k - 1)
+    ext_dst_index = {mono: i for i, mono in enumerate(ext_dst)}
+    out = [Q(0)] * model.dim(k - 1)
+    for idx, c in enumerate(v.coords):
+        if c == 0:
+            continue
+        mi, ei = divmod(idx, len(ext_src))
+        mono, emono = monos[mi], ext_src[ei]
+        weight = Q(1, sum(mono) + k)
+        for pos, var in enumerate(emono):
+            if sum(mono) + 1 > cutoff:
+                raise ValueError("antiderivative leaves the coefficient cutoff")
+            raised = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
+            row = mono_index[raised] * len(ext_dst) + ext_dst_index[emono[:pos] + emono[pos + 1:]]
+            out[row] += c * weight * ((-1) ** pos)
+    return models.form_vector(model, k - 1, out)
+
+
+def random_closed_forms(model: models.ComplexModel, k: int, rng, count: int):
+    """Closed k-forms: d of sparse random (k-1)-forms, which stay below the
+    cutoff, and sparse random combinations of a kernel basis of d_k, which
+    mostly reach it."""
+    kernel = model.d_block(k).kernel_matrix().transpose()
+    for _ in range(count):
+        f = [0] * model.dim(k - 1)
+        for i in rng.sample(range(len(f)), min(4, len(f))):
+            f[i] = rng.randint(-5, 5)
+        yield models.d_apply(models.form_vector(model, k - 1, f))
+        z = [Q(0)] * model.dim(k)
+        for t in rng.sample(range(kernel.rows), min(3, kernel.rows)):
+            c = rng.randint(-5, 5)
+            for j, x in kernel.row_items(t):
+                z[j] += c * x
+        yield models.form_vector(model, k, z)
+
+
+def cartan_mismatches(model: models.ComplexModel) -> list[tuple[int, int]]:
+    """The columns (k, j) of d iota_E + iota_E d on k-forms, over every
+    coordinate j of coefficient degree p <= D - 1, that are not p + k times
+    the unit column j (zero for p = k = 0, the constants)."""
+    m, cutoff, monos = 2 * model.meta["n"], model.meta["D"], model.meta["monos"]
+    bad = []
+    for k in range(m + 1):
+        cartan = (model.d_block(k - 1) @ models.euler_contraction(model, k)
+                  + models.euler_contraction(model, k + 1) @ model.d_block(k)).transpose()
+        for j in range(cartan.rows):
+            p = sum(monos[j // comb(m, k)])
+            if p < cutoff and dict(cartan.row_items(j)) != ({j: p + k} if p + k else {}):
+                bad.append((k, j))
+    return bad
+
+
 def exterior_derivative(functions: list, m: int, derivative) -> dict[int, Matrix]:
     """d(f dI) = sum_v (d f / d x_v) dx_v ^ dI in degrees 0..m-1.
 
@@ -254,8 +349,7 @@ def loop_model(kind: str, *args: int) -> models.ComplexModel:
                       for mi, mono in enumerate(monos) if sum(mono) <= cutoff - 2
                       for ei in range(len(ext[k]))]
                   for k in range(m + 1)}
-        meta = {"n": n, "D": cutoff, "monos": monos,
-                "mono_index": {mono: i for i, mono in enumerate(monos)}}
+        meta = {"n": n, "D": cutoff, "monos": monos}
         return models._complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
                                      window=window, meta=meta)
     (cutoff,) = args

@@ -15,12 +15,8 @@ from symplab.suite import CheckResult
 
 
 def run_cli(capsys, *argv):
-    """The exit code and stdout of ``lab argv``; a usage error that raises
-    SystemExit, as argparse's do, gives its code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """The exit code and stdout of ``lab argv``."""
+    code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
 
@@ -249,15 +245,11 @@ def test_cohomology_deterministic_output(capsys):
 
 
 def test_cohomology_empty_theories_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["cohomology", "--model", "torus", "--theories", ","])
-    assert err.value.code == 2
+    assert run_cli(capsys, "cohomology", "--model", "torus", "--theories", ",") == (2, "")
 
 
 def test_cohomology_unknown_theory_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["cohomology", "--model", "torus", "--theories", "dr,bogus"])
-    assert err.value.code == 2
+    assert run_cli(capsys, "cohomology", "--model", "torus", "--theories", "dr,bogus") == (2, "")
 
 
 def test_bad_cutoff_usage_error(capsys):
@@ -269,6 +261,11 @@ def test_bad_cutoff_usage_error(capsys):
 def test_bad_n_usage_error(capsys):
     code = main(["algebra", "--n", "0"])
     assert code == 2
+
+
+def test_help_returns_zero(capsys):
+    code, out = run_cli(capsys, "cohomology", "--help")
+    assert code == 0 and out.startswith("usage: lab cohomology")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -289,6 +286,10 @@ def test_bad_n_usage_error(capsys):
     (["cohomology", "--model", "torus", "--n", "1", "--theories", "dr,dr"], 2),  # a theory twice
     (["cohomology", "--model", "torus", "--n", "1", "--theories", "hodge,dpl,hodge"], 2),
     (["cohomology", "--model", "torus", "--n", "1", "--theories", "dr, ddl,dr"], 2),
+    (["cohomology", "--model", "sphere"], 2),                   # argparse: not a choice
+    (["algebra", "--n", "x"], 2),                               # argparse: not an int
+    (["algebra"], 2),                                           # argparse: --n missing
+    ([], 2),                                                    # argparse: no command
 ])
 def test_bad_input_exits_without_traceback(capsys, argv, code):
     got, out = run_cli(capsys, *argv)

@@ -272,7 +272,7 @@ def test_reduction_constant_preconditions():
     with pytest.raises(ValueError):
         coh.reduction_constant(a)  # odd degree
     # non-cocycle: x * w0 is closed (top degree) but not coclosed
-    x_i = POLY6.meta["mono_index"][(1, 0)]
+    x_i = POLY6.meta["monos"].index((1, 0))
     coords = [Q(0)] * POLY6.dim(2)
     coords[x_i] = Q(1)
     with pytest.raises(ValueError):

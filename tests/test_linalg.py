@@ -242,6 +242,32 @@ def test_kron_mixed_product(oracle, ac, bd):
     assert oracle.of(lhs) == oracle.of(Matrix.kron(a, b)) * oracle.of(Matrix.kron(c, d))
 
 
+@PROPERTY
+@given(st.data())
+def test_kron_sum_matches_the_sum_of_krons(data):
+    # terms that share entries, cancel to zero or add fractions to integers:
+    # the one-pass sum equals repeated __add__, entries stored as ints when integral
+    ra, ca, rb, cb = (data.draw(KRON_SIDE) for _ in range(4))
+    terms = [(data.draw(matrices(st.just(ra), st.just(ca))),
+              data.draw(matrices(st.just(rb), st.just(cb))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    a, b = terms[0]
+    terms += data.draw(st.sampled_from([[], [(a.scale(-1), b)], [(a.scale(Q(1, 2)), b)] * 2]))
+    expected = Matrix.zeros(ra * rb, ca * cb)
+    for a, b in terms:
+        expected = expected + Matrix.kron(a, b)
+    total = Matrix.kron_sum((ra * rb, ca * cb), terms)
+    assert total == expected
+    assert all(type(v) is int or v.denominator > 1
+               for i in range(total.rows) for _, v in total.row_items(i))
+
+
+def test_kron_sum_shapes():
+    assert Matrix.kron_sum((2, 3), []) == Matrix.zeros(2, 3)
+    with pytest.raises(ValueError, match="shape mismatch in kron_sum"):
+        Matrix.kron_sum((2, 2), [(Matrix.identity(2), Matrix.identity(2))])
+
+
 def _consistent(oracle, a, rhs) -> bool:
     return oracle.of(Matrix.hstack([a, rhs])).rank() == oracle.of(a).rank()
 

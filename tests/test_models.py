@@ -13,8 +13,9 @@ from symplab.models import (build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
-from oracles import (alpha_form, fourier_pullback, loop_model, star_s_apply,
-                     suspension_full_complex)
+from oracles import (alpha_form, cartan_mismatches, fourier_pullback, loop_model,
+                     radial_antiderivative, random_closed_forms, star_s_apply,
+                     suspension_full_complex, w0_power_by_wedges, wedge_vectors)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
 from strategies import PROPERTY, SIDE, matrices
@@ -30,7 +31,7 @@ def plane_1form(model, *terms):
     e1 = ext.ext_basis(2, 1)
     coords = [Q(0)] * model.dim(1)
     for a, v in terms:
-        coords[model.meta["mono_index"][a] * len(e1) + e1.index((v,))] = Q(1)
+        coords[model.meta["monos"].index(a) * len(e1) + e1.index((v,))] = Q(1)
     return form_vector(model, 1, coords)
 
 
@@ -65,7 +66,7 @@ def test_star_satisfies_defining_identity():
                 star_col = blocks[k].column(bi)
                 for ai, alpha in enumerate(basis_k):
                     unit_a = [Q(1) if t == ai else Q(0) for t in range(len(basis_k))]
-                    wedge = ext.wedge_vectors(m, k, m - k, unit_a, star_col)
+                    wedge = wedge_vectors(m, k, m - k, unit_a, star_col)
                     assert wedge == [pairing_k(g1, alpha, beta)]
 
 
@@ -223,6 +224,50 @@ def test_antiderivative_cutoff_overflow():
         poincare_antiderivative(plane_1form(model, ((0, 2), 1)))
 
 
+@pytest.mark.parametrize("n, cutoff", [(1, 4), (1, 6), (2, 4), (2, 5), (3, 3)])
+def test_poincare_antiderivative_matches_the_index_loop(n, cutoff):
+    # iota_E / (p + k) against the hand-indexed radial homotopy, on closed
+    # forms in every degree, the cutoff error included
+    model = POLY2 if (n, cutoff) == (2, 4) else build_polynomial_model(n, cutoff)
+    rng = random.Random(1000 * n + cutoff)
+    outcomes = set()
+    for k in range(1, 2 * n + 1):
+        for v in random_closed_forms(model, k, rng, 3):
+            try:
+                expected = radial_antiderivative(v)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    poincare_antiderivative(v)
+                outcomes.add("cutoff")
+                continue
+            w = poincare_antiderivative(v)
+            assert w == expected
+            assert d_apply(w).coords == v.coords
+            outcomes.add("primitive")
+    assert outcomes == {"cutoff", "primitive"}
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 4), (1, 6), (2, 4), (3, 3)])
+def test_euler_contraction_cartan_identity(n, cutoff):
+    # d iota_E + iota_E d = p + k on every coordinate below the cutoff
+    model = POLY2 if (n, cutoff) == (2, 4) else build_polynomial_model(n, cutoff)
+    assert cartan_mismatches(model) == []
+
+
+def test_euler_contraction_zero_at_the_cutoff():
+    # x_v would raise a degree-D coefficient past the cutoff: those columns are zero
+    monos, e1 = POLY1.meta["monos"], len(ext.ext_basis(2, 1))
+    iota = models.euler_contraction(POLY1, 1).transpose()
+    assert [j for j in range(iota.rows) if not iota.row_items(j)] == [
+        j for j in range(iota.rows) if sum(monos[j // e1]) == POLY1.meta["D"]]
+
+
+def test_w0_power_coords_match_the_wedge_oracle():
+    for n in range(1, 5):
+        for j in range(n + 1):
+            assert ext.w0_power_coords(n, j) == w0_power_by_wedges(n, j)
+
+
 # -- alpha forms ------------------------------------------------------------------
 
 def test_alpha_form_defining_property():
@@ -235,7 +280,7 @@ def test_alpha_form_dlambda_top_case():
     # d_lambda(alpha_1) = -1 for n = 1 (the k = n case is exact)
     a1 = alpha_form(POLY1, 1)
     dl = d_lambda_apply(a1)
-    const = POLY1.meta["mono_index"][(0, 0)]
+    const = POLY1.meta["monos"].index((0, 0))
     expected = [Q(0)] * POLY1.dim(0)
     expected[const] = Q(-1)
     assert list(dl.coords) == expected
@@ -257,7 +302,7 @@ def test_alpha_form_residual_constant_is_reported_not_hidden():
     # (not -1) on R^4; the exact operators surface it
     a1 = alpha_form(POLY2, 1)
     dl = d_lambda_apply(a1)
-    const = POLY2.meta["mono_index"][(0, 0, 0, 0)]
+    const = POLY2.meta["monos"].index((0, 0, 0, 0))
     assert dl.coords[const] == Q(-2)
 
 
@@ -266,6 +311,8 @@ def test_alpha_form_range_check():
         alpha_form(POLY1, 2)
     with pytest.raises(ValueError):
         alpha_form(TORUS1, 1)
+    with pytest.raises(ValueError, match="w0 powers are built on torus or polynomial models"):
+        w0_power_form(SUSP2, 1)
 
 
 # -- suspension model ----------------------------------------------------------------
