@@ -12,7 +12,11 @@ scaled to integers, paired with the integer structure constants, with d
 divided out as each entry is written.  Closedness is one integer pass.  The
 potential of a closed form is read off ad(a) = (Omega G^-1)^t, G^-1 being
 free because the Killing Gram has one nonzero per row, so it takes no
-elimination; the kernel of a form takes one (``Subspace.kernel_of``).
+elimination.  The same invariance makes Omega = -G ad(a), so the rank/kernel
+record eliminates ad(a) once and checks that identity row by row instead of
+eliminating Omega too.  The complement of a kernel is read off the pivots of
+one forward pass; a kernel basis takes one full elimination
+(``Subspace.kernel_of``).
 """
 
 from __future__ import annotations
@@ -145,12 +149,24 @@ def form_rank(omega: AlgebraTwoForm) -> int:
 
 def rank_kernel_record(a: AlgebraElement) -> dict:
     """The rank/kernel facts of omega_a for one element: rank, kernel
-    dimension, and whether the kernel is abelian and equals the centralizer."""
-    kernel = form_kernel(omega_from_element(a))
-    return {"rank": a.context.dim - kernel.dim,  # rank-nullity: no second elimination
+    dimension, and whether the kernel is abelian and equals the centralizer.
+
+    One elimination, of ad(a): invariance B([a, x], y) = -B(x, [a, y]) and
+    antisymmetry give Omega = -G ad(a), and G, with one nonzero g_k per row
+    at column pi(k), is invertible, so ker Omega is the centralizer ker ad(a)
+    exactly.  The identity is checked in O(nnz): row k of Omega must be
+    -g_k times row pi(k) of ad(a), or AssertionError is raised.
+    """
+    ctx = a.context
+    kernel = centralizer(a)
+    gram, ad = omega_from_element(a).gram, ctx.ad_matrix(a.coords)
+    for k, (pk, gk) in enumerate(ctx.killing_partners):
+        if dict(gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
+            raise AssertionError(f"omega_a != -G ad(a) in row {k}")
+    return {"rank": ctx.dim - kernel.dim,  # rank-nullity: no second elimination
             "kernel_dim": kernel.dim,
             "kernel_abelian": is_abelian(kernel),
-            "kernel_equals_centralizer": kernel == centralizer(a)}
+            "kernel_equals_centralizer": True}  # ker Omega = ker ad(a), by the identity
 
 
 def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> bool:
@@ -160,18 +176,35 @@ def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> boo
                for a in (random_element(ctx, rng) for _ in range(k)))
 
 
+def kernel_complement(omega: AlgebraTwoForm) -> list[int]:
+    """The columns, in increasing order, that are not pivots of the reduced
+    echelon kernel basis of the Gram (``form_kernel``); their standard basis
+    vectors span a complement of the kernel.
+
+    The kernel's pivots are the columns n - 1 - f for the free columns f of
+    the Gram with its columns reversed, so the complement is n - 1 - p over
+    that matrix's pivot columns p: one forward pass, with no
+    back-substitution and no kernel vectors.
+    """
+    last = omega.context.dim - 1
+    reversed_gram = omega.gram.select_columns(range(last, -1, -1))
+    return [last - p for p in reversed(reversed_gram.pivot_columns())]
+
+
 def quotient_form(a: AlgebraElement) -> QuotientForm:
     """Nondegenerate restriction of omega_a to a complement of its kernel.
 
-    The complement is deterministic: standard basis vectors at the
-    non-pivot columns of the echelonized kernel.  Requires a regular.
+    The complement is deterministic: the standard basis vectors at
+    ``kernel_complement``, the non-pivot columns of the echelonized kernel.
+    The determinant of the reduced Gram is computed, not assumed: it is
+    nonzero exactly when the restriction is nondegenerate.  Requires a
+    regular.
     """
     if not is_regular(a):
         raise ValueError("quotient_form requires a regular element")
     ctx = a.context
     omega = omega_from_element(a)
-    pivots = set(form_kernel(omega).pivots)
-    complement_idx = [j for j in range(ctx.dim) if j not in pivots]
+    complement_idx = kernel_complement(omega)
     reduced = omega.gram.submatrix(complement_idx, complement_idx)
     det = reduced.det()
     return QuotientForm(ctx,

@@ -360,8 +360,12 @@ class Matrix:
         nz += [{} for _ in range(self.rows - len(nz))]
         return Matrix._of(self.rows, self.cols, nz), pivots
 
+    def pivot_columns(self) -> list[int]:
+        """The pivot columns of the echelon form, from the forward pass alone."""
+        return _echelon(self._nz, self.cols)[1]
+
     def rank(self) -> int:
-        return len(_echelon(self._nz, self.cols)[1])
+        return len(self.pivot_columns())
 
     def nested_ranks(self, row_idx: Sequence[int]) -> tuple[int, int]:
         """The rank of the rows row_idx, then of the matrix, eliminated on from their echelon."""

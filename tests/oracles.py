@@ -1,7 +1,8 @@
 """Reference constructions that only tests call: the J matrix, element
 arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
 as a subspace, maximal abelian subspaces, the linear system whose solution
-is the potential of a 2-form, Chevalley-Eilenberg 1-forms, the star of a
+is the potential of a 2-form, the complement of a form's kernel read off
+its reduced echelon kernel basis, Chevalley-Eilenberg 1-forms, the star of a
 form, the primitives alpha_k of w0^k, the wedge of coordinate vectors and
 the powers of w0 taken by it, the radial homotopy as an index loop and
 seeded random closed forms to feed it, the Cartan identity of the Euler
@@ -122,6 +123,13 @@ def potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]
             for k, g in gram.row_items(mm):
                 m[r, k] += c * g
     return m, pairs
+
+
+def kernel_pivot_complement(omega: AlgebraTwoForm) -> list[int]:
+    """The columns that are not pivots of the reduced echelon kernel basis
+    of the Gram, from the kernel vectors themselves (a full elimination)."""
+    pivots = set(Subspace.kernel_of(omega.context, omega.gram).pivots)
+    return [j for j in range(omega.context.dim) if j not in pivots]
 
 
 @dataclass(frozen=True)

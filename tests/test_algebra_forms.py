@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as Q
 from itertools import combinations
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 import symplab.algebra_forms as forms
 import symplab.lie_core as lie
+import symplab.suite as suite
 from symplab.linalg import Matrix, echelon_rows
-from oracles import ce_d1, killing_dual, one_form, potential_system, span
+from oracles import (ce_d1, kernel_pivot_complement, killing_dual, one_form,
+                     potential_system, span)
 from strategies import (COORDINATES, PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs, matrices, sympy_oracle)
 
@@ -222,11 +225,46 @@ def test_form_rank_examples():
 
 
 def test_kernel_equals_centralizer_random():
+    # the two kernels from two eliminations, at every n the suite samples;
+    # rank_kernel_record runs only the second and checks Omega = -G ad(a)
     rng = random.Random(28)
-    for ctx in (CTX1, CTX2):
+    for ctx in (CTX1, CTX2, CTX3):
         for _ in range(10):
             a = lie.random_regular_element(ctx, rng)
-            assert forms.form_kernel(forms.omega_from_element(a)) == lie.centralizer(a)
+            kernel = forms.form_kernel(forms.omega_from_element(a))
+            assert kernel == lie.centralizer(a)
+            record = forms.rank_kernel_record(a)
+            assert (record["rank"], record["kernel_dim"]) == (ctx.dim - kernel.dim, kernel.dim)
+            assert record["kernel_equals_centralizer"] is True
+
+
+def broken_contexts() -> dict[str, lie.AlgebraContext]:
+    """Copies of CTX2 that break Omega = -G ad(a): one with a Killing partner's
+    sign flipped, one with an entry of the adjoint of e_0 changed (the
+    structure constants that build Omega are left as they are)."""
+    flipped = copy.copy(CTX2)
+    flipped.killing_partners = list(CTX2.killing_partners)
+    p, g = flipped.killing_partners[3]
+    flipped.killing_partners[3] = (p, -g)
+    changed = copy.copy(CTX2)
+    changed._ad = list(CTX2._ad)
+    column, entry = next(iter(CTX2._ad[0].items()))
+    row, c = next(iter(entry.items()))
+    changed._ad[0] = {**CTX2._ad[0], column: {**entry, row: c + 1}}
+    return {"partner sign": flipped, "ad entry": changed}
+
+
+@pytest.mark.parametrize("fault", ["partner sign", "ad entry"])
+def test_rank_kernel_record_raises_on_a_broken_identity(fault, monkeypatch):
+    broken = broken_contexts()[fault]
+    a = lie.AlgebraElement(broken, lie.random_regular_element(CTX2, random.Random(32)).coords)
+    assert a.coords[0]  # so the changed adjoint entry of e_0 reaches ad(a)
+    with pytest.raises(AssertionError, match="omega_a != -G ad"):
+        forms.rank_kernel_record(a)
+    monkeypatch.setattr(lie, "standard_basis", lambda n: broken if n == 2 else CONTEXTS[n])
+    result = suite.check_rank_kernel()
+    assert not result.passed
+    assert result.computed.startswith("error: omega_a != -G ad(a)")
 
 
 def test_quotient_form_H():
@@ -248,6 +286,45 @@ def test_quotient_form_J_and_random_n2():
     assert (qa.reduced_gram.rows, qa.reduced_gram.cols) == (8, 8)
     assert qa.reduced_det != 0
     assert qa.reduced_gram.is_antisymmetric()
+
+
+def nilpotent_unit(ctx: lie.AlgebraContext) -> lie.AlgebraElement:
+    """E: the unit at the first B-block slot, which is nilpotent."""
+    return ctx.basis_element(ctx.n * ctx.n)
+
+
+def test_kernel_complement_matches_kernel_pivot_oracle():
+    oracle = sympy_oracle()
+    seen = set()
+
+    def agree(a: lie.AlgebraElement) -> None:
+        omega = forms.omega_from_element(a)
+        complement = forms.kernel_complement(omega)
+        assert complement == kernel_pivot_complement(omega)
+        reduced = omega.gram.submatrix(complement, complement)
+        det = oracle.rational(oracle.of(reduced).det())
+        assert det != 0  # omega is nondegenerate on any complement of its kernel
+        regular = lie.is_regular(a)
+        if regular:
+            q = forms.quotient_form(a)
+            assert q.complement == tuple(a.context.basis_element(j) for j in complement)
+            assert q.reduced_gram == reduced and q.reduced_det == det
+        else:
+            assert reduced.det() == det
+        seen.add((a.context.n, regular, any(c.denominator != 1 for c in a.coords)))
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        for a in pair:
+            agree(a)
+
+    check()
+    for ctx in CONTEXTS.values():
+        agree(ctx.element([0] * ctx.dim))
+        agree(nilpotent_unit(ctx))
+    assert {(n, regular, rational) for n in (1, 2, 3) for regular in (False, True)
+            for rational in (False, True)} <= seen
 
 
 def test_quotient_form_rejects_non_regular():
@@ -348,28 +425,39 @@ def d2_oracle():
     return closed
 
 
+# the strategies two_forms draws from, built once: per n, the index pairs i < j,
+# a strategy picking one of them, and a coordinate list for each kind of entry
+FORM_NS = st.sampled_from(sorted(CONTEXTS))
+FORM_KINDS = st.sampled_from(["integer", "rational", "omega", "omega changed"])
+FORM_ENTRIES = st.sampled_from([SPARSE_INTS, RATIONALS])
+FORM_DELTAS = st.sampled_from([1, -3, Q(1, 2)])
+FORM_PAIRS = {n: list(combinations(range(ctx.dim), 2)) for n, ctx in CONTEXTS.items()}
+FORM_PAIR_DRAWS = {n: st.sampled_from(pairs) for n, pairs in FORM_PAIRS.items()}
+FORM_COORDS = {(n, entries): st.lists(entries, min_size=ctx.dim, max_size=ctx.dim)
+               for n, ctx in CONTEXTS.items() for entries in (SPARSE_INTS, RATIONALS)}
+
+
 @st.composite
 def two_forms(draw):
     """(n, gram) for n = 1, 2, 3: a random antisymmetric Gram with sparse integer or
     rational entries, the Gram of omega_a for a random integer or rational a,
     or such a Gram with one entry pair changed."""
-    n = draw(st.sampled_from(sorted(CONTEXTS)))
+    n = draw(FORM_NS)
     ctx = CONTEXTS[n]
-    pairs = list(combinations(range(ctx.dim), 2))
-    kind = draw(st.sampled_from(["integer", "rational", "omega", "omega changed"]))
+    kind = draw(FORM_KINDS)
     if kind in ("integer", "rational"):
         entries = SPARSE_INTS if kind == "integer" else RATIONALS
         gram = Matrix.zeros(ctx.dim, ctx.dim)
-        for i, j in pairs:
+        for i, j in FORM_PAIRS[n]:
             v = draw(entries)
             gram[i, j], gram[j, i] = v, -v
         return n, gram
-    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
-    a = ctx.element(draw(st.lists(entries, min_size=ctx.dim, max_size=ctx.dim)))
+    entries = draw(FORM_ENTRIES)
+    a = ctx.element(draw(FORM_COORDS[n, entries]))
     gram = forms.omega_from_element(a).gram
     if kind == "omega changed":
-        i, j = draw(st.sampled_from(pairs))
-        delta = draw(st.sampled_from([1, -3, Q(1, 2)]))
+        i, j = draw(FORM_PAIR_DRAWS[n])
+        delta = draw(FORM_DELTAS)
         gram[i, j], gram[j, i] = gram[i, j] + delta, gram[j, i] - delta
     return n, gram
 
