@@ -9,10 +9,10 @@ from .cohomology import (CohomologyReport, HodgeReport,
                          d_plus_dlambda_cohomology, dd_lambda_cohomology,
                          de_rham, hodge_check, inequality_check,
                          quotient_sanity, reduction_constant, reports_to_csv)
-from .lie_core import (AlgebraContext, AlgebraElement, SpectralType, Subspace,
-                       centralizer, is_abelian, is_in_algebra, is_regular,
-                       random_element, random_regular_element, spectral_type,
-                       standard_basis)
+from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, SpectralType,
+                       Subspace, centralizer, is_abelian, is_in_algebra, is_regular,
+                       odd_powers, random_element, random_regular_element,
+                       spectral_type, standard_basis)
 from .linalg import Matrix, Q
 from .models import (ComplexModel, FormVector, build_polynomial_model,
                      build_suspension_model, build_torus_model, d_apply,

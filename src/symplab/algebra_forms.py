@@ -14,9 +14,14 @@ potential of a closed form is read off ad(a) = (Omega G^-1)^t, G^-1 being
 free because the Killing Gram has one nonzero per row, so it takes no
 elimination.  The same invariance makes Omega = -G ad(a), so the rank/kernel
 record eliminates ad(a) once and checks that identity row by row instead of
-eliminating Omega too.  The complement of a kernel is read off the pivots of
-one forward pass; a kernel basis takes one full elimination
-(``Subspace.kernel_of``).
+eliminating Omega too.  The quotient form eliminates no dim x dim matrix.
+For regular a, ker Omega = span{a, a^3, ..., a^(2n-1)}: each odd power lies
+in the algebra and, by integer products with the Gram rows, in ker Omega;
+a forward pass over the n x dim matrix of powers gives n pivots; and the
+exact det of the Gram on the other 2n^2 columns is nonzero, so rank Omega
+>= 2n^2.  Those columns are the complement (the kernel's reduced echelon
+pivots are those of any echelon basis of it).  A kernel basis takes one
+full elimination (``Subspace.kernel_of``).
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .lie_core import (AlgebraContext, AlgebraElement, Subspace, centralizer,
-                       integer_coords, is_abelian, is_regular, random_element)
+from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, Subspace,
+                       centralizer, integer_coords, is_abelian, odd_powers,
+                       random_element)
 from .linalg import Matrix, Q, qstr
 
 
@@ -176,37 +182,27 @@ def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> boo
                for a in (random_element(ctx, rng) for _ in range(k)))
 
 
-def kernel_complement(omega: AlgebraTwoForm) -> list[int]:
-    """The columns, in increasing order, that are not pivots of the reduced
-    echelon kernel basis of the Gram (``form_kernel``); their standard basis
-    vectors span a complement of the kernel.
-
-    The kernel's pivots are the columns n - 1 - f for the free columns f of
-    the Gram with its columns reversed, so the complement is n - 1 - p over
-    that matrix's pivot columns p: one forward pass, with no
-    back-substitution and no kernel vectors.
-    """
-    last = omega.context.dim - 1
-    reversed_gram = omega.gram.select_columns(range(last, -1, -1))
-    return [last - p for p in reversed(reversed_gram.pivot_columns())]
-
-
 def quotient_form(a: AlgebraElement) -> QuotientForm:
-    """Nondegenerate restriction of omega_a to a complement of its kernel.
-
-    The complement is deterministic: the standard basis vectors at
-    ``kernel_complement``, the non-pivot columns of the echelonized kernel.
-    The determinant of the reduced Gram is computed, not assumed: it is
-    nonzero exactly when the restriction is nondegenerate.  Requires a
-    regular.
-    """
-    if not is_regular(a):
-        raise ValueError("quotient_form requires a regular element")
+    """Nondegenerate restriction of omega_a to the standard basis vectors at
+    the non-pivot columns of ker Omega; requires a regular (checked unless
+    a is a ``RegularElement``).  ker Omega = span{a, a^3, ..., a^(2n-1)} is
+    certified as the module docstring says, or AssertionError is raised."""
+    if not isinstance(a, RegularElement):
+        a = RegularElement(a.context, a.coords)
     ctx = a.context
     omega = omega_from_element(a)
-    complement_idx = kernel_complement(omega)
+    powers = odd_powers(a)
+    rows = omega.gram.integer_rows()[1]
+    if any(sum([v * p[j] for j, v in row.items()]) for p in powers for row in rows):
+        raise AssertionError("an odd power of a is not in ker omega_a")
+    pivots = Matrix(powers).pivot_columns()
+    if len(pivots) != ctx.n:
+        raise AssertionError("the odd powers of a are not independent")
+    complement_idx = [j for j in range(ctx.dim) if j not in pivots]
     reduced = omega.gram.submatrix(complement_idx, complement_idx)
     det = reduced.det()
+    if det == 0:
+        raise AssertionError("omega_a is degenerate on the complement of the odd powers")
     return QuotientForm(ctx,
                         tuple(ctx.basis_element(j) for j in complement_idx),
                         reduced, det)

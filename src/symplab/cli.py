@@ -54,12 +54,8 @@ SAMPLE_CELLS_PER_ENTRY = 10 ** 3
 
 
 def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
     outdir = os.environ.get("LAB_OUTPUT_DIR")
-    if outdir:
-        return os.path.join(outdir, os.path.basename(path))
-    return path
+    return os.path.join(outdir, os.path.basename(path)) if outdir and path is not None else path
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -36,11 +36,8 @@ def wedge_monomials(a: Mono, b: Mono) -> tuple[int, Mono] | None:
     """Sign and sorted merge of a ^ b, or None when an index repeats."""
     if set(a) & set(b):
         return None
-    inversions = 0
-    for x in b:
-        inversions += sum(1 for y in a if y > x)
-    merged = tuple(sorted(a + b))
-    return ((-1) ** inversions, merged)
+    inversions = sum(1 for x in b for y in a if y > x)
+    return (-1) ** inversions, tuple(sorted(a + b))
 
 
 def w0_power_coords(n: int, j: int) -> list[Fraction]:

@@ -20,7 +20,9 @@ An element's ``Fraction`` coordinates are cleared of denominators once
 by the common denominator only as the result is written.  A ``Subspace``
 is a reduced-echelon row basis.  A kernel becomes one in a single
 elimination: with the columns reversed, the kernel vectors read back in
-order are already reduced echelon rows.
+order are already reduced echelon rows.  A ``RegularElement`` is made only by
+running ``is_regular``; a regular element is cyclic, so its odd powers
+(``odd_powers``, each checked to lie in the algebra) span its centralizer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Q, qf, vec_is_zero
+from .linalg import Matrix, Q, qf
 from .polynomials import (charpoly, even_part, is_squarefree, poly_deg,
                           real_root_counts, squarefree_part)
 
@@ -227,8 +229,15 @@ class AlgebraElement:
     def to_matrix(self) -> Matrix:
         return self.context.matrix_of_coords(self.coords)
 
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.coords)
+
+class RegularElement(AlgebraElement):
+    """An element made only through ``is_regular``, ``dataclasses.replace`` too;
+    frozen, and a dataclass, as ``AlgebraElement`` is."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not is_regular(self):
+            raise ValueError("element is not regular")
 
 
 class Subspace:
@@ -285,6 +294,19 @@ def is_regular(a: AlgebraElement) -> bool:
     """True iff the characteristic polynomial of a's matrix is squarefree,
     i.e. a has 2n distinct complex eigenvalues."""
     return is_squarefree(charpoly(a.to_matrix()))
+
+
+def odd_powers(a: AlgebraElement) -> list[list[int]]:
+    """Integer coordinates of x, x^3, ..., x^(2n-1) for x = d a, d clearing
+    a's denominators; AssertionError unless each passes ``is_in_algebra``."""
+    ctx = a.context
+    powers = [ctx.matrix_of_coords(integer_coords(a.coords)[1])]
+    square = powers[0] @ powers[0]
+    while len(powers) < ctx.n:
+        powers.append(powers[-1] @ square)
+    if not all(is_in_algebra(x, ctx.n) for x in powers):
+        raise AssertionError("an odd power of a is not in sp(2n)")
+    return [[x[r, c] for r, c in ctx._slots] for x in powers]
 
 
 def centralizer(a: AlgebraElement) -> Subspace:
@@ -359,9 +381,10 @@ def random_element(ctx: AlgebraContext, rng: random.Random) -> AlgebraElement:
     return ctx.element([rng.randint(-9, 9) for _ in range(ctx.dim)])
 
 
-def random_regular_element(ctx: AlgebraContext, rng: random.Random) -> AlgebraElement:
-    """Redraw until regular; regularity is Zariski-generic so this is fast."""
+def random_regular_element(ctx: AlgebraContext, rng: random.Random) -> RegularElement:
+    """Redraw until regular (each draw tested once); regularity is generic."""
     while True:
-        a = random_element(ctx, rng)
-        if is_regular(a):
-            return a
+        try:
+            return RegularElement(ctx, random_element(ctx, rng).coords)
+        except ValueError:  # not regular: draw again
+            pass

@@ -40,10 +40,6 @@ def qstr(x: QLike) -> str:
     return str(qf(x))
 
 
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
-
-
 def _num(x: QLike) -> int | Fraction:
     """An entry as stored: int when integral, Fraction otherwise."""
     if type(x) is int:

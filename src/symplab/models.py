@@ -10,7 +10,7 @@ Three builders:
   operator identities hold exactly on the truncated space.  The window
   marks coefficients of degree <= D-2, the sub-basis whose cohomology is
   unaffected by the truncation boundary.  The radial homotopy is the
-  Euler contraction iota_E = sum_v (x_v .) (x) iota_v, built on demand.
+  Euler contraction iota_E = sum_v (x_v .) (x) iota_v, built on first use.
 * ``build_suspension_model(N)`` -- the holonomy-invariant subcomplex of
   Fourier-truncated forms on T^2 for the torus map x -> Lx with
   L = [[1, 1], [0, 1]], i.e. the basic complex of the suspension
@@ -84,6 +84,8 @@ class ComplexModel:
     meta: dict = field(default_factory=dict)
     identities: dict[str, dict[int, bool]] = field(default_factory=dict)
     d_dl: dict[int, Matrix] = field(default_factory=dict)  # degree k -> k: d_(k-1) . dl_k
+    # degree k -> k - 1: iota_E, built by euler_contraction on first use
+    iota_e: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.top_degree:
@@ -190,12 +192,9 @@ def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matri
         (p, s), (q, t) = perms[k], perms[top - k]
         report["star.star=id"][k] = len(p) == model.dim(k) and all(
             q[pj] == j and sj * t[pj] == 1 for j, (pj, sj) in enumerate(zip(p, s)))
-    for k in range(top + 1):
         report["dl=signed star.d.star"][k] = (
             k == 0 or dl(k) == _signed_star_d_star(model.d, star, top, k))
-    for k in range(top + 1):
         report["dl.dl=0"][k] = (dl(k - 1) @ dl(k)).is_zero()
-    for k in range(top + 1):
         d_dl[k] = d(k - 1) @ dl(k)
         report["d.dl+dl.d=0"][k] = dl(k + 1) @ d(k) == -d_dl[k]
     return report, d_dl
@@ -362,14 +361,16 @@ def euler_contraction(model: ComplexModel, k: int) -> Matrix:
     x_v d/dx_v the Euler field: sum_v (x_v .) (x) iota_v, iota_v taking
     dx_v out of its place i with the sign (-1)^i.  A column of coefficient
     degree D is zero, since x_v would raise it past the cutoff."""
-    m, cutoff, monos = 2 * model.meta["n"], model.meta["D"], model.meta["monos"]
-    src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k - 1)
-    return Matrix.kron_sum((model.dim(k - 1), model.dim(k)), [
-        (_rule_matrix(lambda a: [(1, a[:v] + (a[v] + 1,) + a[v + 1:])] if sum(a) < cutoff else [],
-                      monos, monos),
-         _rule_matrix(lambda e: [((-1) ** e.index(v), tuple(u for u in e if u != v))]
-                      if v in e else [], src, dst))
-        for v in range(m)])
+    if k not in model.iota_e:
+        m, cutoff, monos = 2 * model.meta["n"], model.meta["D"], model.meta["monos"]
+        src, dst = exterior.ext_basis(m, k), exterior.ext_basis(m, k - 1)
+        model.iota_e[k] = Matrix.kron_sum((model.dim(k - 1), model.dim(k)), [
+            (_rule_matrix(lambda a: [(1, a[:v] + (a[v] + 1,) + a[v + 1:])] if sum(a) < cutoff
+                          else [], monos, monos),
+             _rule_matrix(lambda e: [((-1) ** e.index(v), tuple(u for u in e if u != v))]
+                          if v in e else [], src, dst))
+            for v in range(m)])
+    return model.iota_e[k]
 
 
 def poincare_antiderivative(v: FormVector) -> FormVector:

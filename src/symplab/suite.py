@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import algebra_forms as forms
 from . import cohomology as coh
@@ -95,14 +96,11 @@ def check_closed_form_classification(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_quotient_nondegeneracy(seed: int = DEFAULT_SEED) -> CheckResult:
     expected = "reduced gram determinant nonzero for 50 regular elements each n in {1,2,3}"
 
-    def run():
-        bad = 0
+    def run():  # quotient_form raises AssertionError on a zero det
         for n in (1, 2, 3):
-            ctx = lie.standard_basis(n)
-            for a in _sample_regular(ctx, seed + n):
-                if forms.quotient_form(a).reduced_det == 0:
-                    bad += 1
-        return ("all nonzero" if bad == 0 else f"{bad} singular"), bad == 0
+            for a in _sample_regular(lie.standard_basis(n), seed + n):
+                forms.quotient_form(a)
+        return "all nonzero", True
 
     return _timed(3, "quotient nondegeneracy", expected, run)
 
@@ -226,15 +224,8 @@ def check_inequality() -> CheckResult:
 
     def run():
         ok = True
-        for d in (4, 6, 8):
-            model = build_polynomial_model(1, d)
-            checks = coh.inequality_check(
-                coh.de_rham(model),
-                coh.d_plus_dlambda_cohomology(model),
-                coh.dd_lambda_cohomology(model))
-            ok = ok and all(checks.values())
-        for n in (2, 4, 8):
-            model = build_suspension_model(n)
+        for model in chain((build_polynomial_model(1, d) for d in (4, 6, 8)),
+                           (build_suspension_model(n) for n in (2, 4, 8))):
             checks = coh.inequality_check(
                 coh.de_rham(model),
                 coh.d_plus_dlambda_cohomology(model),

@@ -1,17 +1,17 @@
 """Reference constructions that only tests call: the J matrix, element
 arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
 as a subspace, maximal abelian subspaces, the linear system whose solution
-is the potential of a 2-form, the complement of a form's kernel read off
-its reduced echelon kernel basis, Chevalley-Eilenberg 1-forms, the star of a
-form, the primitives alpha_k of w0^k, the wedge of coordinate vectors and
-the powers of w0 taken by it, the radial homotopy as an index loop and
-seeded random closed forms to feed it, the Cartan identity of the Euler
-contraction, d and the Fourier pullback assembled entry by entry and the
-models built from them, the full Fourier box on T^2 with its partial
-pullback, the cohomology quotients with their representatives, and
-rational polynomial division and gcd.  Each is built on the package's own
-basis, structure constants and helpers, so the tests that check it check
-those too."""
+is the potential of a 2-form, a nilpotent element, the complement of a
+form's kernel read off its reduced echelon kernel basis, Chevalley-Eilenberg
+1-forms, the star of a form, the primitives alpha_k of w0^k, the wedge of
+coordinate vectors and the powers of w0 taken by it, the radial homotopy as
+an index loop and seeded random closed forms to feed it, the Cartan
+identity of the Euler contraction, d and the Fourier pullback assembled
+entry by entry and the models built from them, the full Fourier box on T^2
+with its partial pullback, the cohomology quotients with their
+representatives, and rational polynomial division and gcd.  Each is built
+on the package's own basis, structure constants and helpers, so the tests
+that check it check those too."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,6 +123,11 @@ def potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]
             for k, g in gram.row_items(mm):
                 m[r, k] += c * g
     return m, pairs
+
+
+def nilpotent_unit(ctx: AlgebraContext) -> AlgebraElement:
+    """E: the unit at the first B-block slot, which is nilpotent."""
+    return ctx.basis_element(ctx.n * ctx.n)
 
 
 def kernel_pivot_complement(omega: AlgebraTwoForm) -> list[int]:

@@ -11,8 +11,8 @@ import symplab.algebra_forms as forms
 import symplab.lie_core as lie
 import symplab.suite as suite
 from symplab.linalg import Matrix, echelon_rows
-from oracles import (ce_d1, kernel_pivot_complement, killing_dual, one_form,
-                     potential_system, span)
+from oracles import (ce_d1, kernel_pivot_complement, killing_dual, nilpotent_unit,
+                     one_form, potential_system, span)
 from strategies import (COORDINATES, PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs, matrices, sympy_oracle)
 
@@ -100,7 +100,7 @@ def test_generic_2form_not_closed_for_n2():
 def test_potential_examples():
     omega_h = forms.omega_from_element(H)
     assert forms.potential_element(omega_h).coords == H.coords
-    assert forms.potential_element(forms.omega_from_element(ZERO1)).is_zero()
+    assert not any(forms.potential_element(forms.omega_from_element(ZERO1)).coords)
     # inverse of the A=H example: gram with only omega(E,F) = 8 recovers H
     gram = Matrix.zeros(3, 3)
     gram[1, 2] = Q(8)
@@ -288,43 +288,91 @@ def test_quotient_form_J_and_random_n2():
     assert qa.reduced_gram.is_antisymmetric()
 
 
-def nilpotent_unit(ctx: lie.AlgebraContext) -> lie.AlgebraElement:
-    """E: the unit at the first B-block slot, which is nilpotent."""
-    return ctx.basis_element(ctx.n * ctx.n)
+def certificate_agrees(a: lie.AlgebraElement, oracle) -> bool:
+    """quotient_form against the oracles: the complement read off the Gram's
+    eliminated kernel, sympy's det, and the odd powers' span against that
+    kernel; a non-regular element is refused.  Returns whether a is regular."""
+    omega = forms.omega_from_element(a)
+    complement = kernel_pivot_complement(omega)
+    reduced = omega.gram.submatrix(complement, complement)
+    det = oracle.rational(oracle.of(reduced).det())
+    assert det != 0  # omega is nondegenerate on any complement of its kernel
+    if not lie.is_regular(a):
+        with pytest.raises(ValueError, match="not regular"):
+            forms.quotient_form(a)
+        assert reduced.det() == det
+        return False
+    q = forms.quotient_form(a)
+    assert q.complement == tuple(a.context.basis_element(j) for j in complement)
+    assert q.reduced_gram == reduced and q.reduced_det == det
+    assert span(a.context, lie.odd_powers(a)).rows == forms.form_kernel(omega).rows
+    return True
 
 
 def test_kernel_complement_matches_kernel_pivot_oracle():
     oracle = sympy_oracle()
     seen = set()
 
-    def agree(a: lie.AlgebraElement) -> None:
-        omega = forms.omega_from_element(a)
-        complement = forms.kernel_complement(omega)
-        assert complement == kernel_pivot_complement(omega)
-        reduced = omega.gram.submatrix(complement, complement)
-        det = oracle.rational(oracle.of(reduced).det())
-        assert det != 0  # omega is nondegenerate on any complement of its kernel
-        regular = lie.is_regular(a)
-        if regular:
-            q = forms.quotient_form(a)
-            assert q.complement == tuple(a.context.basis_element(j) for j in complement)
-            assert q.reduced_gram == reduced and q.reduced_det == det
-        else:
-            assert reduced.det() == det
-        seen.add((a.context.n, regular, any(c.denominator != 1 for c in a.coords)))
-
     @PROPERTY
     @given(element_pairs([CTX1, CTX2, CTX3]))
     def check(pair):
         for a in pair:
-            agree(a)
+            regular = certificate_agrees(a, oracle)
+            seen.add((a.context.n, regular, any(c.denominator != 1 for c in a.coords)))
 
     check()
     for ctx in CONTEXTS.values():
-        agree(ctx.element([0] * ctx.dim))
-        agree(nilpotent_unit(ctx))
+        assert not certificate_agrees(ctx.element([0] * ctx.dim), oracle)
+        assert not certificate_agrees(nilpotent_unit(ctx), oracle)
     assert {(n, regular, rational) for n in (1, 2, 3) for regular in (False, True)
             for rational in (False, True)} <= seen
+
+
+def test_quotient_form_certificate_on_the_suite_samples():
+    oracle = sympy_oracle()
+    for n, ctx in CONTEXTS.items():
+        samples = suite._sample_regular(ctx, suite.DEFAULT_SEED + n)
+        assert len(samples) == suite.SAMPLES
+        assert all(certificate_agrees(a, oracle) for a in samples)
+
+
+def quotient_with(monkeypatch, a: lie.AlgebraElement, **patches):
+    """quotient_form(a) with names in algebra_forms replaced for the call."""
+    with monkeypatch.context() as patched:
+        for name, value in patches.items():
+            patched.setattr(forms, name, value)
+        return forms.quotient_form(a)
+
+
+def test_quotient_form_raises_on_each_failed_certificate_check(monkeypatch):
+    a = lie.random_regular_element(CTX2, random.Random(33))
+    b = lie.random_regular_element(CTX2, random.Random(34))
+    powers, omega_b = lie.odd_powers(a), forms.omega_from_element(b)
+    # a form whose kernel the odd powers of a are not in
+    with pytest.raises(AssertionError, match="not in ker omega_a"):
+        quotient_with(monkeypatch, a, omega_from_element=lambda _: omega_b)
+    # n copies of a: in the kernel, but one pivot where n are needed
+    with pytest.raises(AssertionError, match="not independent"):
+        quotient_with(monkeypatch, a, odd_powers=lambda _: [powers[0]] * CTX2.n)
+    # a membership test that fails every odd power
+    with monkeypatch.context() as patched, pytest.raises(AssertionError, match="not in sp"):
+        patched.setattr(lie, "is_in_algebra", lambda x, n: False)
+        forms.quotient_form(a)
+    # independent vectors in the kernel of the zero form, which is everything:
+    # only the det shows that the kernel is larger than their span
+    zero = object.__new__(lie.RegularElement)  # forged, not made through is_regular
+    object.__setattr__(zero, "context", CTX2)
+    object.__setattr__(zero, "coords", tuple(Q(0) for _ in range(CTX2.dim)))
+    units = [[int(j == i) for j in range(CTX2.dim)] for i in range(CTX2.n)]
+    with pytest.raises(AssertionError, match="degenerate"):
+        quotient_with(monkeypatch, zero, odd_powers=lambda _: units)
+    # criterion 3 reports a failed certificate as a FAIL with its error line
+    omega = forms.omega_from_element
+    shifted = lambda x: omega(lie.AlgebraElement(x.context, (x.coords[0] + 1,) + x.coords[1:]))
+    monkeypatch.setattr(forms, "omega_from_element", shifted)
+    result = suite.check_quotient_nondegeneracy()
+    assert not result.passed
+    assert result.computed == "error: an odd power of a is not in ker omega_a"
 
 
 def test_quotient_form_rejects_non_regular():

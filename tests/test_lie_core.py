@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 import symplab.lie_core as lie
 import symplab.polynomials as polys
-from symplab.linalg import Matrix, echelon_rows, vec_is_zero
+from symplab.linalg import Matrix, echelon_rows
 from oracles import (add, bracket, bracket_coords, is_maximal_abelian, j_matrix,
-                     killing_form, killing_trace_constant, scale, span, sub)
+                     killing_form, killing_trace_constant, nilpotent_unit, scale, span,
+                     sub)
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs)
 
@@ -95,10 +98,10 @@ def test_bracket_examples():
     rng = random.Random(11)
     for _ in range(5):
         x, y = lie.random_element(CTX2, rng), lie.random_element(CTX2, rng)
-        assert bracket(x, x).is_zero()
+        assert not any(bracket(x, x).coords)
         # antisymmetric and bilinear: [x, y] = -[y, x] and [2x - y, y] = 2[x, y]
-        assert add(bracket(x, y), bracket(y, x)).is_zero()
-        assert sub(bracket(sub(scale(x, 2), y), y), scale(bracket(x, y), 2)).is_zero()
+        assert not any(add(bracket(x, y), bracket(y, x)).coords)
+        assert not any(sub(bracket(sub(scale(x, 2), y), y), scale(bracket(x, y), 2)).coords)
 
 
 def test_bracket_matches_matrix_commutator():
@@ -184,14 +187,14 @@ def test_jacobi_identity():
             ei, ej, ek = (ctx.basis_element(t) for t in (i, j, k))
             total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
                         bracket(bracket(ek, ei), ej))
-            assert total.is_zero()
+            assert not any(total.coords)
     rng = random.Random(15)
     for _ in range(30):
         i, j, k = (rng.randrange(CTX3.dim) for _ in range(3))
         ei, ej, ek = (CTX3.basis_element(t) for t in (i, j, k))
         total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
                     bracket(bracket(ek, ei), ej))
-        assert total.is_zero()
+        assert not any(total.coords)
 
 
 def test_killing_invariance():
@@ -248,7 +251,7 @@ def test_centralizer_of_regular_is_abelian_cartan():
             assert lie.is_abelian(z)
             # every kernel vector commutes with a (oracle re-check)
             for row in z.rows:
-                assert vec_is_zero(bracket_coords(ctx, a.coords, row))
+                assert not any(bracket_coords(ctx, a.coords, row))
 
 
 def test_is_abelian_examples():
@@ -344,6 +347,73 @@ def test_random_regular_element_is_regular_and_deterministic():
     assert a.coords == b.coords
     assert lie.is_regular(a)
     assert all(-9 <= c <= 9 for c in a.coords)
+
+
+# the first draw at seeds 7..10, as the redraw loop over random_element and
+# is_regular gave it before random_regular_element returned RegularElement
+FIRST_REGULAR_DRAWS = {
+    1: {7: [1, -5, 3], 8: [-2, 2, 3], 9: [5, 2, -1], 10: [9, -8, 4]},
+    2: {7: [1, -5, 3, -8, -7, 8, -6, 2, 9, -8], 8: [-2, 2, 3, -5, -3, -8, -7, -5, -2, 7],
+        9: [5, 2, -1, -5, -4, -9, 1, 7, 5, -7], 10: [9, -8, 4, 6, 9, -9, -3, 5, 6, -1]},
+}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_random_regular_element_draws_are_unchanged(seed):
+    for ctx in (CTX1, CTX2, CTX3):
+        rng, loop_rng = random.Random(seed), random.Random(seed)
+        for draw in range(5):
+            a = lie.random_regular_element(ctx, rng)
+            while not lie.is_regular(b := lie.random_element(ctx, loop_rng)):
+                pass
+            assert type(a) is lie.RegularElement and a.coords == b.coords
+            if draw == 0 and ctx.n in FIRST_REGULAR_DRAWS:
+                assert list(a.coords) == FIRST_REGULAR_DRAWS[ctx.n][seed]
+
+
+def test_regular_element_is_made_only_through_is_regular():
+    refused = []  # the zero element and a nilpotent (E for n = 1) per n
+    for ctx in (CTX1, CTX2, CTX3):
+        refused += [ctx.element([0] * ctx.dim), nilpotent_unit(ctx)]
+    assert E in refused
+    for ctx in (CTX2, CTX3):  # H-like, with a repeated eigenvalue: diag(1, ..., 1, -1, ..., -1)
+        refused.append(ctx.element([int(i % (ctx.n + 1) == 0) if i < ctx.n ** 2 else 0
+                                    for i in range(ctx.dim)]))
+    regular = lie.random_regular_element(CTX2, random.Random(5))
+    for x in refused:
+        assert not lie.is_regular(x)
+        with pytest.raises(ValueError, match="not regular"):
+            lie.RegularElement(x.context, x.coords)
+        if x.context is CTX2:
+            with pytest.raises(ValueError, match="not regular"):
+                dataclasses.replace(regular, coords=x.coords)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        regular.coords = E.coords
+    assert dataclasses.replace(regular).coords == regular.coords
+    assert lie.RegularElement(CTX1, H.coords).coords == H.coords
+
+
+def test_odd_powers_are_the_odd_matrix_powers():
+    # (d a)^(2k+1) by products of Fraction matrices, read back through the
+    # membership-checked coordinates
+    seen = set()
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        for a in pair:
+            ctx = a.context
+            d = lcm(1, *(c.denominator for c in a.coords))
+            x = a.to_matrix().scale(d)
+            expected, power = [], x
+            for _ in range(ctx.n):
+                expected.append(ctx.coords_of_matrix(power))
+                power = power @ x @ x
+            assert lie.odd_powers(a) == expected
+            seen.add((ctx.n, d > 1))
+
+    check()
+    assert {(n, rational) for n in (1, 2, 3) for rational in (False, True)} <= seen
 
 
 def test_subspace_contains_and_equality():

@@ -262,6 +262,23 @@ def test_euler_contraction_zero_at_the_cutoff():
         j for j in range(iota.rows) if sum(monos[j // e1]) == POLY1.meta["D"]]
 
 
+def test_euler_contraction_built_once_per_model_and_degree():
+    # a fresh model holds no iota_E, so builds do not pay for it; the first
+    # call fills the model's memo and later calls return that block
+    model = build_polynomial_model(1, 6)
+    assert model.iota_e == {}
+    first = models.euler_contraction(model, 2)
+    assert models.euler_contraction(model, 2) is first and list(model.iota_e) == [2]
+    fresh = build_polynomial_model(1, 6)
+    assert first == models.euler_contraction(fresh, 2)
+    # the memo takes no part in equality and is not carried into a copy
+    assert model == build_polynomial_model(1, 6)
+    assert dataclasses.replace(model, window=None).iota_e == {}
+    v = w0_power_form(model, 1)
+    assert poincare_antiderivative(v) == poincare_antiderivative(v) == poincare_antiderivative(
+        w0_power_form(build_polynomial_model(1, 6), 1))
+
+
 def test_w0_power_coords_match_the_wedge_oracle():
     for n in range(1, 5):
         for j in range(n + 1):
