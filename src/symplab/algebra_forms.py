@@ -19,9 +19,9 @@ For regular a, ker Omega = span{a, a^3, ..., a^(2n-1)}: each odd power lies
 in the algebra and, by integer products with the Gram rows, in ker Omega;
 a forward pass over the n x dim matrix of powers gives n pivots; and the
 exact det of the Gram on the other 2n^2 columns is nonzero, so rank Omega
->= 2n^2.  Those columns are the complement (the kernel's reduced echelon
-pivots are those of any echelon basis of it).  A kernel basis takes one
-full elimination (``Subspace.kernel_of``).
+>= 2n^2.  Those columns are the complement, kept as their indices (the
+kernel's reduced echelon pivots are those of any echelon basis of it).  A
+kernel basis takes one full elimination (``Subspace.kernel_of``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from itertools import combinations
 from math import lcm
 
 from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, Subspace,
-                       centralizer, integer_coords, is_abelian, odd_powers,
-                       random_element)
-from .linalg import Matrix, Q, qstr
+                       centralizer, is_abelian, odd_powers, random_element)
+from .linalg import Matrix, Q, integer_coords, qstr
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,11 @@ class AlgebraTwoForm:
 
 @dataclass(frozen=True)
 class QuotientForm:
-    """Restriction of omega_A to a complement of its kernel."""
+    """Restriction of omega_A to a complement of its kernel: the span of the
+    standard basis vectors at the indices ``complement``."""
 
     context: AlgebraContext
-    complement: tuple[AlgebraElement, ...]
+    complement: tuple[int, ...]
     reduced_gram: Matrix
     reduced_det: Fraction
 
@@ -198,14 +198,12 @@ def quotient_form(a: AlgebraElement) -> QuotientForm:
     pivots = Matrix(powers).pivot_columns()
     if len(pivots) != ctx.n:
         raise AssertionError("the odd powers of a are not independent")
-    complement_idx = [j for j in range(ctx.dim) if j not in pivots]
-    reduced = omega.gram.submatrix(complement_idx, complement_idx)
+    complement = tuple(j for j in range(ctx.dim) if j not in pivots)
+    reduced = omega.gram.submatrix(complement, complement)
     det = reduced.det()
     if det == 0:
         raise AssertionError("omega_a is degenerate on the complement of the odd powers")
-    return QuotientForm(ctx,
-                        tuple(ctx.basis_element(j) for j in complement_idx),
-                        reduced, det)
+    return QuotientForm(ctx, complement, reduced, det)
 
 
 def ce_d2_matrix(ctx: AlgebraContext) -> Matrix:

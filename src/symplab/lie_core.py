@@ -16,11 +16,11 @@ visited.  All are computed over ``int`` once per context, with the Gram's
 one nonzero per row recorded as the partner table (pi(k), g_k).
 
 An element's ``Fraction`` coordinates are cleared of denominators once
-(``integer_coords``); brackets and ad(x) are built over ``int`` and divided
-by the common denominator only as the result is written.  A ``Subspace``
-is a reduced-echelon row basis.  A kernel becomes one in a single
-elimination: with the columns reversed, the kernel vectors read back in
-order are already reduced echelon rows.  A ``RegularElement`` is made only by
+(``linalg.integer_coords``); brackets and ad(x) are built over ``int`` and
+divided by the common denominator only as the result is written.  A
+``Subspace`` is a reduced-echelon row basis.  A kernel becomes one in a
+single elimination: with the columns reversed, the kernel vectors read back
+in order are already reduced echelon rows.  A ``RegularElement`` is made only by
 running ``is_regular``; a regular element is cyclic, so its odd powers
 (``odd_powers``, each checked to lie in the algebra) span its centralizer.
 """
@@ -30,18 +30,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Q, qf
+from .linalg import Matrix, Q, integer_coords, qf
 from .polynomials import (charpoly, even_part, is_squarefree, poly_deg,
                           real_root_counts, squarefree_part)
-
-
-def integer_coords(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm d of the coordinates' denominators, and d * coords as ints."""
-    d = lcm(1, *(c.denominator for c in coords))
-    return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
 def _mirror(r: int, c: int, n: int) -> tuple[int, int, int]:
@@ -96,9 +89,6 @@ class AlgebraContext:
             raise AssertionError("basis enumeration does not match dimension")
         self.basis = [self.matrix_of_coords([int(k == t) for t in range(self.dim)])
                       for k in range(self.dim)]
-        # the block (A, B or C) of each slot, and its 1-based place in the block
-        self.basis_labels = [f"{'ABC'[2 * (r >= n) + (c >= n)]}[{r % n + 1},{c % n + 1}]"
-                             for r, c in self._slots]
         for m in self.basis:
             if not is_in_algebra(m, n):
                 raise AssertionError("basis matrix fails algebra membership")
@@ -177,11 +167,6 @@ class AlgebraContext:
 
     def element_from_matrix(self, x: Matrix) -> "AlgebraElement":
         return AlgebraElement(self, tuple(self.coords_of_matrix(x)))
-
-    def basis_element(self, k: int) -> "AlgebraElement":
-        coords = [Q(0)] * self.dim
-        coords[k] = Q(1)
-        return AlgebraElement(self, tuple(coords))
 
     # -- structure constants --------------------------------------------
     def pair_bracket(self, i: int, j: int) -> dict[int, int]:

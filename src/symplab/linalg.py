@@ -49,6 +49,12 @@ def _num(x: QLike) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
+def integer_coords(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the coordinates' denominators, and d * coords as ints."""
+    d = lcm(1, *(c.denominator for c in coords))
+    return d, [c.numerator * (d // c.denominator) for c in coords]
+
+
 def _denominator(row: dict) -> int:
     """The lcm of the denominators of a row's entries."""
     den = 1

@@ -17,13 +17,16 @@ Three builders:
   foliation, sector functions (x) ker(P_ext - I).  Derivatives absorb the
   2*pi into the basis scaling, so every entry is an integer.
 
-Operators are plain dicts ``{degree: Matrix}`` of the blocks in range: d
-in degrees 0..top-1, d^Lambda in 1..top.  Outside it a block is the zero
-map, and ``model.d_block(k)`` and ``model.dl_block(k)`` are the one place
-that says so.  The torus and suspension bases are orthonormal, so there
-the adjoint of a block is its transpose.  Each model is coefficient
-functions (x) exterior forms, assembled by one routine from a derivative
-rule for the functions: d = sum_v (d/dx_v) (x) (dx_v ^ .), like iota_E
+A model carries the dimension of each degree, ``model.dims``, not names
+for its basis vectors: every result is a dimension, rank or verdict, and
+the top degree is ``len(dims) - 1``.  Operators are plain dicts
+``{degree: Matrix}`` of the blocks in range: d in degrees 0..top-1,
+d^Lambda in 1..top.  Outside it a block is the zero map, and
+``model.d_block(k)`` and ``model.dl_block(k)`` are the one place that says
+so.  The torus and suspension bases are orthonormal, so there the adjoint
+of a block is its transpose.  Each model is coefficient functions (x)
+exterior forms, assembled by one routine from a derivative rule for the
+functions: d = sum_v (d/dx_v) (x) (dx_v ^ .), like iota_E
 one ``Matrix.kron_sum`` of ``_rule_matrix`` factors, and star = 1 (x)
 star_ext through ``Matrix.kron`` (the torus's one function is constant,
 so its d is zero).  Every builder ends in ``_complex_model``, which
@@ -47,26 +50,6 @@ from . import exterior
 from .linalg import Matrix, Q, qf
 
 IDENTITIES = ("d.d=0", "star.star=id", "dl=signed star.d.star", "dl.dl=0", "d.dl+dl.d=0")
-EXT_NAMES_XY = ("dx", "dy")  # interleaved pairs dx_i, dy_i
-
-
-def _ext_label_xy(mono: exterior.Mono) -> str:
-    if not mono:
-        return "1"
-    return "^".join(f"{EXT_NAMES_XY[v % 2]}{v // 2 + 1}" for v in mono)
-
-
-def _ext_label_torus2(mono: exterior.Mono) -> str:
-    if not mono:
-        return "1"
-    return "^".join(f"dx{v + 1}" for v in mono)
-
-
-def _product_labels(function_labels: list[str], ext_labels: list[str]) -> list[str]:
-    """Labels of a function-major basis: each coefficient function times each
-    exterior monomial, with a factor "1" left out."""
-    return [el if fl == "1" else (fl if el == "1" else f"{fl} {el}")
-            for fl in function_labels for el in ext_labels]
 
 
 @dataclass
@@ -75,8 +58,7 @@ class ComplexModel:
 
     name: str
     kind: str  # torus | polynomial | suspension
-    top_degree: int
-    graded_basis: dict[int, list[str]]
+    dims: tuple[int, ...]  # the dimension of each degree 0..top
     d: dict[int, Matrix]  # degree k -> k + 1
     star_s: dict[int, Matrix]  # degree k -> top - k
     d_lambda: dict[int, Matrix]  # degree k -> k - 1
@@ -87,13 +69,13 @@ class ComplexModel:
     # degree k -> k - 1: iota_E, built by euler_contraction on first use
     iota_e: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def dim(self, k: int) -> int:
-        if 0 <= k <= self.top_degree:
-            return len(self.graded_basis[k])
-        return 0
+    @property
+    def top_degree(self) -> int:
+        return len(self.dims) - 1
 
-    def dims(self) -> list[int]:
-        return [self.dim(k) for k in range(self.top_degree + 1)]
+    def dim(self, k: int) -> int:
+        """The dimension of degree k; 0 outside degrees 0..top."""
+        return self.dims[k] if 0 <= k <= self.top_degree else 0
 
     def d_block(self, k: int) -> Matrix:
         """d from degree k to k + 1; the zero map outside degrees 0..top-1."""
@@ -200,7 +182,7 @@ def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matri
     return report, d_dl
 
 
-def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
+def _complex_model(name: str, kind: str, dims: tuple[int, ...],
                    d: dict[int, Matrix], star: dict[int, Matrix], **extra) -> ComplexModel:
     """The one way every builder finishes a model.
 
@@ -209,11 +191,11 @@ def _complex_model(name: str, kind: str, basis: dict[int, list[str]],
     here.  A failed identity raises; the report and the products
     d_(k-1) . dl_k it formed are kept as ``model.identities`` and ``model.d_dl``.
     """
-    top = len(basis) - 1
+    top = len(dims) - 1
     perms = {k: _signed_permutation(block) for k, block in star.items()}
     dl = {k: _codifferential(d, perms, top, k) for k in range(1, top + 1)}
-    model = ComplexModel(name=name, kind=kind, top_degree=top, graded_basis=basis,
-                         d=d, star_s=star, d_lambda=dl, **extra)
+    model = ComplexModel(name=name, kind=kind, dims=dims, d=d, star_s=star, d_lambda=dl,
+                         **extra)
     model.identities, model.d_dl = operator_identity_report(model)
     for identity, per_degree in model.identities.items():
         bad = [k for k, ok in per_degree.items() if not ok]
@@ -234,13 +216,13 @@ def _rule_matrix(rule, src: list, dst: list) -> Matrix:
     return m
 
 
-def _coefficient_forms(functions: list, function_labels: list[str], derivative, n: int,
-                       ext_label, embed: dict[int, Matrix] | None = None
-                       ) -> tuple[dict[int, list[str]], dict[int, Matrix], dict[int, Matrix]]:
-    """Basis labels, d and star of coefficient functions (x) exterior forms
-    over 2n covectors: all forms, or those spanned by the columns of each
-    ``embed[k]`` as ``kernel_matrix`` gives them (a column ends in a 1 that
-    no other column has, at its unit coordinate).
+def _coefficient_forms(functions: list, derivative, n: int,
+                       embed: dict[int, Matrix] | None = None
+                       ) -> tuple[tuple[int, ...], dict[int, Matrix], dict[int, Matrix]]:
+    """The dimension of each degree, d and star of coefficient functions (x)
+    exterior forms over 2n covectors: all forms, or those spanned by the
+    columns of each ``embed[k]`` as ``kernel_matrix`` gives them (a column
+    ends in a 1 that no other column has, at its unit coordinate).
 
     A k-form is indexed function-major, as ``Matrix.kron`` orders it:
     ``functions[i]`` times the j-th degree-k exterior basis form sits at
@@ -252,32 +234,30 @@ def _coefficient_forms(functions: list, function_labels: list[str], derivative, 
     """
     m = 2 * n
     ext = [exterior.ext_basis(m, k) for k in range(m + 1)]
-    labels = {k: [ext_label(e) for e in ext[k]] for k in range(m + 1)}
-    if embed is not None:
-        cols = {k: [sorted(c.row_items(t)) for t in range(c.rows)]
-                for k, c in ((k, e.transpose()) for k, e in embed.items())}
-        labels = {k: [" + ".join(labels[k][i] if col == [(i, 1)] else f"{qf(x)}*{labels[k][i]}"
-                                 for i, x in col) for col in cols[k]] for k in cols}
+    dims = tuple(len(functions) * (len(ext[k]) if embed is None else embed[k].cols)
+                 for k in range(m + 1))
+    if embed is not None:  # the unit coordinate of each column
+        units = {k: [max(j for j, _ in c.row_items(t)) for t in range(c.rows)]
+                 for k, c in ((k, e.transpose()) for k, e in embed.items())}
 
     def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
         if embed is None:
             return block
         image = block @ embed[k_src]
-        x = image.submatrix([col[-1][0] for col in cols[k_dst]], range(image.cols))
+        x = image.submatrix(units[k_dst], range(image.cols))
         if embed[k_dst] @ x != image:
             raise AssertionError("an operator leaves the exterior subspace")
         return x
 
-    basis = {k: _product_labels(function_labels, labels[k]) for k in labels}
     partials = {v: p for v in range(m) if not (
         p := _rule_matrix(lambda f: derivative(f, v), functions, functions)).is_zero()}
-    d = {k: Matrix.kron_sum((len(basis[k + 1]), len(basis[k])), [
+    d = {k: Matrix.kron_sum((dims[k + 1], dims[k]), [
         (p, restrict(_rule_matrix(lambda e: [] if v in e else [exterior.wedge_monomials((v,), e)],
                                   ext[k], ext[k + 1]), k, k + 1))
         for v, p in partials.items()]) for k in range(m)}
     one = Matrix.identity(len(functions))
     star = {k: Matrix.kron(one, restrict(b, k, m - k)) for k, b in exterior.star_blocks(n).items()}
-    return basis, d, star
+    return dims, d, star
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +269,8 @@ def build_torus_model(n: int) -> ComplexModel:
     function is the constant monomial, so d = 0; the star comes from w0."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    basis, d, star = _coefficient_forms(_monomials(2 * n, 0), ["1"], _monomial_derivative,
-                                        n, _ext_label_xy)
-    return _complex_model(f"torus-n{n}", "torus", basis, d, star, meta={"n": n})
+    dims, d, star = _coefficient_forms(_monomials(2 * n, 0), _monomial_derivative, n)
+    return _complex_model(f"torus-n{n}", "torus", dims, d, star, meta={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +292,6 @@ def _monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _var_name(v: int) -> str:
-    return f"{'xy'[v % 2]}{v // 2 + 1}"
-
-
-def _mono_label(mono: tuple[int, ...]) -> str:
-    parts = [f"{_var_name(v)}" + (f"^{e}" if e > 1 else "")
-             for v, e in enumerate(mono) if e > 0]
-    return "*".join(parts) if parts else "1"
-
-
 def _monomial_derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
     """d/dx_v of x^a: a_v * x^(a - e_v)."""
     e = mono[v]
@@ -336,13 +305,12 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     monos = _monomials(2 * n, cutoff)
-    basis, d, star = _coefficient_forms(monos, [_mono_label(mono) for mono in monos],
-                                        _monomial_derivative, n, _ext_label_xy)
+    dims, d, star = _coefficient_forms(monos, _monomial_derivative, n)
     # the monomials run by degree, so the window is the leading ones of
     # degree <= cutoff - 2, each with all its exterior monomials
     low = sum(1 for mono in monos if sum(mono) <= cutoff - 2)
-    window = {k: list(range(low * comb(2 * n, k))) for k in basis}
-    return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
+    window = {k: list(range(low * comb(2 * n, k))) for k in range(len(dims))}
+    return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
                           window=window, meta={"n": n, "D": cutoff, "monos": monos})
 
 
@@ -419,19 +387,6 @@ def _fourier_functions(modes: list[tuple[int, int]]) -> list[FourierMode]:
     return out
 
 
-def _mode_label(f: FourierMode) -> str:
-    kind, (m1, m2) = f
-    if kind == "const":
-        return "1"
-    terms = []
-    if m1:
-        terms.append(f"{m1}*x1" if m1 != 1 else "x1")
-    if m2:
-        sign = "+" if (m2 > 0 and terms) else ""
-        terms.append(f"{sign}{m2}*x2" if m2 != 1 else f"{sign}x2")
-    return f"{kind}(2*pi*({''.join(terms)}))"
-
-
 def _derivative_entries(f: FourierMode, axis: int) -> list[tuple[int, FourierMode]]:
     """d/dx_axis in 2*pi units: cos_m -> -m_a sin_m, sin_m -> m_a cos_m."""
     kind, m = f
@@ -482,7 +437,6 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
         raise AssertionError("the pullback moves a function of the stable sector")
     fixed = {k: (_rule_matrix(_PULLBACK_EXT.__getitem__, e, e) - Matrix.identity(len(e)))
              .kernel_matrix() for k, e in enumerate(exterior.ext_basis(2, k) for k in range(3))}
-    labels, d, star = _coefficient_forms(functions, [_mode_label(f) for f in functions],
-                                         _derivative_entries, 1, _ext_label_torus2, fixed)
-    return _complex_model(f"suspension-N{cutoff}", "suspension", labels, d, star,
+    dims, d, star = _coefficient_forms(functions, _derivative_entries, 1, fixed)
+    return _complex_model(f"suspension-N{cutoff}", "suspension", dims, d, star,
                           meta={"N": cutoff})

@@ -16,10 +16,10 @@ written back as ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .linalg import Matrix, Q
+from .linalg import Matrix, Q, integer_coords
 
 Poly = list[Fraction]
 
@@ -47,13 +47,6 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
 
 def poly_derivative(p: Poly) -> Poly:
     return poly_trim([c * k for k, c in enumerate(p)][1:])
-
-
-def _integral(p: Poly) -> tuple[int, list[int]]:
-    """The lcm d of the denominators of p, trimmed, and d * p over ``int``."""
-    p = poly_trim(p)
-    d = lcm(1, *(c.denominator for c in p))
-    return d, [c.numerator * (d // c.denominator) for c in p]
 
 
 def _primitive(p: Sequence[int]) -> list[int]:
@@ -91,14 +84,14 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def is_squarefree(p: Poly) -> bool:
-    p = _integral(p)[1]
+    p = integer_coords(poly_trim(p))[1]
     if len(p) <= 2:
         return bool(p)
     return len(_gcd(p, poly_derivative(p))) == 1
 
 
 def squarefree_part(p: Poly) -> Poly:
-    p = _integral(p)[1]
+    p = integer_coords(poly_trim(p))[1]
     q = _pseudo_divmod(p, _gcd(p, poly_derivative(p)))[1] if len(p) > 1 else p
     return [Q(c, q[-1]) for c in q]
 
@@ -163,7 +156,7 @@ def real_root_counts(p: Poly, points: Sequence[Fraction | None]) -> list[int]:
     ``None`` means -infinity as the first point and +infinity as any other.
     Finite points must not themselves be roots.
     """
-    p = _integral(p)[1]
+    p = integer_coords(poly_trim(p))[1]
     if poly_deg(p) <= 0:
         return [0] * (len(points) - 1)
     chain = _sturm_chain(p)

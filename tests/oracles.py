@@ -1,17 +1,18 @@
-"""Reference constructions that only tests call: the J matrix, element
-arithmetic, brackets, the Killing form as an ad-trace, the span of vectors
-as a subspace, maximal abelian subspaces, the linear system whose solution
-is the potential of a 2-form, a nilpotent element, the complement of a
-form's kernel read off its reduced echelon kernel basis, Chevalley-Eilenberg
-1-forms, the star of a form, the primitives alpha_k of w0^k, the wedge of
-coordinate vectors and the powers of w0 taken by it, the radial homotopy as
-an index loop and seeded random closed forms to feed it, the Cartan
-identity of the Euler contraction, d and the Fourier pullback assembled
-entry by entry and the models built from them, the full Fourier box on T^2
-with its partial pullback, the cohomology quotients with their
-representatives, and rational polynomial division and gcd.  Each is built
-on the package's own basis, structure constants and helpers, so the tests
-that check it check those too."""
+"""Reference constructions that only tests call: the J matrix, unit elements
+and element arithmetic, brackets, the Killing form as an ad-trace, the span
+of vectors as a subspace, maximal abelian subspaces, the linear system
+whose solution is the potential of a 2-form, a nilpotent element, the
+complement of a form's kernel read off its reduced echelon kernel basis,
+Chevalley-Eilenberg 1-forms, the star of a form, the primitives alpha_k of
+w0^k, the wedge of coordinate vectors and the powers of w0 taken by it, the
+radial homotopy as an index loop and seeded random closed forms to feed it,
+the Cartan identity of the Euler contraction, d and the Fourier pullback
+assembled entry by entry and the models built from them, the names of the
+models' basis vectors, the full Fourier box on T^2 with its partial
+pullback, the cohomology quotients with their representatives, and rational
+polynomial division and gcd.  Each is built on the package's own basis,
+structure constants and helpers, so the tests that check it check those
+too."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,15 +22,19 @@ from typing import Sequence
 
 from symplab import exterior, models
 from symplab.algebra_forms import AlgebraTwoForm
-from symplab.lie_core import (AlgebraContext, AlgebraElement, Subspace,
-                              integer_coords, is_abelian)
-from symplab.linalg import Matrix, Q, qf, reduced_basis
-from symplab.polynomials import Poly, _gcd, _integral, _pseudo_divmod
+from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, is_abelian
+from symplab.linalg import Matrix, Q, integer_coords, qf, reduced_basis
+from symplab.polynomials import Poly, _gcd, _pseudo_divmod, poly_trim
 
 
 def _require_same_context(a, b) -> None:
     if a.context is not b.context:
         raise ValueError("elements belong to different algebra contexts")
+
+
+def unit_element(ctx: AlgebraContext, k: int) -> AlgebraElement:
+    """The k-th basis element: coordinate 1 at k and 0 elsewhere."""
+    return AlgebraElement(ctx, tuple(Q(int(t == k)) for t in range(ctx.dim)))
 
 
 def scale(x: AlgebraElement, c) -> AlgebraElement:
@@ -127,7 +132,7 @@ def potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]
 
 def nilpotent_unit(ctx: AlgebraContext) -> AlgebraElement:
     """E: the unit at the first B-block slot, which is nilpotent."""
-    return ctx.basis_element(ctx.n * ctx.n)
+    return unit_element(ctx, ctx.n * ctx.n)
 
 
 def kernel_pivot_complement(omega: AlgebraTwoForm) -> list[int]:
@@ -336,25 +341,22 @@ def monomial_derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[
 def loop_model(kind: str, *args: int) -> models.ComplexModel:
     """The model ``build_<kind>_model(*args)`` builds, assembled entry by
     entry: d from ``exterior_derivative``, the pullback from
-    ``fourier_pullback``, the star as 1 (x) star_blocks, and labels and
-    window one basis element at a time.  ``models._complex_model`` adds dl,
-    the identity report and d.dl, as for the builders."""
+    ``fourier_pullback``, the star as 1 (x) star_blocks, and the dimensions
+    and window counted one basis element at a time.  ``models._complex_model``
+    adds dl, the identity report and d.dl, as for the builders."""
     if kind == "torus":
         (n,) = args
         m = 2 * n
-        basis = {k: [models._ext_label_xy(mono) for mono in exterior.ext_basis(m, k)]
-                 for k in range(m + 1)}
-        d = {k: Matrix.zeros(len(basis[k + 1]), len(basis[k])) for k in range(m)}
-        return models._complex_model(f"torus-n{n}", "torus", basis, d, exterior.star_blocks(n),
+        dims = tuple(len(exterior.ext_basis(m, k)) for k in range(m + 1))
+        d = {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)}
+        return models._complex_model(f"torus-n{n}", "torus", dims, d, exterior.star_blocks(n),
                                      meta={"n": n})
     if kind == "polynomial":
         n, cutoff = args
         m = 2 * n
         monos = models._monomials(m, cutoff)
         ext = {k: exterior.ext_basis(m, k) for k in range(m + 1)}
-        mono_labels = [models._mono_label(mono) for mono in monos]
-        basis = {k: models._product_labels(mono_labels, [models._ext_label_xy(e) for e in ext[k]])
-                 for k in range(m + 1)}
+        dims = tuple(len(monos) * len(ext[k]) for k in range(m + 1))
         d = exterior_derivative(monos, m, monomial_derivative)
         star_ext = exterior.star_blocks(n)
         star = {k: Matrix.kron(Matrix.identity(len(monos)), star_ext[k]) for k in range(m + 1)}
@@ -363,39 +365,92 @@ def loop_model(kind: str, *args: int) -> models.ComplexModel:
                       for ei in range(len(ext[k]))]
                   for k in range(m + 1)}
         meta = {"n": n, "D": cutoff, "monos": monos}
-        return models._complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", basis, d, star,
+        return models._complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
                                      window=window, meta=meta)
     (cutoff,) = args
     functions = models._fourier_functions([(0, m2) for m2 in range(1, cutoff + 1)])
     d_blocks = exterior_derivative(functions, 2, models._derivative_entries)
-    p_blocks = fourier_pullback(functions)
     star_ext = exterior.star_blocks(1)
     star_sector = {k: Matrix.kron(Matrix.identity(len(functions)), star_ext[k])
                    for k in range(3)}
-    embed = {k: (p_blocks[k] - Matrix.identity(p_blocks[k].rows)).kernel_matrix()
-             for k in range(3)}
+    embed = _suspension_embedding(functions)
 
     def restrict(block: Matrix, k_src: int, k_dst: int) -> Matrix:
         return embed[k_dst].solve_matrix(block @ embed[k_src])
 
     d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
-    mode_labels = [models._mode_label(f) for f in functions]
-    labels: dict[int, list[str]] = {}
-    for k in range(3):
-        sector_labels = models._product_labels(
-            mode_labels, [models._ext_label_torus2(mono) for mono in exterior.ext_basis(2, k)])
-        labels[k] = []
-        columns = embed[k].transpose()
-        for j in range(columns.rows):
-            support = sorted(columns.row_items(j))
-            if len(support) == 1 and support[0][1] == 1:
-                labels[k].append(sector_labels[support[0][0]])
-            else:
-                labels[k].append(" + ".join(
-                    f"{qf(x)}*{sector_labels[i]}" for i, x in support))
-    return models._complex_model(f"suspension-N{cutoff}", "suspension", labels, d_inv, star_inv,
+    dims = tuple(embed[k].cols for k in range(3))
+    return models._complex_model(f"suspension-N{cutoff}", "suspension", dims, d_inv, star_inv,
                                  meta={"N": cutoff})
+
+
+def _suspension_embedding(functions: list) -> dict[int, Matrix]:
+    """The invariant forms of the sector as columns: ker(P - I) of the
+    pullback on the whole sector, degree by degree."""
+    return {k: (p - Matrix.identity(p.rows)).kernel_matrix()
+            for k, p in fourier_pullback(functions).items()}
+
+
+def _ext_name(mono: exterior.Mono, kind: str) -> str:
+    """dx1, dy1, dx2, ... for the interleaved pairs of R^2n; dx1, dx2 on T^2."""
+    if kind == "suspension":
+        return "^".join(f"dx{v + 1}" for v in mono) or "1"
+    return "^".join(f"d{'xy'[v % 2]}{v // 2 + 1}" for v in mono) or "1"
+
+
+def _monomial_name(mono: tuple[int, ...]) -> str:
+    """x1^2*y1 for the exponents (2, 1): the variables x1, y1, x2, y2, ..."""
+    return "*".join(f"{'xy'[v % 2]}{v // 2 + 1}" + (f"^{e}" if e > 1 else "")
+                    for v, e in enumerate(mono) if e) or "1"
+
+
+def _mode_name(f: models.FourierMode) -> str:
+    """cos(2*pi*(2*x2)) for ("cos", (0, 2)); the constant is 1."""
+    kind, (m1, m2) = f
+    if kind == "const":
+        return "1"
+    terms = []
+    if m1:
+        terms.append(f"{m1}*x1" if m1 != 1 else "x1")
+    if m2:
+        sign = "+" if (m2 > 0 and terms) else ""
+        terms.append(f"{sign}{m2}*x2" if m2 != 1 else f"{sign}x2")
+    return f"{kind}(2*pi*({''.join(terms)}))"
+
+
+def basis_names(kind: str, *args: int) -> dict[int, list[str]]:
+    """Degree k -> the name of each basis vector of the model
+    ``build_<kind>_model(*args)`` builds, in the model's order, named one
+    element at a time: a coefficient function times an exterior monomial,
+    function-major, with a factor 1 left out (y1 dx1, cos(2*pi*(x2)) dx2).
+    A suspension vector that combines sector vectors is named as their sum,
+    each with its coefficient (2*dx1 + 1*dx2)."""
+    if kind == "torus":
+        (n,) = args
+        functions = ["1"]
+    elif kind == "polynomial":
+        n, cutoff = args
+        functions = [_monomial_name(mono) for mono in models._monomials(2 * n, cutoff)]
+    else:
+        (cutoff,) = args
+        n, modes = 1, models._fourier_functions([(0, m2) for m2 in range(1, cutoff + 1)])
+        functions = [_mode_name(f) for f in modes]
+    names = {}
+    for k in range(2 * n + 1):
+        names[k] = []
+        for f in functions:
+            for mono in exterior.ext_basis(2 * n, k):
+                e = _ext_name(mono, kind)
+                names[k].append(e if f == "1" else (f if e == "1" else f"{f} {e}"))
+    if kind != "suspension":
+        return names
+    for k, embed in _suspension_embedding(modes).items():
+        columns = embed.transpose()
+        supports = [sorted(columns.row_items(j)) for j in range(columns.rows)]
+        names[k] = [names[k][s[0][0]] if len(s) == 1 and s[0][1] == 1 else
+                    " + ".join(f"{qf(x)}*{names[k][i]}" for i, x in s) for s in supports]
+    return names
 
 
 def suspension_full_complex(cutoff: int):
@@ -482,7 +537,7 @@ def representatives(model: models.ComplexModel, theory: str) -> dict[int, Matrix
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Rational quotient and remainder, from one integer pseudo-division."""
-    (da, a), (db, b) = _integral(a), _integral(b)
+    (da, a), (db, b) = integer_coords(poly_trim(a)), integer_coords(poly_trim(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     m, q, r = _pseudo_divmod(a, b)  # the rational quotient is q db / (m da)
@@ -491,5 +546,5 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd, from the primitive pseudo-remainder sequence."""
-    g = _gcd(_integral(a)[1], _integral(b)[1])
+    g = _gcd(integer_coords(poly_trim(a))[1], integer_coords(poly_trim(b))[1])
     return [Q(c, g[-1]) for c in g]

@@ -12,7 +12,7 @@ import symplab.lie_core as lie
 import symplab.suite as suite
 from symplab.linalg import Matrix, echelon_rows
 from oracles import (ce_d1, kernel_pivot_complement, killing_dual, nilpotent_unit,
-                     one_form, potential_system, span)
+                     one_form, potential_system, span, unit_element)
 from strategies import (COORDINATES, PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs, matrices, sympy_oracle)
 
@@ -272,7 +272,8 @@ def test_quotient_form_H():
     assert qf.reduced_gram == Matrix([[0, 8], [-8, 0]])
     assert qf.reduced_det == Q(64)
     # complement basis together with the kernel spans the algebra
-    rows = [list(e.coords) for e in qf.complement] + [[Q(1), Q(0), Q(0)]]
+    assert qf.complement == (1, 2)
+    rows = [unit_element(CTX1, j).coords for j in qf.complement] + [[Q(1), Q(0), Q(0)]]
     assert Matrix(rows).rank() == 3
 
 
@@ -303,7 +304,7 @@ def certificate_agrees(a: lie.AlgebraElement, oracle) -> bool:
         assert reduced.det() == det
         return False
     q = forms.quotient_form(a)
-    assert q.complement == tuple(a.context.basis_element(j) for j in complement)
+    assert q.complement == tuple(complement)
     assert q.reduced_gram == reduced and q.reduced_det == det
     assert span(a.context, lie.odd_powers(a)).rows == forms.form_kernel(omega).rows
     return True

@@ -66,7 +66,7 @@ def test_polynomial_n3_windowed_dimensions():
     # R^6 at D = 4 continues the n = 1, 2 pattern: de Rham only in degree 0,
     # (d+dl) in the even degrees, ddl in the odd ones
     model = build_polynomial_model(3, 4)
-    assert model.dims() == [210, 1260, 3150, 4200, 3150, 1260, 210]
+    assert model.dims == (210, 1260, 3150, 4200, 3150, 1260, 210)
     assert all(all(per.values()) for per in model.identities.values())
     assert coh.de_rham(model).dims == (1, 0, 0, 0, 0, 0, 0)
     assert coh.d_plus_dlambda_cohomology(model).dims == (1, 0, 1, 0, 1, 0, 1)
@@ -94,8 +94,7 @@ def test_quotient_sanity_needs_the_products_of_every_degree():
     # a model built directly keeps no d.dl products: the check must not pass
     # vacuously; given them, d.d != 0 with dl = id fails, as d_1 . (d_0 . dl_1) != 0
     one = Matrix.identity(1)
-    broken = ComplexModel(name="broken", kind="torus", top_degree=2,
-                          graded_basis={0: ["a"], 1: ["b"], 2: ["c"]},
+    broken = ComplexModel(name="broken", kind="torus", dims=(1, 1, 1),
                           d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
                           d_lambda={1: one, 2: one})
     for model in (broken, dataclasses.replace(TORUS1, d_dl={0: TORUS1.d_dl[0]})):
@@ -205,8 +204,7 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
 def test_theories_refuse_a_model_without_its_identities():
     # d.d != 0 breaks im den inside ker num, on which the rank formula rests
     one = Matrix.identity(1)
-    broken = ComplexModel(name="broken", kind="torus", top_degree=2,
-                          graded_basis={0: ["a"], 1: ["b"], 2: ["c"]},
+    broken = ComplexModel(name="broken", kind="torus", dims=(1, 1, 1),
                           d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
                           d_lambda={1: Matrix.zeros(1, 1), 2: Matrix.zeros(1, 1)})
     broken.identities = operator_identity_report(broken)[0]

@@ -14,7 +14,7 @@ import symplab.polynomials as polys
 from symplab.linalg import Matrix, echelon_rows
 from oracles import (add, bracket, bracket_coords, is_maximal_abelian, j_matrix,
                      killing_form, killing_trace_constant, nilpotent_unit, scale, span,
-                     sub)
+                     sub, unit_element)
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs)
 
@@ -42,34 +42,31 @@ def test_basis_order_n1():
     assert F.to_matrix() == Matrix([[0, 0], [1, 0]])
 
 
-def block_basis(n: int) -> tuple[list[Matrix], list[str]]:
+def block_basis(n: int) -> list[Matrix]:
     """The basis of sp(2n) written out block by block: E_ij - E_(n+j)(n+i)
     for the A block row-major, then E_ij + E_ji on the upper triangles of
     the symmetric B and C blocks."""
-    basis, labels = [], []
+    basis = []
     for i in range(n):
         for j in range(n):
             m = Matrix.zeros(2 * n, 2 * n)
             m[i, j] = 1
             m[n + j, n + i] = -1
             basis.append(m)
-            labels.append(f"A[{i + 1},{j + 1}]")
-    for block, row0, col0 in (("B", 0, n), ("C", n, 0)):
+    for row0, col0 in ((0, n), (n, 0)):
         for i in range(n):
             for j in range(i, n):
                 m = Matrix.zeros(2 * n, 2 * n)
                 m[row0 + i, col0 + j] = 1
                 m[row0 + j, col0 + i] = 1
                 basis.append(m)
-                labels.append(f"{block}[{i + 1},{j + 1}]")
-    return basis, labels
+    return basis
 
 
 @pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX3], ids=["n1", "n2", "n3"])
 def test_basis_matches_block_formulas(ctx):
-    basis, labels = block_basis(ctx.n)
+    basis = block_basis(ctx.n)
     assert ctx.basis == basis
-    assert ctx.basis_labels == labels
     for k, m in enumerate(basis):
         assert ctx.coords_of_matrix(m) == [Q(int(k == t)) for t in range(ctx.dim)]
 
@@ -184,14 +181,14 @@ def test_killing_trace_constant():
 def test_jacobi_identity():
     for ctx in (CTX1, CTX2):
         for i, j, k in combinations(range(ctx.dim), 3):
-            ei, ej, ek = (ctx.basis_element(t) for t in (i, j, k))
+            ei, ej, ek = (unit_element(ctx, t) for t in (i, j, k))
             total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
                         bracket(bracket(ek, ei), ej))
             assert not any(total.coords)
     rng = random.Random(15)
     for _ in range(30):
         i, j, k = (rng.randrange(CTX3.dim) for _ in range(3))
-        ei, ej, ek = (CTX3.basis_element(t) for t in (i, j, k))
+        ei, ej, ek = (unit_element(CTX3, t) for t in (i, j, k))
         total = add(add(bracket(bracket(ei, ej), ek), bracket(bracket(ej, ek), ei)),
                     bracket(bracket(ek, ei), ej))
         assert not any(total.coords)
@@ -201,11 +198,11 @@ def test_killing_invariance():
     # B([a,x],y) + B(x,[a,y]) = 0 on all basis triples
     for ctx in (CTX1, CTX2):
         for a in range(ctx.dim):
-            ea = ctx.basis_element(a)
+            ea = unit_element(ctx, a)
             for x in range(ctx.dim):
-                ex = ctx.basis_element(x)
+                ex = unit_element(ctx, x)
                 for y in range(ctx.dim):
-                    ey = ctx.basis_element(y)
+                    ey = unit_element(ctx, y)
                     val = (killing_form(bracket(ea, ex), ey)
                            + killing_form(ex, bracket(ea, ey)))
                     assert val == 0
@@ -268,7 +265,7 @@ def test_is_maximal_abelian_examples():
     assert lie.centralizer(E) == span(CTX1, [E.coords])
     assert is_maximal_abelian(span(CTX1, [E.coords]))
     # diagonal Cartan subalgebra of sp(4,R): A[1,1] and A[2,2]
-    cartan = span(CTX2, [CTX2.basis_element(0).coords, CTX2.basis_element(3).coords])
+    cartan = span(CTX2, [unit_element(CTX2, 0).coords, unit_element(CTX2, 3).coords])
     assert cartan.dim == 2
     assert is_maximal_abelian(cartan)
 

@@ -13,8 +13,8 @@ from symplab.models import (build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
-from oracles import (alpha_form, cartan_mismatches, fourier_pullback, loop_model,
-                     radial_antiderivative, random_closed_forms, star_s_apply,
+from oracles import (alpha_form, basis_names, cartan_mismatches, fourier_pullback,
+                     loop_model, radial_antiderivative, random_closed_forms, star_s_apply,
                      suspension_full_complex, w0_power_by_wedges, wedge_vectors)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
@@ -95,8 +95,9 @@ def test_pairing_examples():
 # -- torus model ---------------------------------------------------------------
 
 def test_torus_dims():
-    assert TORUS1.dims() == [1, 2, 1]
-    assert TORUS2.dims() == [1, 4, 6, 4, 1]
+    assert TORUS1.dims == (1, 2, 1)
+    assert TORUS2.dims == (1, 4, 6, 4, 1)
+    assert (TORUS1.top_degree, TORUS2.top_degree) == (2, 4)
 
 
 def test_torus_star_examples():
@@ -129,7 +130,7 @@ def test_polynomial_dims_n1_D2():
     model = build_polynomial_model(1, 2)
     # 6 monomials of degree <= 2 in x1, y1 times 2 covectors
     assert model.dim(1) == 12
-    assert model.dims() == [6, 12, 6]
+    assert model.dims == (6, 12, 6)
 
 
 def test_polynomial_d_leibniz_example():
@@ -188,14 +189,18 @@ def test_poincare_antiderivative_w0():
     w = poincare_antiderivative(w0_power_form(POLY1, 1))
     assert d_apply(w).coords == w0_power_form(POLY1, 1).coords
     # the radial primitive (x dy - y dx) / 2
-    labels = {POLY1.graded_basis[1][i]: c for i, c in enumerate(w.coords) if c != 0}
-    assert labels == {"x1 dy1": Q(1, 2), "y1 dx1": Q(-1, 2)}
+    names = basis_names("polynomial", 1, 4)[1]
+    assert len(names) == POLY1.dim(1)
+    assert {names[i]: c for i, c in enumerate(w.coords) if c != 0} == {
+        "x1 dy1": Q(1, 2), "y1 dx1": Q(-1, 2)}
 
 
 def test_poincare_antiderivative_dx():
     w = poincare_antiderivative(plane_1form(POLY1, ((0, 0), 0)))  # dx1
-    labels = {POLY1.graded_basis[0][i]: c for i, c in enumerate(w.coords) if c != 0}
-    assert labels == {"x1": Q(1)}  # x, zero integration constant
+    names = basis_names("polynomial", 1, 4)[0]
+    assert len(names) == POLY1.dim(0)
+    # x, with zero integration constant
+    assert {names[i]: c for i, c in enumerate(w.coords) if c != 0} == {"x1": Q(1)}
 
 
 def test_poincare_antiderivative_random_closed_forms():
@@ -337,7 +342,7 @@ def test_alpha_form_range_check():
 def test_suspension_invariant_dimensions():
     for cutoff in (1, 2, 5):
         model = build_suspension_model(cutoff)
-        assert model.dims() == [2 * cutoff + 1] * 3
+        assert model.dims == (2 * cutoff + 1,) * 3
 
 
 def test_suspension_invariant_dims_against_nullspace_oracle():
@@ -375,26 +380,28 @@ def test_exterior_factor_leaving_the_subspace_refused():
     unit = Matrix.identity(1)
     dx2 = Matrix([[0], [1]])
     with pytest.raises(AssertionError, match="an operator leaves the exterior subspace"):
-        models._coefficient_forms(["f", "g"], ["f", "g"],
+        models._coefficient_forms(["f", "g"],
                                   lambda h, v: [(1, "g")] if (h, v) == ("f", 0) else [], 1,
-                                  models._ext_label_torus2, {0: unit, 1: dx2, 2: unit})
+                                  {0: unit, 1: dx2, 2: unit})
 
 
 def test_exterior_subspace_with_a_combined_basis_form():
     # span(2 dx1 + dx2) in degree 1: the star, -1 on 1-forms, is read at the
-    # unit coordinate dx2, and the label names the combination
+    # unit coordinate dx2, and the combination is one basis vector
     unit = Matrix.identity(1)
-    basis, d, star = models._coefficient_forms(["c"], ["1"], lambda h, v: [], 1,
-                                               models._ext_label_torus2,
-                                               {0: unit, 1: Matrix([[2], [1]]), 2: unit})
-    assert basis == {0: ["1"], 1: ["2*dx1 + 1*dx2"], 2: ["dx1^dx2"]}
+    dims, d, star = models._coefficient_forms(["c"], lambda h, v: [], 1,
+                                              {0: unit, 1: Matrix([[2], [1]]), 2: unit})
+    assert dims == (1, 1, 1)
     assert star[1] == Matrix([[-1]]) and all(block.is_zero() for block in d.values())
 
 
 def test_suspension_degree1_kills_dx1():
-    # no dx1 component survives invariance
-    for label in SUSP2.graded_basis[1]:
-        assert "dx2" in label and "dx1" not in label
+    # no dx1 component survives invariance: one 1-form per sector function,
+    # each named with dx2 alone
+    names = basis_names("suspension", 2)[1]
+    assert SUSP2.dim(1) == len(names) == SUSP2.dim(0)
+    for name in names:
+        assert "dx2" in name and "dx1" not in name
 
 
 def test_suspension_identities():
@@ -405,8 +412,9 @@ def test_suspension_identities():
 def test_suspension_d_matches_mode_derivative():
     # d(cos(2 pi k x2)) = -k sin(2 pi k x2) dx2 in 2*pi-units
     model = SUSP2
-    labels0 = model.graded_basis[0]
-    labels1 = model.graded_basis[1]
+    names = basis_names("suspension", 2)
+    labels0, labels1 = names[0], names[1]
+    assert (len(labels0), len(labels1)) == (model.dim(0), model.dim(1))
     i_cos2 = labels0.index("cos(2*pi*(2*x2))")
     coords = [Q(0)] * model.dim(0)
     coords[i_cos2] = Q(1)
@@ -417,8 +425,9 @@ def test_suspension_d_matches_mode_derivative():
 
 def test_suspension_dlambda_examples():
     model = SUSP2
-    labels1 = model.graded_basis[1]
-    labels2 = model.graded_basis[2]
+    names = basis_names("suspension", 2)
+    labels1, labels2 = names[1], names[2]
+    assert (len(labels1), len(labels2)) == (model.dim(1), model.dim(2))
     # d_lambda(b(x2) dx2) = 0
     coords = [Q(0)] * model.dim(1)
     coords[labels1.index("cos(2*pi*(x2)) dx2")] = Q(1)
@@ -529,7 +538,7 @@ def test_star_that_is_no_signed_permutation_refused(entry, value):
     own = next(i for i in range(star[1].rows) if star[1][i, 0])
     star[1][own if entry == "own" else 1 - own, 0] = value
     with pytest.raises(AssertionError, match="star block is not a signed permutation"):
-        models._complex_model("bad", "torus", TORUS1.graded_basis, dict(TORUS1.d), star)
+        models._complex_model("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
 
 
 @st.composite
@@ -566,12 +575,14 @@ def test_codifferential_index_rule_matches_the_product(data):
                          + [("suspension", (cutoff,)) for cutoff in (1, 2, 8, 16, 64)])
 def test_kron_assembly_matches_the_index_loops(kind, args):
     # the builders' kron assembly against the entry-by-entry loops: every
-    # d, star, dl and d.dl block, the labels, window, meta and identities
+    # d, star, dl and d.dl block, the dims, window, meta and identities; one
+    # name per basis vector in each degree
     built = {"torus": build_torus_model, "polynomial": build_polynomial_model,
              "suspension": build_suspension_model}[kind](*args)
     oracle = loop_model(kind, *args)
     for field in dataclasses.fields(built):
         assert getattr(built, field.name) == getattr(oracle, field.name), field.name
+    assert built.dims == tuple(len(names) for names in basis_names(kind, *args).values())
     if kind == "suspension":
         # the build's premise: on the sector the oracle's pullback is 1 (x) P_ext
         functions = models._fourier_functions([(0, m2) for m2 in range(1, args[0] + 1)])
