@@ -12,16 +12,15 @@ scaled to integers, paired with the integer structure constants, with d
 divided out as each entry is written.  Closedness is one integer pass.  The
 potential of a closed form is read off ad(a) = (Omega G^-1)^t, G^-1 being
 free because the Killing Gram has one nonzero per row, so it takes no
-elimination.  The same invariance makes Omega = -G ad(a), so the rank/kernel
-record eliminates ad(a) once and checks that identity row by row instead of
-eliminating Omega too.  The quotient form eliminates no dim x dim matrix.
-For regular a, ker Omega = span{a, a^3, ..., a^(2n-1)}: each odd power lies
-in the algebra and, by integer products with the Gram rows, in ker Omega;
-a forward pass over the n x dim matrix of powers gives n pivots; and the
-exact det of the Gram on the other 2n^2 columns is nonzero, so rank Omega
->= 2n^2.  Those columns are the complement, kept as their indices (the
-kernel's reduced echelon pivots are those of any echelon basis of it).  A
-kernel basis takes one full elimination (``Subspace.kernel_of``).
+elimination.  Neither the rank/kernel record nor the quotient form
+eliminates a dim x dim matrix: for regular a, one certificate shows ker
+Omega = span{a, a^3, ..., a^(2n-1)}.  Each odd power lies in the algebra
+and, by integer products with the Gram rows, in ker Omega; the n x dim
+matrix of powers has n pivots; and the fraction-free Pfaffian of the Gram
+on the other 2n^2 columns (the complement: the kernel's echelon pivots are
+those of any echelon basis of it) is nonzero, so rank Omega >= 2n^2.  The
+record also checks Omega = -G ad(a) row by row, so the kernel is the
+centralizer.  A kernel basis takes one full elimination (``kernel_of``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from itertools import combinations
 from math import lcm
 
 from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, Subspace,
-                       centralizer, is_abelian, odd_powers, random_element)
+                       odd_powers, random_element)
 from .linalg import Matrix, Q, integer_coords, qstr
 
 
@@ -153,25 +152,39 @@ def form_rank(omega: AlgebraTwoForm) -> int:
     return omega.gram.rank()
 
 
-def rank_kernel_record(a: AlgebraElement) -> dict:
-    """The rank/kernel facts of omega_a for one element: rank, kernel
-    dimension, and whether the kernel is abelian and equals the centralizer.
+def _kernel_certificate(a: AlgebraElement) -> tuple[AlgebraTwoForm, list[list[int]], QuotientForm]:
+    """omega_a, the odd powers and the quotient form, once ker Omega is certified
+    as their span (module docstring); ValueError unless a is regular."""
+    if not isinstance(a, RegularElement):
+        a = RegularElement(a.context, a.coords)
+    ctx, omega, powers = a.context, omega_from_element(a), odd_powers(a)
+    if any(sum([v * p[j] for j, v in row.items()]) for row in omega.gram.integer_rows()[1]
+           for p in powers):
+        raise AssertionError("an odd power of a is not in ker omega_a")
+    pivots = Matrix(powers).pivot_columns()
+    if len(pivots) != ctx.n:
+        raise AssertionError("the odd powers of a are not independent")
+    complement = tuple(j for j in range(ctx.dim) if j not in pivots)
+    reduced = omega.gram.submatrix(complement, complement)
+    if (pf := reduced.pfaffian()) == 0:
+        raise AssertionError("omega_a is degenerate on the complement of the odd powers")
+    return omega, powers, QuotientForm(ctx, complement, reduced, pf * pf)
 
-    One elimination, of ad(a): invariance B([a, x], y) = -B(x, [a, y]) and
-    antisymmetry give Omega = -G ad(a), and G, with one nonzero g_k per row
-    at column pi(k), is invertible, so ker Omega is the centralizer ker ad(a)
-    exactly.  The identity is checked in O(nnz): row k of Omega must be
-    -g_k times row pi(k) of ad(a), or AssertionError is raised.
-    """
-    ctx = a.context
-    kernel = centralizer(a)
-    gram, ad = omega_from_element(a).gram, ctx.ad_matrix(a.coords)
+
+def rank_kernel_record(a: AlgebraElement) -> dict:
+    """Rank dim - n, kernel dimension n, and whether the kernel is abelian (the
+    powers commute) and the centralizer, for omega_a of a regular a
+    (ValueError otherwise).  Invariance and antisymmetry give Omega =
+    -G ad(a), G invertible with one nonzero g_k per row at column pi(k), so
+    ker Omega = ker ad(a); row k of Omega is checked against -g_k times row
+    pi(k) of ad(a) in O(nnz), or AssertionError is raised."""
+    omega, powers, _ = _kernel_certificate(a)
+    ctx, ad = a.context, a.context.ad_matrix(a.coords)
     for k, (pk, gk) in enumerate(ctx.killing_partners):
-        if dict(gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
+        if dict(omega.gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
             raise AssertionError(f"omega_a != -G ad(a) in row {k}")
-    return {"rank": ctx.dim - kernel.dim,  # rank-nullity: no second elimination
-            "kernel_dim": kernel.dim,
-            "kernel_abelian": is_abelian(kernel),
+    return {"rank": ctx.dim - len(powers), "kernel_dim": len(powers),
+            "kernel_abelian": not any(any(ctx._bracket(x, y)) for x, y in combinations(powers, 2)),
             "kernel_equals_centralizer": True}  # ker Omega = ker ad(a), by the identity
 
 
@@ -183,27 +196,9 @@ def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> boo
 
 
 def quotient_form(a: AlgebraElement) -> QuotientForm:
-    """Nondegenerate restriction of omega_a to the standard basis vectors at
-    the non-pivot columns of ker Omega; requires a regular (checked unless
-    a is a ``RegularElement``).  ker Omega = span{a, a^3, ..., a^(2n-1)} is
-    certified as the module docstring says, or AssertionError is raised."""
-    if not isinstance(a, RegularElement):
-        a = RegularElement(a.context, a.coords)
-    ctx = a.context
-    omega = omega_from_element(a)
-    powers = odd_powers(a)
-    rows = omega.gram.integer_rows()[1]
-    if any(sum([v * p[j] for j, v in row.items()]) for p in powers for row in rows):
-        raise AssertionError("an odd power of a is not in ker omega_a")
-    pivots = Matrix(powers).pivot_columns()
-    if len(pivots) != ctx.n:
-        raise AssertionError("the odd powers of a are not independent")
-    complement = tuple(j for j in range(ctx.dim) if j not in pivots)
-    reduced = omega.gram.submatrix(complement, complement)
-    det = reduced.det()
-    if det == 0:
-        raise AssertionError("omega_a is degenerate on the complement of the odd powers")
-    return QuotientForm(ctx, complement, reduced, det)
+    """Nondegenerate restriction of omega_a to the standard basis vectors at the
+    non-pivot columns of ker Omega, its det as Pf^2; see ``_kernel_certificate``."""
+    return _kernel_certificate(a)[2]
 
 
 def ce_d2_matrix(ctx: AlgebraContext) -> Matrix:

@@ -87,6 +87,7 @@ class AlgebraContext:
         self._slots = _slots(n)
         if len(self._slots) != self.dim:
             raise AssertionError("basis enumeration does not match dimension")
+        self._places = [(r, c, *_mirror(r, c, n)) for r, c in self._slots]
         self.basis = [self.matrix_of_coords([int(k == t) for t in range(self.dim)])
                       for k in range(self.dim)]
         for m in self.basis:
@@ -151,16 +152,16 @@ class AlgebraContext:
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
         """The member with these coordinates: each is written at its slot and,
-        as membership requires, at its mirror entry."""
+        as membership requires, at its mirror entry, straight into the rows."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        out = Matrix.zeros(2 * self.n, 2 * self.n)
-        for (r, c), x in zip(self._slots, coords):
+        nz: list[dict] = [{} for _ in range(2 * self.n)]
+        for (r, c, mr, mc, sign), x in zip(self._places, coords):
             if x:
-                out[r, c] = x
-                mr, mc, sign = _mirror(r, c, self.n)
-                out[mr, mc] = sign * x
-        return out
+                v = x.numerator if x.denominator == 1 else x  # stored as linalg stores it
+                nz[r][c] = v
+                nz[mr][mc] = sign * v
+        return Matrix._of(2 * self.n, 2 * self.n, nz)
 
     def element(self, coords: Sequence[int | str | Fraction]) -> "AlgebraElement":
         return AlgebraElement(self, tuple(qf(c) for c in coords))

@@ -13,8 +13,9 @@ denominators and kept primitive (entries coprime) by dividing out their
 gcd; only the final scaling of each pivot to 1 makes ``Fraction`` values.
 The reduced row echelon form is unique, so ``rref``, pivots, nullspaces
 and solves are the canonical ones.  ``det`` is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) on ``integer_rows``.  Vectors handed out
-(``apply``, ``column``, ``nullspace``, ``solve``) are lists of ``Fraction``.
+elimination (Math. Comp. 22, 1968) on ``integer_rows``; ``pfaffian`` is its
+Pfaffian form, raising AssertionError on an inexact division.  Vectors handed
+out (``apply``, ``column``, ``nullspace``, ``solve``) are lists of ``Fraction``.
 """
 
 from __future__ import annotations
@@ -448,6 +449,38 @@ class Matrix:
                 rows[i] = {j: v // prev for j, v in out.items() if v}
             prev = pv
         return Q(sign * prev, d ** n)
+
+    def pfaffian(self) -> Fraction:
+        """Pf of an antisymmetric matrix (ValueError otherwise), fraction-free on
+        dA, as Pf(A) = Pf(dA) / d^m at order 2m.  Each step pairs the first index
+        f with its first partner b (swapped into second place, flipping the sign;
+        none gives 0), and a_ik becomes (p a_ik - a_fi a_bk + a_fk a_bi) / prev,
+        p = a_fb: a sub-Pfaffian (Knuth 1996), so a division that is not exact
+        raises AssertionError.  The last pivot is Pf."""
+        if not self.is_antisymmetric():
+            raise ValueError("Pfaffian of a non-antisymmetric matrix")
+        d, sparse = self.integer_rows()
+        a = [[row.get(j, 0) for j in range(self.cols)] for row in sparse]
+        sign = prev = 1
+        while a:
+            first = a[0]
+            b = next((j for j in range(1, len(a)) if first[j]), None)
+            if b is None:  # a zero first row, or one index left at odd order
+                return Q(0)
+            if b != 1:
+                a[1], a[b], sign = a[b], a[1], -sign
+                for row in a:
+                    row[1], row[b] = row[b], row[1]
+            p, second, m = first[1], a[1], len(a)
+            out = [[0] * (m - 2) for _ in range(m - 2)]
+            for i in range(2, m):
+                for k in range(i + 1, m):
+                    q, r = divmod(p * a[i][k] - first[i] * second[k] + first[k] * second[i], prev)
+                    if r:
+                        raise AssertionError("inexact division in the Pfaffian")
+                    out[i - 2][k - 2], out[k - 2][i - 2] = q, -q
+            a, prev = out, p
+        return Q(sign * prev, d ** (self.rows // 2))
 
     # -- serialization --------------------------------------------------
     @classmethod

@@ -3,6 +3,8 @@ and element arithmetic, brackets, the Killing form as an ad-trace, the span
 of vectors as a subspace, maximal abelian subspaces, the linear system
 whose solution is the potential of a 2-form, a nilpotent element, the
 complement of a form's kernel read off its reduced echelon kernel basis,
+the rank/kernel record from the centralizer's own elimination, the
+Pfaffian by expansion along the first row,
 Chevalley-Eilenberg 1-forms, the star of a form, the primitives alpha_k of
 w0^k, the wedge of coordinate vectors and the powers of w0 taken by it, the
 radial homotopy as an index loop and seeded random closed forms to feed it,
@@ -21,8 +23,8 @@ from math import comb
 from typing import Sequence
 
 from symplab import exterior, models
-from symplab.algebra_forms import AlgebraTwoForm
-from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, is_abelian
+from symplab.algebra_forms import AlgebraTwoForm, omega_from_element
+from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, centralizer, is_abelian
 from symplab.linalg import Matrix, Q, integer_coords, qf, reduced_basis
 from symplab.polynomials import Poly, _gcd, _pseudo_divmod, poly_trim
 
@@ -140,6 +142,34 @@ def kernel_pivot_complement(omega: AlgebraTwoForm) -> list[int]:
     of the Gram, from the kernel vectors themselves (a full elimination)."""
     pivots = set(Subspace.kernel_of(omega.context, omega.gram).pivots)
     return [j for j in range(omega.context.dim) if j not in pivots]
+
+
+def rank_kernel_by_elimination(a: AlgebraElement) -> dict:
+    """The rank/kernel record of omega_a with the centralizer eliminated: ad(a)
+    reduced once, Omega = -G ad(a) checked row by row (so ker Omega is the
+    centralizer), and the kernel's echelon rows bracketed pairwise.  Unlike
+    the package's record it answers for any element, regular or not."""
+    ctx = a.context
+    kernel = centralizer(a)
+    gram, ad = omega_from_element(a).gram, ctx.ad_matrix(a.coords)
+    for k, (pk, gk) in enumerate(ctx.killing_partners):
+        if dict(gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
+            raise AssertionError(f"omega_a != -G ad(a) in row {k}")
+    return {"rank": ctx.dim - kernel.dim, "kernel_dim": kernel.dim,
+            "kernel_abelian": is_abelian(kernel), "kernel_equals_centralizer": True}
+
+
+def pfaffian_by_expansion(m: Matrix) -> Fraction:
+    """Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j),
+    0-based, with Pf of the empty matrix 1; odd orders end at a single index
+    and give 0.  Exponential, for small orders only."""
+    def pf(idx: tuple[int, ...]) -> Fraction:
+        if not idx:
+            return Q(1)
+        i, rest = idx[0], idx[1:]
+        return sum(((-1) ** t * m[i, j] * pf(rest[:t] + rest[t + 1:])
+                    for t, j in enumerate(rest) if m[i, j]), Q(0))
+    return pf(tuple(range(m.rows)))
 
 
 @dataclass(frozen=True)

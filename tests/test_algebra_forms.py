@@ -12,7 +12,8 @@ import symplab.lie_core as lie
 import symplab.suite as suite
 from symplab.linalg import Matrix, echelon_rows
 from oracles import (ce_d1, kernel_pivot_complement, killing_dual, nilpotent_unit,
-                     one_form, potential_system, span, unit_element)
+                     one_form, potential_system, rank_kernel_by_elimination, span,
+                     unit_element)
 from strategies import (COORDINATES, PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
                         element_pairs, matrices, sympy_oracle)
 
@@ -226,7 +227,8 @@ def test_form_rank_examples():
 
 def test_kernel_equals_centralizer_random():
     # the two kernels from two eliminations, at every n the suite samples;
-    # rank_kernel_record runs only the second and checks Omega = -G ad(a)
+    # rank_kernel_record runs neither: it certifies the odd powers' span and
+    # checks Omega = -G ad(a)
     rng = random.Random(28)
     for ctx in (CTX1, CTX2, CTX3):
         for _ in range(10):
@@ -236,6 +238,61 @@ def test_kernel_equals_centralizer_random():
             record = forms.rank_kernel_record(a)
             assert (record["rank"], record["kernel_dim"]) == (ctx.dim - kernel.dim, kernel.dim)
             assert record["kernel_equals_centralizer"] is True
+
+
+def test_rank_kernel_record_matches_the_elimination_oracle_on_the_suite_samples():
+    for n, ctx in CONTEXTS.items():
+        samples = suite._sample_regular(ctx, suite.DEFAULT_SEED + n)
+        assert len(samples) == suite.SAMPLES
+        assert all(forms.rank_kernel_record(a) == rank_kernel_by_elimination(a) for a in samples)
+
+
+def test_rank_kernel_record_matches_the_elimination_oracle():
+    """The record equals the centralizer's on every regular draw and refuses
+    every other one, as quotient_form does."""
+    seen = set()
+
+    @PROPERTY
+    @given(element_pairs([CTX1, CTX2, CTX3]))
+    def check(pair):
+        for a in pair:
+            regular = lie.is_regular(a)
+            if regular:
+                assert forms.rank_kernel_record(a) == rank_kernel_by_elimination(a)
+            else:
+                with pytest.raises(ValueError, match="not regular"):
+                    forms.rank_kernel_record(a)
+            seen.add((a.context.n, regular, any(c.denominator != 1 for c in a.coords)))
+
+    check()
+    assert {(n, regular, rational) for n in (1, 2, 3) for regular in (False, True)
+            for rational in (False, True)} <= seen
+
+
+def test_rank_kernel_record_refuses_non_regular_elements():
+    # the elimination still answers for them; E at n = 1 even has an n-dimensional
+    # kernel, so only the regularity test tells it apart
+    for ctx in CONTEXTS.values():
+        for a in (ctx.element([0] * ctx.dim), nilpotent_unit(ctx)):
+            with pytest.raises(ValueError, match="not regular"):
+                forms.rank_kernel_record(a)
+            assert rank_kernel_by_elimination(a)["kernel_dim"] >= ctx.n
+
+
+def test_rank_kernel_record_brackets_the_odd_powers(monkeypatch):
+    """kernel_abelian is computed: under a bracket that never vanishes the
+    record and the oracle both report a kernel that is not abelian, and
+    criterion 1 fails on every n = 2 sample."""
+    broken = copy.copy(CTX2)
+    broken._bracket = lambda x, y: [1] * broken.dim
+    a = lie.AlgebraElement(broken, lie.random_regular_element(CTX2, random.Random(36)).coords)
+    record = forms.rank_kernel_record(a)
+    assert record["kernel_abelian"] is False
+    assert record == rank_kernel_by_elimination(a)
+    monkeypatch.setattr(lie, "standard_basis", lambda n: broken if n == 2 else CONTEXTS[n])
+    result = suite.check_rank_kernel()
+    assert not result.passed
+    assert result.computed == f"{suite.SAMPLES} failures"
 
 
 def broken_contexts() -> dict[str, lie.AlgebraContext]:

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symplab.linalg import Matrix, echelon_rows, qstr, rank_of_rows
-from strategies import PROPERTY, SIDE, matrices, sympy_oracle  # shared with other modules
+from oracles import pfaffian_by_expansion
+from strategies import (PROPERTY, RATIONALS, SIDE, SPARSE_INTS,  # shared with other modules
+                        matrices, sympy_oracle)
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -301,3 +303,76 @@ def test_submatrix_takes_distinct_columns():
     assert m.select_columns([]) == Matrix.zeros(2, 0)
     with pytest.raises(ValueError, match="repeated column"):
         m.submatrix([0], [1, 1])
+
+
+@st.composite
+def antisymmetric(draw):
+    """An antisymmetric matrix of order 0 to 10, odd orders included, of sparse
+    integers (often singular, with whole rows of zeros) or of rationals."""
+    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
+    n = draw(st.integers(0, 10))
+    m = Matrix.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = x = draw(entries)
+            m[j, i] = -x
+    return m
+
+
+def test_pfaffian_matches_the_oracle_det_and_the_expansion(oracle):
+    """Pf^2 = det (sympy), Pf equal to the expansion along the first row, and
+    Pf(-A) = (-1)^m Pf(A) at order 2m; swapping two indices flips the sign."""
+    seen = set()
+
+    @PROPERTY
+    @given(antisymmetric(), st.data())
+    def check(m, data):
+        pf = m.pfaffian()
+        det = oracle.rational(oracle.of(m).det()) if m.rows else Q(1)
+        assert pf * pf == det
+        assert pf == pfaffian_by_expansion(m)
+        assert (-m).pfaffian() == (-1) ** (m.rows // 2) * pf
+        if m.rows >= 2:
+            i, j = sorted(data.draw(st.lists(st.integers(0, m.rows - 1), min_size=2,
+                                             max_size=2, unique=True)))
+            order = list(range(m.rows))
+            order[i], order[j] = j, i
+            assert m.submatrix(order, order).pfaffian() == -pf
+        kind = "odd" if m.rows % 2 else "nonzero" if pf else "singular"
+        swapped = m.rows > 1 and m[0, 1] == 0  # the first step takes a later partner
+        rational = any(type(v) is not int for i in range(m.rows) for _, v in m.row_items(i))
+        seen.add((kind, swapped, rational))
+
+    check()
+    assert {"odd", "singular", "nonzero"} == {kind for kind, _, _ in seen}
+    assert ("nonzero", True) in {(kind, swapped) for kind, swapped, _ in seen}
+    assert ("nonzero", True) in {(kind, rational) for kind, _, rational in seen}
+
+
+def test_pfaffian_known_values():
+    for m in range(5):  # the direct sum of m copies of [[0, 1], [-1, 0]]
+        blocks = Matrix.zeros(2 * m, 2 * m)
+        for i in range(m):
+            blocks[2 * i, 2 * i + 1], blocks[2 * i + 1, 2 * i] = 1, -1
+        assert blocks.pfaffian() == 1
+    rng = random.Random(37)
+    for zero in (None, (0, 1), (0, 2), (0, 3)):
+        a = {(i, j): rng.randint(-9, 9) or 1 for i in range(4) for j in range(i + 1, 4)}
+        if zero:
+            a[zero] = 0
+        m = Matrix.zeros(4, 4)
+        for (i, j), x in a.items():
+            m[i, j], m[j, i] = x, -x
+        want = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+        assert m.pfaffian() == want and want != 0
+    assert Matrix.zeros(2, 2).pfaffian() == 0
+    assert Matrix([[0, "1/2"], ["-1/2", 0]]).pfaffian() == Q(1, 2)
+    assert Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]).pfaffian() == 0
+    assert Matrix.zeros(0, 0).pfaffian() == 1
+
+
+@pytest.mark.parametrize("m", [Matrix([[0, 1], [1, 0]]), Matrix([[1]]),
+                               Matrix([[0, 1, 2], [-1, 0, 3]]), Matrix([[0, 1], [-2, 0]])])
+def test_pfaffian_refuses_a_matrix_that_is_not_antisymmetric(m):
+    with pytest.raises(ValueError, match="non-antisymmetric"):
+        m.pfaffian()
