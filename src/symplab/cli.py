@@ -47,9 +47,11 @@ FAILURE_EXIT = 1
 # plus, for lab algebra, the matrices built once per sample.
 # polynomial-n3-D4, the largest model the tests build, needs 4.4e7.
 MAX_MATRIX_CELLS = 10 ** 8
-# A lab algebra sample builds and eliminates dim x dim matrices and is priced
-# at this many entries per entry of one; a sample took 0.3, 1.4 and 5.5 ms at
-# n = 1, 2, 3, so the most samples accepted run for 1 to 4 s at any n.
+# A lab algebra sample builds dim x dim matrices and is priced at this many
+# entries per entry of one.  The price dates from samples that also eliminated
+# them; a rank-kernel sample eliminates none since its kernel is certified by a
+# Pfaffian, and took 0.19, 0.61 and 1.83 ms at n = 1, 2, 3 (2-vCPU x86-64 host,
+# Python 3.11), so the most samples accepted at those n run for 0.4 to 2 s.
 SAMPLE_CELLS_PER_ENTRY = 10 ** 3
 
 
@@ -243,53 +245,61 @@ def _cmd_suite(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of ``lab argv``.  Every command is listed with its help line,
+    so usage, ``lab --help`` and an invalid choice read as in the full parser,
+    but only a command named in argv, the one that parses, gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="lab",
         description="Exact computations with invariant 2-forms on sp(2n,R) "
                     "and finite models of symplectic cohomology.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_alg = sub.add_parser("algebra", help="seeded batch checks on sp(2n,R)")
-    p_alg.add_argument("--n", type=int, required=True)
-    p_alg.add_argument("--check", choices=["rank-kernel", "closed-forms"],
-                       default="rank-kernel")
-    p_alg.add_argument("--samples", type=int, default=50)
-    p_alg.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p_alg.add_argument("--format", choices=["json", "csv"], default="json")
-    p_alg.add_argument("--output", default=None)
-    p_alg.set_defaults(fn=_cmd_algebra)
-
     p_om = sub.add_parser("omega", help="analyze the invariant 2-form of one element")
-    p_om.add_argument("--n", type=int, required=True)
-    p_om.add_argument("--element", required=True,
-                      help='JSON matrix, e.g. \'[["1","0"],["0","-1"]]\'')
-    p_om.add_argument("--output", default=None)
-    p_om.set_defaults(fn=_cmd_omega)
-
     p_coh = sub.add_parser("cohomology", help="dimension reports for a model")
-    p_coh.add_argument("--model", choices=["torus", "polynomial", "suspension"],
-                       required=True)
-    p_coh.add_argument("--n", type=int, default=1)
-    p_coh.add_argument("--cutoff", type=int, default=4,
-                       help="coefficient degree D (polynomial) or Fourier cutoff N (suspension)")
-    p_coh.add_argument("--theories", default="dr,dpl,ddl",
-                       help="comma-separated subset of dr,dpl,ddl,hodge")
-    p_coh.add_argument("--format", choices=["json", "csv"], default="json")
-    p_coh.add_argument("--output", default=None)
-    p_coh.set_defaults(fn=_cmd_cohomology)
-
     p_suite = sub.add_parser("suite", help="run all acceptance criteria")
-    p_suite.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p_suite.add_argument("--format", choices=["json", "csv"], default="json")
-    p_suite.add_argument("--output", default=None)
-    p_suite.set_defaults(fn=_cmd_suite)
+
+    if "algebra" in argv:
+        p_alg.add_argument("--n", type=int, required=True)
+        p_alg.add_argument("--check", choices=["rank-kernel", "closed-forms"],
+                           default="rank-kernel")
+        p_alg.add_argument("--samples", type=int, default=50)
+        p_alg.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+        p_alg.add_argument("--format", choices=["json", "csv"], default="json")
+        p_alg.add_argument("--output", default=None)
+        p_alg.set_defaults(fn=_cmd_algebra)
+
+    if "omega" in argv:
+        p_om.add_argument("--n", type=int, required=True)
+        p_om.add_argument("--element", required=True,
+                          help='JSON matrix, e.g. \'[["1","0"],["0","-1"]]\'')
+        p_om.add_argument("--output", default=None)
+        p_om.set_defaults(fn=_cmd_omega)
+
+    if "cohomology" in argv:
+        p_coh.add_argument("--model", choices=["torus", "polynomial", "suspension"],
+                           required=True)
+        p_coh.add_argument("--n", type=int, default=1)
+        p_coh.add_argument("--cutoff", type=int, default=4, help="coefficient degree D "
+                           "(polynomial) or Fourier cutoff N (suspension)")
+        p_coh.add_argument("--theories", default="dr,dpl,ddl",
+                           help="comma-separated subset of dr,dpl,ddl,hodge")
+        p_coh.add_argument("--format", choices=["json", "csv"], default="json")
+        p_coh.add_argument("--output", default=None)
+        p_coh.set_defaults(fn=_cmd_cohomology)
+
+    if "suite" in argv:
+        p_suite.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+        p_suite.add_argument("--format", choices=["json", "csv"], default="json")
+        p_suite.add_argument("--output", default=None)
+        p_suite.set_defaults(fn=_cmd_suite)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors, and --help's 0
         return exc.code
     for name, least in (("cutoff", 1), ("n", 1), ("samples", 0)):

@@ -7,13 +7,13 @@ fixed basis enumerates the A block row-major (n^2 generators), then the
 upper triangle of B, then the upper triangle of C, so coordinates and all
 reports are reproducible; each coordinate sits in one entry, its slot, and
 fixes one mirror entry (``_mirror``), and a basis matrix is the member with
-one unit coordinate.  Structure constants are integers read at these
-slots from the commutators of basis matrices, each summed from the two
-matrices' own nonzero entries (at most two each, grouped by row) with no
-matrix product.  The Killing Gram tr(ad_i ad_j) is summed over one index of
-the adjoint entries keyed by (column, row), so only nonzero products are
-visited.  All are computed over ``int`` once per context, with the Gram's
-one nonzero per row recorded as the partner table (pi(k), g_k).
+one unit coordinate, so it has at most two entries.  The context is in
+closed form, over ``int``, with no matrix product: by [E_ij, E_kl] =
+delta_jk E_il - delta_li E_kj the structure constants are summed from the
+pairs of basis entries whose inner indices meet, read at the slots; the
+Killing form of sp(2n) is (2n + 2) tr(xy), so its Gram has one nonzero per
+row, the partner table (pi(k), g_k) read off the slot index.  Tests compare
+all of it with the commutators and ad-traces of the basis matrices.
 
 An element's ``Fraction`` coordinates are cleared of denominators once
 (``linalg.integer_coords``); brackets and ad(x) are built over ``int`` and
@@ -50,14 +50,16 @@ def is_in_algebra(x: Matrix, n: int) -> bool:
     For x = [[A, B], [C, D]] the condition reads D = -A^t with B and C
     symmetric, so each nonzero entry is checked against its mirror entry:
     no matrix products.  An entry whose mirror is nonzero is reached from
-    the mirror, so walking the nonzeros covers every condition.
+    the mirror, so walking the nonzeros covers every condition; the mirror
+    entries are read from the row dicts, which the shape check bounds.
     """
     if (x.rows, x.cols) != (2 * n, 2 * n):
         raise ValueError(f"expected a {2*n}x{2*n} matrix, got {x.rows}x{x.cols}")
-    for r in range(2 * n):
-        for c, v in x.row_items(r):
+    rows = x._nz
+    for r, row in enumerate(rows):
+        for c, v in row.items():
             mr, mc, sign = _mirror(r, c, n)
-            if x[mr, mc] != sign * v:
+            if rows[mr].get(mc, 0) != sign * v:
                 return False
     return True
 
@@ -71,11 +73,12 @@ def _slots(n: int) -> list[tuple[int, int]]:
 
 
 class AlgebraContext:
-    """Basis of sp(2n, R) with precomputed structure constants and Killing form.
+    """Basis of sp(2n, R) with its structure constants and Killing form.
 
-    The structure constants, adjoint matrices and Killing Gram are integers:
-    each commutator of two basis matrices, checked entrywise against its
-    mirror entries, has its coordinates read off at the slots.
+    The structure constants, adjoint matrices and Killing Gram are integers
+    in closed form: each basis matrix has at most two entries, its slot and
+    its mirror, so a product of two is read off the entries whose inner
+    indices meet, and the Killing form is (2n + 2) tr(xy).
     Immutable after construction; safe to share between threads.
     """
 
@@ -85,70 +88,54 @@ class AlgebraContext:
         self.n = n
         self.dim = 2 * n * n + n
         self._slots = _slots(n)
-        if len(self._slots) != self.dim:
-            raise AssertionError("basis enumeration does not match dimension")
         self._places = [(r, c, *_mirror(r, c, n)) for r, c in self._slots]
-        self.basis = [self.matrix_of_coords([int(k == t) for t in range(self.dim)])
-                      for k in range(self.dim)]
-        for m in self.basis:
-            if not is_in_algebra(m, n):
-                raise AssertionError("basis matrix fails algebra membership")
-        # each basis matrix's nonzeros by row, and as (r, c, v) triples
-        by_row = [{r: list(m.row_items(r)) for r in range(2 * n) if m.row_items(r)}
-                  for m in self.basis]
-        entries = [[(r, c, v) for r, row in rows.items() for c, v in row] for rows in by_row]
-        # structure constants, sparse: _table[(i, j)] = {k: c} for i < j
         slot_of = {rc: k for k, rc in enumerate(self._slots)}
+        # the entries (r, m) of each basis matrix e_i by column m, and (m, c) by row m
+        starts: dict[int, list[tuple[int, int, int]]] = {}
+        ends: dict[int, list[tuple[int, int, int]]] = {}
+        for i, (r, c, mr, mc, sign) in enumerate(self._places):
+            for (a, b), v in {(r, c): 1, (mr, mc): sign}.items():
+                starts.setdefault(b, []).append((i, a, v))
+                ends.setdefault(a, []).append((i, b, v))
+        # [e_i, e_j] at the slots, from the products e_i e_j whose inner indices meet
+        comm: dict[tuple[int, int], dict[int, int]] = {}
+        for m, left in starts.items():
+            for j, c, w in ends[m]:
+                for i, r, v in left:
+                    k = slot_of.get((r, c))
+                    if k is None or i == j:
+                        continue
+                    key, vw = ((i, j), v * w) if i < j else ((j, i), -v * w)
+                    entry = comm.setdefault(key, {})
+                    entry[k] = entry.get(k, 0) + vw
+        # structure constants, sparse: _table[(i, j)] = {k: c} for i < j, in order
         self._table: dict[tuple[int, int], dict[int, int]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm: dict[tuple[int, int], int] = {}
-                for left, right, sign in ((i, j, 1), (j, i, -1)):
-                    for r, k, v in entries[left]:
-                        for c, w in by_row[right].get(k, ()):
-                            comm[r, c] = comm.get((r, c), 0) + sign * v * w
-                comm = {rc: v for rc, v in comm.items() if v}
-                for (r, c), v in comm.items():
-                    mr, mc, sign = _mirror(r, c, n)
-                    if comm.get((mr, mc), 0) != sign * v:
-                        raise AssertionError("commutator of basis matrices fails algebra membership")
-                entry = sorted((slot_of[rc], v) for rc, v in comm.items() if rc in slot_of)
-                if entry:
-                    self._table[(i, j)] = dict(entry)
+        for key in sorted(comm):
+            if entry := {k: c for k, c in sorted(comm[key].items()) if c}:
+                self._table[key] = entry
         # adjoint of each basis element, sparse by column: _ad[i][a] = {b: c};
         # the table is in lexicographic order, so each _ad[i] is in order of a
         self._ad: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
         for (i, j), entry in self._table.items():
             self._ad[i][j] = entry
             self._ad[j][i] = {k: -c for k, c in entry.items()}
-        # tr(ad_i ad_j) sums ad_i[b][a] * ad_j[a][b]: adjoint entries keyed by
-        # (column a, row b), each key paired with key (b, a)
-        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, adi in enumerate(self._ad):
-            for a, column in adi.items():
-                for b, c in column.items():
-                    index.setdefault((a, b), []).append((i, c))
-        gram = [[0] * self.dim for _ in range(self.dim)]
-        for (a, b), here in index.items():
-            for i, c in here:
-                row = gram[i]
-                for j, d in index.get((b, a), ()):
-                    row[j] += c * d
-        self.killing_gram = Matrix(gram)
-        # the one nonzero of each Gram row: (pi(k), g_k) with B(e_k, e_pi(k)) = g_k
-        self.killing_partners: list[tuple[int, int]] = []
-        for k in range(self.dim):
-            entries = list(self.killing_gram.row_items(k))
-            if len(entries) != 1:
-                raise AssertionError("Killing Gram row without exactly one nonzero")
-            self.killing_partners.append(entries[0])
+        # B(e_k, e_pi(k)) = g_k = (2n + 2) tr(e_k e_pi(k)), the one nonzero of Gram
+        # row k: pi transposes an A slot and swaps the B and C slots (i, j); the
+        # trace is 2, or 1 at a diagonal B or C slot, which is its own mirror
+        a_end, half = n * n, n * (n + 1) // 2
+        self.killing_partners: list[tuple[int, int]] = [
+            (c * n + r if k < a_end else k + half if k < a_end + half else k - half,
+             (2 * n + 2) * (1 if (r, c) == (mr, mc) else 2))
+            for k, (r, c, mr, mc, _) in enumerate(self._places)]
+        self.killing_gram = Matrix._of(self.dim, self.dim,
+                                       [{p: g} for p, g in self.killing_partners])
 
     # -- coordinates ---------------------------------------------------
     def coords_of_matrix(self, x: Matrix) -> list[Fraction]:
         """Coordinates in the fixed basis; requires algebra membership."""
         if not is_in_algebra(x, self.n):
             raise ValueError("matrix is not in sp(2n, R)")
-        return [Q(x[r, c]) for r, c in self._slots]
+        return [Q(x._nz[r].get(c, 0)) for r, c in self._slots]
 
     def matrix_of_coords(self, coords: Sequence[Fraction]) -> Matrix:
         """The member with these coordinates: each is written at its slot and,
@@ -292,7 +279,7 @@ def odd_powers(a: AlgebraElement) -> list[list[int]]:
         powers.append(powers[-1] @ square)
     if not all(is_in_algebra(x, ctx.n) for x in powers):
         raise AssertionError("an odd power of a is not in sp(2n)")
-    return [[x[r, c] for r, c in ctx._slots] for x in powers]
+    return [[x._nz[r].get(c, 0) for r, c in ctx._slots] for x in powers]
 
 
 def centralizer(a: AlgebraElement) -> Subspace:

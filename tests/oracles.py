@@ -1,5 +1,7 @@
 """Reference constructions that only tests call: the J matrix, unit elements
-and element arithmetic, brackets, the Killing form as an ad-trace, the span
+and element arithmetic, brackets, the Killing form as an ad-trace, the basis
+matrices written out block by block and the context built from their
+products (commutators checked by J products, the Gram as ad-traces), the span
 of vectors as a subspace, maximal abelian subspaces, the linear system
 whose solution is the potential of a 2-form, a nilpotent element, the
 complement of a form's kernel read off its reduced echelon kernel basis,
@@ -88,10 +90,10 @@ def killing_form(x: AlgebraElement, y: AlgebraElement) -> Fraction:
 def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
     """The constant c with B(x, y) = c * trace(xy), checked on every pair of
     basis elements before it is returned."""
-    ratios = set()
+    basis, ratios = basis_matrices(ctx.n), set()
     for i in range(ctx.dim):
         for j in range(i, ctx.dim):
-            prod = ctx.basis[i] @ ctx.basis[j]
+            prod = basis[i] @ basis[j]
             tr, kij = sum(prod[a, a] for a in range(prod.rows)), ctx.killing_gram[i, j]
             if tr == 0 and kij != 0:
                 raise AssertionError("Killing form is not proportional to the trace form")
@@ -99,6 +101,99 @@ def killing_trace_constant(ctx: AlgebraContext) -> Fraction:
     if len(ratios) != 1:
         raise AssertionError("Killing form is not proportional to the trace form")
     return ratios.pop()
+
+
+# -- the context from the basis matrices ---------------------------------------------
+
+def basis_matrices(n: int) -> list[Matrix]:
+    """The basis of sp(2n) written out block by block: E_ij - E_(n+j)(n+i)
+    for the A block row-major, then E_ij + E_ji on the upper triangles of
+    the symmetric B and C blocks."""
+    basis = []
+    for i in range(n):
+        for j in range(n):
+            m = Matrix.zeros(2 * n, 2 * n)
+            m[i, j] = 1
+            m[n + j, n + i] = -1
+            basis.append(m)
+    for row0, col0 in ((0, n), (n, 0)):
+        for i in range(n):
+            for j in range(i, n):
+                m = Matrix.zeros(2 * n, 2 * n)
+                m[row0 + i, col0 + j] = 1
+                m[row0 + j, col0 + i] = 1
+                basis.append(m)
+    return basis
+
+
+def j_product_is_zero(x: Matrix, n: int) -> bool:
+    """Membership as the definition states it: J x + x^t J = 0."""
+    j = j_matrix(n)
+    return ((j @ x) + (x.transpose() @ j)).is_zero()
+
+
+def coords_by_j_products(x: Matrix, n: int) -> list[Fraction]:
+    """Coordinates of a member, checked by J products and read block by block:
+    A row-major, then the upper triangles of B and of C."""
+    assert j_product_is_zero(x, n)
+    coords = [Q(x[i, j]) for i in range(n) for j in range(n)]
+    coords += [Q(x[i, n + j]) for i in range(n) for j in range(i, n)]
+    coords += [Q(x[n + i, j]) for i in range(n) for j in range(i, n)]
+    return coords
+
+
+def context_by_products(n: int) -> tuple[dict, list[dict], Matrix, list[tuple[int, int]]]:
+    """The structure constants, adjoint columns, Killing Gram and partner
+    table of sp(2n), from the basis matrices and their products: each
+    commutator b_i @ b_j - b_j @ b_i, checked by J products to lie in the
+    algebra, read block by block; the Gram summed pair by pair as the sum
+    over a, b of ad_i[b][a] * ad_j[a][b]; the partners as the one nonzero
+    of each Gram row, AssertionError if a row has another count."""
+    basis = basis_matrices(n)
+    table = {}
+    for i, j in combinations(range(len(basis)), 2):
+        coords = coords_by_j_products((basis[i] @ basis[j]) - (basis[j] @ basis[i]), n)
+        if any(coords):
+            table[i, j] = {k: c for k, c in enumerate(coords) if c}
+    ad = [{} for _ in basis]
+    for (i, j), entry in table.items():
+        ad[i][j] = entry
+        ad[j][i] = {k: -c for k, c in entry.items()}
+    gram = Matrix.zeros(len(basis), len(basis))
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            gram[i, j] = sum(c * ad[j].get(b, {}).get(a, 0)
+                             for a, column in ad[i].items() for b, c in column.items())
+    partners = []
+    for k in range(gram.rows):
+        entries = list(gram.row_items(k))
+        if len(entries) != 1:
+            raise AssertionError(f"Killing Gram row {k} without exactly one nonzero")
+        partners.append(entries[0])
+    return table, ad, gram, partners
+
+
+def _items(x):
+    """Nested dicts as nested lists of (key, value) pairs, so that a comparison
+    also compares their order."""
+    return [(k, _items(v)) for k, v in x.items()] if isinstance(x, dict) else x
+
+
+def context_mismatches(ctx: AlgebraContext) -> list[str]:
+    """The parts of ctx that differ from ``context_by_products``: "_table"
+    (its constants, key order or entry order), "_ad" (its columns or their
+    order), "killing_gram" and "killing_partners"."""
+    table, ad, gram, partners = context_by_products(ctx.n)
+    bad = []
+    if _items(ctx._table) != _items(table):
+        bad.append("_table")
+    if list(map(_items, ctx._ad)) != list(map(_items, ad)):
+        bad.append("_ad")
+    if ctx.killing_gram != gram:
+        bad.append("killing_gram")
+    if ctx.killing_partners != partners:
+        bad.append("killing_partners")
+    return bad
 
 
 def span(ctx: AlgebraContext, vectors: Sequence[Sequence[Fraction]]) -> Subspace:

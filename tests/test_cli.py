@@ -420,6 +420,42 @@ def test_suite_report_matches_golden_bytes(tmp_path, monkeypatch, capsys):
     assert report.read_bytes() == golden.read_bytes()
 
 
+# SHA-256 of the file lab suite --seed 7 --format csv --output writes, captured
+# before the parser added arguments only to the command in use
+SUITE_CSV_SHA256 = "fca77175ca8c119c1fb31f4b51cfda7eb03178a2462d318a7b0db32c666e5f3e"
+
+
+def test_suite_csv_report_matches_pinned_bytes(tmp_path, monkeypatch, capsys):
+    """The CSV branch of lab suite --output: its bytes are pinned, and its rows
+    are those of the benchmark's golden JSON report, which is only read."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "reports" / "suite.json"
+    monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
+    report = tmp_path / "suite.csv"
+    code, out = run_cli(capsys, "suite", "--seed", "7", "--format", "csv", "--output", str(report))
+    assert code == 1
+    assert "10/11 criteria passed" in out
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == SUITE_CSV_SHA256
+    rows = list(csv.reader(io.StringIO(report.read_text())))
+    assert rows[0] == ["criterion", "name", "expected", "computed", "passed"]
+    assert rows[1:] == [[str(r["criterion"]), r["name"], r["expected"], r["computed"],
+                         str(r["passed"]).lower()] for r in json.loads(golden.read_text())]
+
+
+USAGE_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_usage.json"
+
+
+@pytest.mark.parametrize("case", json.loads(USAGE_GOLDEN.read_text()),
+                         ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_usage_surface_matches_golden(case, monkeypatch, capsys):
+    """Exit code, stdout and stderr of lab --help, each command's --help and
+    argparse's usage errors, byte for byte as captured (at 80 columns) while
+    the parser still built every command's arguments."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_suite_table_and_exit_codes(monkeypatch, capsys):
     good = CheckResult(1, "alpha", "x", "x", True, 0.01)
     bad = CheckResult(2, "beta", "y", "z", False, 0.02)

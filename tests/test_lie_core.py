@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from fractions import Fraction as Q
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import symplab.lie_core as lie
 import symplab.polynomials as polys
 from symplab.linalg import Matrix, echelon_rows
-from oracles import (add, bracket, bracket_coords, is_maximal_abelian, j_matrix,
+from oracles import (add, basis_matrices, bracket, bracket_coords, context_mismatches,
+                     coords_by_j_products, is_maximal_abelian, j_matrix, j_product_is_zero,
                      killing_form, killing_trace_constant, nilpotent_unit, scale, span,
                      sub, unit_element)
 from strategies import (PROPERTY, RATIONALS, SPARSE_INTS,  # shared with other modules
@@ -33,7 +35,7 @@ def test_dimensions():
     assert CTX1.dim == 3
     assert CTX2.dim == 10
     assert CTX3.dim == 21
-    assert len(CTX2.basis) == 10
+    assert [len(lie._slots(ctx.n)) for ctx in (CTX1, CTX2, CTX3)] == [3, 10, 21]
 
 
 def test_basis_order_n1():
@@ -42,33 +44,16 @@ def test_basis_order_n1():
     assert F.to_matrix() == Matrix([[0, 0], [1, 0]])
 
 
-def block_basis(n: int) -> list[Matrix]:
-    """The basis of sp(2n) written out block by block: E_ij - E_(n+j)(n+i)
-    for the A block row-major, then E_ij + E_ji on the upper triangles of
-    the symmetric B and C blocks."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            m = Matrix.zeros(2 * n, 2 * n)
-            m[i, j] = 1
-            m[n + j, n + i] = -1
-            basis.append(m)
-    for row0, col0 in ((0, n), (n, 0)):
-        for i in range(n):
-            for j in range(i, n):
-                m = Matrix.zeros(2 * n, 2 * n)
-                m[row0 + i, col0 + j] = 1
-                m[row0 + j, col0 + i] = 1
-                basis.append(m)
-    return basis
-
-
 @pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX3], ids=["n1", "n2", "n3"])
 def test_basis_matches_block_formulas(ctx):
-    basis = block_basis(ctx.n)
-    assert ctx.basis == basis
+    """The member with each unit coordinate is the block-formula basis matrix,
+    which lies in the algebra by J products and by the entrywise test."""
+    basis = basis_matrices(ctx.n)
     for k, m in enumerate(basis):
-        assert ctx.coords_of_matrix(m) == [Q(int(k == t)) for t in range(ctx.dim)]
+        unit = [Q(int(k == t)) for t in range(ctx.dim)]
+        assert ctx.matrix_of_coords(unit) == m
+        assert j_product_is_zero(m, ctx.n) and lie.is_in_algebra(m, ctx.n)
+        assert ctx.coords_of_matrix(m) == unit
 
 
 def test_membership_examples():
@@ -158,18 +143,6 @@ def test_killing_partners_are_the_gram_entries(n):
         assert ctx.killing_gram[k, pk] == gk in (2 * (n + 1), 4 * (n + 1))
         gram[k, pk] = gk
     assert ctx.killing_gram == gram
-
-
-def test_killing_partners_need_one_nonzero_per_row(monkeypatch):
-    """A Killing Gram row with a second nonzero stops the construction."""
-    class Perturbed(Matrix):
-        def __init__(self, data):
-            super().__init__(data)
-            self[0, 1] = self[0, 1] + 1
-
-    monkeypatch.setattr(lie, "Matrix", Perturbed)
-    with pytest.raises(AssertionError, match="Killing Gram row"):
-        lie.AlgebraContext(1)
 
 
 def test_killing_trace_constant():
@@ -431,29 +404,14 @@ def test_matrix_coordinate_roundtrip():
 
 # -- integer structure constants and entrywise membership ---------------------------
 
-def j_product_is_zero(x: Matrix, n: int) -> bool:
-    """Membership as the definition states it: J x + x^t J = 0."""
-    j = j_matrix(n)
-    return ((j @ x) + (x.transpose() @ j)).is_zero()
-
-
-def coords_by_j_products(x: Matrix, n: int) -> list[Q]:
-    """Coordinates of a member, checked by J products and read block by block:
-    A row-major, then the upper triangles of B and of C."""
-    assert j_product_is_zero(x, n)
-    coords = [Q(x[i, j]) for i in range(n) for j in range(n)]
-    coords += [Q(x[i, n + j]) for i in range(n) for j in range(i, n)]
-    coords += [Q(x[n + i, j]) for i in range(n) for j in range(i, n)]
-    return coords
-
-
 @pytest.mark.parametrize("ctx", [CTX1, CTX2, CTX3], ids=["n1", "n2", "n3"])
 def test_pair_brackets_are_integer_commutator_coordinates(ctx):
+    basis = basis_matrices(ctx.n)
     for i in range(ctx.dim):
         for j in range(ctx.dim):
             entry = ctx.pair_bracket(i, j)
             assert all(type(c) is int and c != 0 for c in entry.values())
-            bi, bj = ctx.basis[i], ctx.basis[j]
+            bi, bj = basis[i], basis[j]
             want = coords_by_j_products((bi @ bj) - (bj @ bi), ctx.n)
             assert [entry.get(k, 0) for k in range(ctx.dim)] == want
     assert all(type(v) is int for i in range(ctx.dim) for _, v in ctx.killing_gram.row_items(i))
@@ -512,7 +470,7 @@ def fraction_ad(ctx, x) -> Matrix:
 def fraction_matrix(ctx, coords) -> Matrix:
     """The sum of the basis matrices scaled by the coordinates."""
     acc = Matrix.zeros(2 * ctx.n, 2 * ctx.n)
-    for c, b in zip(coords, ctx.basis):
+    for c, b in zip(coords, basis_matrices(ctx.n)):
         acc = acc + b.scale(c)
     return acc
 
@@ -540,55 +498,80 @@ def test_integer_element_layer_matches_fraction_formulas():
 
 # -- the context against the matrix-product construction -----------------------------
 
-def product_oracle(ctx):
-    """The structure constants read at the slots of b_i @ b_j - b_j @ b_i,
-    the adjoint columns they give, and the Killing Gram summed pair by pair
-    as sum over a, b of ad_i[b][a] * ad_j[a][b]."""
-    slot_of = {rc: k for k, rc in enumerate(lie._slots(ctx.n))}
-    table = {}
-    for i, j in combinations(range(ctx.dim), 2):
-        comm = (ctx.basis[i] @ ctx.basis[j]) - (ctx.basis[j] @ ctx.basis[i])
-        entry = sorted((slot_of[r, c], v) for r in range(comm.rows)
-                       for c, v in comm.row_items(r) if (r, c) in slot_of)
-        if entry:
-            table[i, j] = dict(entry)
-    ad = [{} for _ in range(ctx.dim)]
-    for (i, j), entry in table.items():
-        ad[i][j] = entry
-        ad[j][i] = {k: -c for k, c in entry.items()}
-    gram = Matrix.zeros(ctx.dim, ctx.dim)
-    for i in range(ctx.dim):
-        for j in range(ctx.dim):
-            gram[i, j] = sum(c * ad[j].get(b, {}).get(a, 0)
-                             for a, column in ad[i].items() for b, c in column.items())
-    return table, ad, gram
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["n1", "n2", "n3", "n4"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=["n1", "n2", "n3", "n4", "n5"])
 def test_context_matches_matrix_product_oracle(n, monkeypatch):
+    """The structure constants (with their key order), the adjoint columns, the
+    Killing Gram and the partner table equal those built from the basis
+    matrices' products; the oracle also checks that every commutator lies in
+    the algebra and that every Gram row has one nonzero."""
     with monkeypatch.context() as patch:  # the context itself takes no product
         for name in ("__matmul__", "__sub__"):
             patch.setattr(Matrix, name, lambda *args: pytest.fail("a Matrix product was taken"))
         ctx = lie.standard_basis(n)
-    table, ad, gram = product_oracle(ctx)
-    assert ctx._table == table and list(ctx._table) == list(table)
-    assert ctx._ad == ad and [list(a) for a in ctx._ad] == [list(a) for a in ad]
-    assert ctx.killing_gram == gram
+    assert context_mismatches(ctx) == []
 
 
-def test_context_membership_checks_raise(monkeypatch):
-    """A basis matrix outside the algebra, and a commutator outside it (basis
-    matrices with only their slot entry, admitted by a patched basis check),
-    each stop the construction."""
-    def slot_only(ctx, coords):
-        m = Matrix.zeros(2 * ctx.n, 2 * ctx.n)
-        for (r, c), x in zip(lie._slots(ctx.n), coords):
-            m[r, c] = x
-        return m
+def with_table(ctx: lie.AlgebraContext, table: dict) -> lie.AlgebraContext:
+    """A copy of ctx with these structure constants and the adjoint columns the
+    construction reads off them."""
+    planted = copy.copy(ctx)
+    planted._table = table
+    planted._ad = [{} for _ in range(ctx.dim)]
+    for (i, j), entry in table.items():
+        planted._ad[i][j] = entry
+        planted._ad[j][i] = {k: -c for k, c in entry.items()}
+    return planted
 
-    monkeypatch.setattr(lie.AlgebraContext, "matrix_of_coords", slot_only)
-    with pytest.raises(AssertionError, match="basis matrix"):
-        lie.AlgebraContext(2)
-    monkeypatch.setattr(lie, "is_in_algebra", lambda x, n: True)
-    with pytest.raises(AssertionError, match="commutator"):
-        lie.AlgebraContext(2)
+
+def with_partners(ctx: lie.AlgebraContext, partners: list) -> lie.AlgebraContext:
+    """A copy of ctx with this partner table and the Gram the construction builds from it."""
+    planted = copy.copy(ctx)
+    planted.killing_partners = partners
+    planted.killing_gram = Matrix._of(ctx.dim, ctx.dim, [{p: g} for p, g in partners])
+    return planted
+
+
+@pytest.mark.parametrize("fault, caught", [
+    ("flipped structure-constant sign", ["_table", "_ad"]),
+    ("partner trace 2 at a diagonal B or C slot", ["killing_gram", "killing_partners"]),
+    ("two slots swapped in _slots", ["_table", "_ad", "killing_gram", "killing_partners"]),
+])
+def test_context_oracle_catches_planted_faults(fault, caught, monkeypatch):
+    """Each planted fault in the context of sp(4) shows in the comparison with
+    the product oracle, in the parts named; the unplanted context shows none."""
+    ctx = CTX2
+    assert context_mismatches(ctx) == []
+    if fault.startswith("flipped"):
+        (i, j), entry = next(iter(ctx._table.items()))
+        k, c = next(iter(entry.items()))
+        planted = with_table(ctx, {**ctx._table, (i, j): {**entry, k: -c}})
+    elif fault.startswith("partner"):
+        planted = with_partners(ctx, [(p, (2 * ctx.n + 2) * 2) for p, _ in ctx.killing_partners])
+    else:
+        slots = lie._slots
+
+        def swapped(n):  # the first A slot and the last C slot trade places
+            out = slots(n)
+            out[0], out[-1] = out[-1], out[0]
+            return out
+        monkeypatch.setattr(lie, "_slots", swapped)
+        planted = lie.AlgebraContext(ctx.n)
+    assert context_mismatches(planted) == caught
+
+
+# -- input checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_context_refuses_a_non_positive_n(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        lie.AlgebraContext(n)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_coordinate_length_is_checked(length):
+    """sp(2) has three coordinates: an element or a matrix from two or four is refused."""
+    coords = (Q(1),) * length
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        lie.AlgebraElement(CTX1, coords)
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        CTX1.matrix_of_coords(coords)
