@@ -206,17 +206,11 @@ def _cmd_cohomology(args) -> int:
     _check_budget(_model_cells, args.model, args.n, args.cutoff)
     if "hodge" in theories:
         coh.require_inner_product(args.model)
-    if args.model == "torus":
-        model = build_torus_model(args.n)
-    elif args.model == "polynomial":
-        model = build_polynomial_model(args.n, args.cutoff)
-    else:
-        model = build_suspension_model(args.cutoff)
+    model = (build_torus_model(args.n) if args.model == "torus"
+             else build_polynomial_model(args.n, args.cutoff) if args.model == "polynomial"
+             else build_suspension_model(args.cutoff))
     reports = [getattr(coh, THEORIES[t])(model) for t in theories if t != "hodge"]
-    hodge_reports = []
-    if "hodge" in theories:
-        dpl = next((r for r in reports if r.theory == "dPlusDLambda"), None)
-        hodge_reports.append(coh.hodge_check(model, dpl))
+    hodge_reports = [coh.hodge_check(model)] if "hodge" in theories else []
     if args.format == "csv":
         _emit(coh.reports_to_csv(reports, hodge_reports), args.output)
     else:

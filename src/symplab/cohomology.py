@@ -6,23 +6,23 @@ Three theories per degree k, each a quotient ker(num) / im(den):
 * (d+dl)-cohomology:  (ker d  intersect  ker dl) / im(d.dl)
 * dl.d-cohomology:    ker(d.dl) / (im d + im dl)
 
-(ker(d + dl) is ker d intersect ker dl: the two images live in different
-degrees.)  On a model with a window W (the polynomial model) numerators
-are restricted to W while denominators keep the full truncated space,
-which removes exactly the truncation-boundary classes.  Dimensions come
-from ranks alone, each a forward fraction-free elimination over int:
+(ker(d + dl) = ker d intersect ker dl: the images lie in two degrees.)  With a
+window W (the polynomial model) numerators are restricted to W and denominators
+keep the whole truncated space, which removes exactly the truncation-boundary
+classes.  By forward fraction-free ranks over int (no window: W is everything),
+dim H^k = |W| - rank(num|W) - rank(den) + rank(den rows outside W); this rests on
+im den inside ker num, from d.d = 0, dl.dl = 0 and d.dl + dl.d = 0, so every
+report refuses a model whose ``model.identities`` do not all hold.
 
-    dim H^k = |W| - rank(num|W) - rank(den) + rank(den rows outside W)
-
-(no window: W is every coordinate and the last term is 0).  It rests on
-im(den) inside ker(num), so that the numerator meets im(den) in its
-vectors supported on W; that follows from d.d = 0, dl.dl = 0 and
-d.dl + dl.d = 0, and the theories refuse a model whose recorded
-``model.identities`` do not all hold.  Blocks are read through
-``model.d_block``, ``model.dl_block`` and ``model.d_dl``.  Also here: the
-reduction of an even cocycle to its constant, the finite Hodge operator
-(adjoints are transposes in the orthonormal torus and suspension bases),
-and the per-degree inequality check between the theories.
+Rank table: ``model.ranks[k]`` keeps each rank of degree k once eliminated,
+rank(d_k|W) and rank([d_k; dl_k]|W) from one nested elimination, rank(s_k|W) for
+s_k = d.dl, and each den's term, which with no window is a rank already there.
+Row space: the rows of s_k, dl_(k+2)^t d_k and d_(k-2)^t dl_k lie in those of dl_k,
+d_k and dl_k, so the Hodge stack M_k (D = M^t M) has the rank of [d_k; dl_k; s_k^t],
+the echelon of [d_k; dl_k] eliminated on with the rows of s_k^t.
+Orthogonality: im s_k lies in ker d_k and ker dl_k, so it is orthogonal to im d_k^t
++ im dl_k^t, and ker M_k to both; over Q orthogonal spaces meet in 0, so the three
+Hodge summands are exhaustive exactly when their dimensions add up to n_k.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Matrix
 from .models import (IDENTITIES, ComplexModel, FormVector, d_apply, d_lambda_apply,
@@ -70,7 +69,7 @@ class HodgeReport:
                    for d in self.degrees)
 
 
-# -- dimensions from ranks ----------------------------------------------------
+# -- the rank table -----------------------------------------------------------
 
 def _require_identities(model: ComplexModel) -> None:
     """The rank formula's premise: the model records all five identities as holding."""
@@ -81,35 +80,56 @@ def _require_identities(model: ComplexModel) -> None:
                          "its cohomology dimensions are not defined")
 
 
-def quotient_dim(num: Matrix, den: Matrix, window: Sequence[int]) -> int:
-    """dim of (ker num within the window's columns) / im den, for im den inside ker num."""
-    inside = set(window)
-    rank_outside, rank_den = den.nested_ranks([i for i in range(den.rows) if i not in inside])
-    return len(window) - num.select_columns(window).rank() - rank_den + rank_outside
+def _rank(model: ComplexModel, k: int, entry: str) -> int:
+    """An entry of degree k's rank table, eliminated on first use together with
+    the other entries that its elimination gives."""
+    table = model.ranks.setdefault(k, {})
+    if entry in table:
+        return table[entry]
+    window = range(model.dim(k)) if model.window is None else model.window[k]
+    if entry == "M":
+        _rank(model, k, "d+dl")
+        table["M"] = Matrix.vstack([table["echelon"], model.d_dl[k].transpose()]).rank()
+    elif entry in ("d", "d+dl"):
+        stacked = Matrix.vstack([model.d_block(k), model.dl_block(k)]).select_columns(window)
+        (table["d"], table["d+dl"]), form = stacked.nested_ranks(range(model.dim(k + 1)))
+        table["echelon"] = form if model.window is None else None
+    elif entry == "s":
+        table["s"] = model.d_dl[k].select_columns(window).rank()
+    elif model.window is None and entry != "im d|dl":  # whole images: numerator ranks
+        table[entry] = _rank(model, k - 1, "d") if entry == "im d" else _rank(model, k, "s")
+    else:  # rank(den) less the rank of den's rows outside the window
+        den = (model.d_block(k - 1) if entry == "im d" else model.d_dl[k] if entry == "im s"
+               else Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]))
+        inside = set(window)
+        (rank_outside, rank), _ = den.nested_ranks([i for i in range(den.rows) if i not in inside])
+        table[entry] = rank - rank_outside
+    return table[entry]
 
 
-def _report(model: ComplexModel, theory: str, numerator, denominator) -> CohomologyReport:
+# theory -> the table entries of its numerator and of its denominator
+TERMS = {"deRham": ("d", "im d"), "dPlusDLambda": ("d+dl", "im s"), "ddLambda": ("s", "im d|dl")}
+
+
+def _report(model: ComplexModel, theory: str) -> CohomologyReport:
     _require_identities(model)
-    window = model.window
-    dims = tuple(quotient_dim(numerator(k), denominator(k),
-                              range(model.dim(k)) if window is None else window[k])
+    num, den = TERMS[theory]
+    dims = tuple((model.dim(k) if model.window is None else len(model.window[k]))
+                 - _rank(model, k, num) - _rank(model, k, den)
                  for k in range(model.top_degree + 1))
-    return CohomologyReport(model.name, theory, dims, window is not None)
+    return CohomologyReport(model.name, theory, dims, model.window is not None)
 
 
 def de_rham(model: ComplexModel) -> CohomologyReport:
-    return _report(model, "deRham", model.d_block, lambda k: model.d_block(k - 1))
+    return _report(model, "deRham")
 
 
 def d_plus_dlambda_cohomology(model: ComplexModel) -> CohomologyReport:
-    return _report(model, "dPlusDLambda",
-                   lambda k: Matrix.vstack([model.d_block(k), model.dl_block(k)]),
-                   model.d_dl.__getitem__)
+    return _report(model, "dPlusDLambda")
 
 
 def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
-    return _report(model, "ddLambda", model.d_dl.__getitem__,
-                   lambda k: Matrix.hstack([model.d_block(k - 1), model.dl_block(k + 1)]))
+    return _report(model, "ddLambda")
 
 
 def quotient_sanity(model: ComplexModel) -> bool:
@@ -160,49 +180,29 @@ def reduction_constant(v: FormVector) -> Fraction:
 
 # -- finite Hodge operator ----------------------------------------------------
 
-def require_inner_product(kind: str) -> None:
-    """The rule for which models get a Hodge check: the torus and suspension
-    bases are orthonormal, the polynomial model has no inner product."""
-    if kind == "polynomial":
+def require_inner_product(kind: str, windowed: bool = False) -> None:
+    """Hodge checks are for the orthonormal torus and suspension bases; the
+    polynomial model, the one with a window, has no inner product."""
+    if kind == "polynomial" or windowed:
         raise ValueError("hodge_check requires a model with an inner product")
 
 
-def hodge_check(model: ComplexModel,
-                dpl: CohomologyReport | None = None) -> HodgeReport:
-    """Kernel of the finite (d+dl)-Laplacian against the cohomology.
-
-    D = (d.dl)(d.dl)* + (d.dl)*(d.dl) + d*.dl.dl*.d + dl*.d.d*.dl
-        + d*d + dl*dl  per degree.  The torus and suspension bases are
-    orthonormal, so each adjoint is a transpose and D = M^t M for the six
-    maps of M, stacked.  Reports, per degree, whether ker D matches the
-    (d+dl)-cohomology dimension, taken from ``dpl`` when it is given, and
-    whether the three-summand decomposition ker D + im(d.dl) + (im d* +
-    im dl*) is exhaustive.
-    """
-    require_inner_product(model.kind)
-    if dpl is None:
-        dpl = d_plus_dlambda_cohomology(model)
+def hodge_check(model: ComplexModel) -> HodgeReport:
+    """Per degree, whether ker D matches the (d+dl)-cohomology and the three
+    summands ker D + im(d.dl) + (im d* + im dl*) are exhaustive, for
+    D = (d.dl)(d.dl)* + (d.dl)*(d.dl) + d*.dl.dl*.d + dl*.d.d*.dl + d*d + dl*dl
+    = M^t M in the orthonormal bases: dim ker D = n_k - rank(M_k), and
+    rank([d_k; dl_k]) = rank([d_k* | dl_k*]), all read off the rank table."""
+    require_inner_product(model.kind, model.window is not None)
+    _require_identities(model)
     degrees = []
-    for k in range(model.top_degree + 1):
-        nk = model.dim(k)
-        s = model.d_dl[k]
-        d_k, dl_k = model.d_block(k), model.dl_block(k)
-        m = Matrix.vstack([s.transpose(), s, d_k, dl_k,
-                           model.dl_block(k + 2).transpose() @ d_k,
-                           model.d_block(k - 2).transpose() @ dl_k])
-        kernel_cols = (m.transpose() @ m).kernel_matrix()
-        dim_ker = kernel_cols.cols
-        rank_ddl = s.rank()
-        adjoint_cols = Matrix.hstack([d_k.transpose(), dl_k.transpose()])
-        rank_adj = adjoint_cols.rank()
-        spanning = Matrix.hstack([kernel_cols, s, adjoint_cols])
-        exhaustive = (dim_ker + rank_ddl + rank_adj == nk
-                      and spanning.rank() == nk)
+    for k in range(model.top_degree + 1):  # dim_h as d_plus_dlambda_cohomology reads it
+        nk, rank_ddl, rank_adj = model.dim(k), _rank(model, k, "s"), _rank(model, k, "d+dl")
+        dim_ker, dim_h = nk - _rank(model, k, "M"), nk - rank_adj - _rank(model, k, "im s")
         degrees.append(HodgeDegree(
-            dim_total=nk, dim_ker_d=dim_ker, dim_h=dpl.dims[k],
-            rank_ddl=rank_ddl, rank_adjoint=rank_adj,
-            decomposition_ok=exhaustive,
-            kernel_matches_cohomology=(dim_ker == dpl.dims[k])))
+            dim_total=nk, dim_ker_d=dim_ker, dim_h=dim_h, rank_ddl=rank_ddl,
+            rank_adjoint=rank_adj, decomposition_ok=dim_ker + rank_ddl + rank_adj == nk,
+            kernel_matches_cohomology=dim_ker == dim_h))
     return HodgeReport(model.name, tuple(degrees))
 
 

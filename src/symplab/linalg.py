@@ -370,12 +370,16 @@ class Matrix:
     def rank(self) -> int:
         return len(self.pivot_columns())
 
-    def nested_ranks(self, row_idx: Sequence[int]) -> tuple[int, int]:
-        """The rank of the rows row_idx, then of the matrix, eliminated on from their echelon."""
-        first = set(row_idx)
-        echelon, pivots = _echelon((self._nz[i] for i in row_idx), self.cols)
-        rest = [row for i, row in enumerate(self._nz) if i not in first]
-        return len(pivots), len(_echelon(echelon + rest, self.cols)[1])
+    def nested_ranks(self, *parts: Sequence[int]) -> tuple[tuple[int, ...], "Matrix"]:
+        """The rank after each disjoint row set of ``parts``, eliminated on from the echelon
+        of those before, then after the rows in no part, and the echelon form of the
+        matrix (one row per pivot, to be read, not written)."""
+        taken = {i for part in parts for i in part}
+        echelon, ranks = [], []
+        for part in (*parts, [i for i in range(self.rows) if i not in taken]):
+            echelon = _echelon(echelon + [self._nz[i] for i in part], self.cols)[0]
+            ranks.append(len(echelon))
+        return tuple(ranks), Matrix._of(len(echelon), self.cols, echelon)
 
     def kernel_matrix(self) -> "Matrix":
         """The nullspace basis as the columns of a cols x nullity matrix."""

@@ -68,6 +68,8 @@ class ComplexModel:
     d_dl: dict[int, Matrix] = field(default_factory=dict)  # degree k -> k: d_(k-1) . dl_k
     # degree k -> k - 1: iota_E, built by euler_contraction on first use
     iota_e: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree k -> cohomology's rank table entries, each eliminated on first use
+    ranks: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_degree(self) -> int:

@@ -13,7 +13,8 @@ radial homotopy as an index loop and seeded random closed forms to feed it,
 the Cartan identity of the Euler contraction, d and the Fourier pullback
 assembled entry by entry and the models built from them, the names of the
 models' basis vectors, the full Fourier box on T^2 with its partial
-pullback, the cohomology quotients with their representatives, and rational
+pullback, the cohomology quotients with their representatives and counts,
+the finite Hodge check from a Laplacian kernel basis, and rational
 polynomial division and gcd.  Each is built on the package's own basis,
 structure constants and helpers, so the tests that check it check those
 too."""
@@ -24,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from symplab import exterior, models
+from symplab import cohomology, exterior, models
 from symplab.algebra_forms import AlgebraTwoForm, omega_from_element
 from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, centralizer, is_abelian
 from symplab.linalg import Matrix, Q, integer_coords, qf, reduced_basis
@@ -658,6 +659,38 @@ def representatives(model: models.ComplexModel, theory: str) -> dict[int, Matrix
         window = None if model.window is None else model.window[k]
         out[k] = quotient(windowed_kernel(constraint, window), den)
     return out
+
+
+def hodge_by_laplacian(model: models.ComplexModel) -> tuple:
+    """The finite Hodge check's degrees from a kernel basis of D = M^t M, M the
+    six maps of D stacked (adjoints are transposes in an orthonormal basis), and
+    a spanning rank for the three summands; dim H from the d+dl numerator's
+    and denominator's ranks, each eliminated on its own."""
+    degrees = []
+    for k in range(model.top_degree + 1):
+        nk = model.dim(k)
+        s = model.d_block(k - 1) @ model.dl_block(k)
+        d_k, dl_k = model.d_block(k), model.dl_block(k)
+        m = Matrix.vstack([s.transpose(), s, d_k, dl_k,
+                           model.dl_block(k + 2).transpose() @ d_k,
+                           model.d_block(k - 2).transpose() @ dl_k])
+        kernel_cols = (m.transpose() @ m).kernel_matrix()
+        dim_ker, rank_ddl = kernel_cols.cols, s.rank()
+        dim_h = nk - Matrix.vstack([d_k, dl_k]).rank() - rank_ddl
+        adjoint_cols = Matrix.hstack([d_k.transpose(), dl_k.transpose()])
+        rank_adj = adjoint_cols.rank()
+        spanning = Matrix.hstack([kernel_cols, s, adjoint_cols])
+        degrees.append(cohomology.HodgeDegree(
+            dim_total=nk, dim_ker_d=dim_ker, dim_h=dim_h, rank_ddl=rank_ddl,
+            rank_adjoint=rank_adj,
+            decomposition_ok=dim_ker + rank_ddl + rank_adj == nk and spanning.rank() == nk,
+            kernel_matches_cohomology=dim_ker == dim_h))
+    return tuple(degrees)
+
+
+def theory_dims(model: models.ComplexModel, theory: str) -> tuple[int, ...]:
+    """A theory's dimensions as the number of ``representatives`` in each degree."""
+    return tuple(r.cols for r in representatives(model, theory).values())
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -221,19 +221,22 @@ def test_cohomology_hodge_refuses_the_polynomial_model(capsys, monkeypatch):
 
 
 def test_cohomology_hodge_reuses_the_dpl_report(capsys, monkeypatch):
+    # dpl and hodge read one rank table: per degree one nested elimination of
+    # [d_k; dl_k], one rank of s_k = d.dl, which both read, and one of M_k
     calls = []
-    original = coh.d_plus_dlambda_cohomology
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(coh, "d_plus_dlambda_cohomology", counted)
+    for name in ("nested_ranks", "rank"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda m, *parts, _f=original, _name=name:
+                            calls.append((_name, m.rows)) or _f(m, *parts))
     code, out = run_cli(capsys, "cohomology", "--model", "suspension", "--cutoff", "4",
                         "--theories", "dpl,hodge")
     assert code == 0
     assert json.loads(out)["hodge"]["degrees"][1]["dim_h_dpl"] == 9
-    assert calls == ["suspension-N4"]
+    # suspension-N4 has dims (9, 9, 9): [d_k; dl_k] has 9 + 0, 9 + 9 and 0 + 9
+    # rows, each s_k 9, and M_k stacks rank([d_k; dl_k]) = 8, 0, 8 echelon rows
+    # on the 9 rows of s_k^t
+    assert sorted(calls) == sorted([("nested_ranks", 9)] * 2 + [("nested_ranks", 18)]
+                                   + [("rank", 9)] * 4 + [("rank", 17)] * 2)
 
 
 def test_cohomology_deterministic_output(capsys):

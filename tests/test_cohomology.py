@@ -13,7 +13,8 @@ from symplab.models import (ComplexModel, build_polynomial_model, build_suspensi
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
-from oracles import quotient, quotient_blocks, representatives, windowed_kernel
+from oracles import (hodge_by_laplacian, quotient, quotient_blocks, representatives,
+                     windowed_kernel)
 from shared_models import POLY_N2  # shared with test_models.py
 from strategies import PROPERTY, matrices, sympy_oracle
 
@@ -132,11 +133,18 @@ def test_windowed_numerators_stay_in_window():
 
 # -- dimensions from ranks ---------------------------------------------------------
 
+def _quotient_dim(num, den, window):
+    """The rank formula as the rank table reads it: |W| - rank(num|W) - rank(den)
+    + rank(den rows outside W), the last two from one nested elimination."""
+    (rank_outside, rank_den), _ = den.nested_ranks([i for i in range(den.rows) if i not in window])
+    return len(window) - num.select_columns(window).rank() - rank_den + rank_outside
+
+
 def _formula_matches_oracle(num, den, window):
     """The rank formula against the quotient oracle's column count, for im den
     inside ker num and the window as a list of columns."""
     assert (num @ den).is_zero()
-    assert coh.quotient_dim(num, den, window) == quotient(windowed_kernel(num, window), den).cols
+    assert _quotient_dim(num, den, window) == quotient(windowed_kernel(num, window), den).cols
 
 
 @st.composite
@@ -170,9 +178,9 @@ def test_rank_formula_at_the_edges():
         _formula_matches_oracle(Matrix.zeros(0, 4), Matrix.zeros(4, 0), window)
     _formula_matches_oracle(Matrix.zeros(3, 0), Matrix.zeros(0, 2), [])
     # within columns 0, 1 the kernel is (2, -1, 0, 0), which den hits
-    assert coh.quotient_dim(num, den, [0, 1]) == 0
-    assert coh.quotient_dim(num, Matrix.zeros(4, 0), [0, 1]) == 1
-    assert coh.quotient_dim(num, den, range(4)) == 1
+    assert _quotient_dim(num, den, [0, 1]) == 0
+    assert _quotient_dim(num, Matrix.zeros(4, 0), [0, 1]) == 1
+    assert _quotient_dim(num, den, range(4)) == 1
 
 
 SWEEP_MODELS = ([build_polynomial_model(1, d) for d in (10, 12, 14, 16)] + [POLY_N2]
@@ -183,7 +191,8 @@ SWEEP_MODELS = ([build_polynomial_model(1, d) for d in (10, 12, 14, 16)] + [POLY
 @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.name)
 def test_rank_terms_match_sympy_on_sweep_models(model):
     # each rank of the formula, on the blocks of every theory and degree,
-    # against sympy's DomainMatrix.rank(); the sum is the reported dimension
+    # against sympy's DomainMatrix.rank(), and the rank table's entries for it;
+    # the sum is the reported dimension
     oracle = sympy_oracle()
     reports = {rep.theory: rep for rep in (coh.de_rham(model), coh.d_plus_dlambda_cohomology(model),
                                            coh.dd_lambda_cohomology(model))}
@@ -194,11 +203,14 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
             inside = set(window)
             outside = [i for i in range(den.rows) if i not in inside]
             restricted = num.select_columns(window)
-            rank_num, (rank_out, rank_den) = restricted.rank(), den.nested_ranks(outside)
+            rank_num, ((rank_out, rank_den), _) = restricted.rank(), den.nested_ranks(outside)
             assert rank_num == oracle.of(restricted).to_sparse().rank()
             assert rank_out == oracle.of(den.submatrix(outside, range(den.cols))).to_sparse().rank()
             assert rank_den == oracle.of(den).to_sparse().rank()
             assert report.dims[k] == len(window) - rank_num - rank_den + rank_out
+            num_entry, den_entry = coh.TERMS[theory]
+            assert model.ranks[k][num_entry] == rank_num
+            assert model.ranks[k][den_entry] == rank_den - rank_out
 
 
 def test_theories_refuse_a_model_without_its_identities():
@@ -211,11 +223,15 @@ def test_theories_refuse_a_model_without_its_identities():
     assert broken.identities["d.d=0"] == {0: False, 1: True}
     lacking = dataclasses.replace(TORUS1, identities={
         name: per for name, per in TORUS1.identities.items() if name != "dl.dl=0"})
-    for model, missing in ((broken, "d.d=0"), (lacking, "dl.dl=0"),
-                           (dataclasses.replace(POLY6, identities={}), "d.d=0")):
-        for theory in (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology):
+    theories = (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology)
+    for model, missing, refusing in ((broken, "d.d=0", theories + (coh.hodge_check,)),
+                                     (lacking, "dl.dl=0", theories + (coh.hodge_check,)),
+                                     (dataclasses.replace(POLY6, identities={}), "d.d=0",
+                                      theories)):
+        for theory in refusing:
             with pytest.raises(ValueError, match=missing):
                 theory(model)
+        assert model.ranks == {}  # refused before any elimination
 
 
 # -- reduction constants ---------------------------------------------------------
@@ -348,6 +364,9 @@ def test_hodge_suspension_and_torus():
 def test_hodge_requires_inner_product():
     with pytest.raises(ValueError, match="requires a model with an inner product"):
         coh.hodge_check(POLY6)
+    # the Hodge ranks are of whole blocks, which a windowed table does not hold
+    with pytest.raises(ValueError, match="requires a model with an inner product"):
+        coh.hodge_check(dataclasses.replace(POLY6, kind="monomial-orthonormal"))
 
 
 def _hodge_oracle(model):
@@ -389,15 +408,42 @@ def _hodge_oracle(model):
 
 
 # d.dl vanishes on the suspension and torus models; the polynomial models,
-# their monomial bases read as orthonormal, give it rank and use every term of D
-@pytest.mark.parametrize("model", [build_suspension_model(n) for n in (2, 4, 8)]
-                         + [build_torus_model(n) for n in (1, 2, 3)]
-                         + [dataclasses.replace(build_polynomial_model(n, d),
-                                                kind="monomial-orthonormal", window=None)
-                            for n, d in ((1, 4), (2, 3))],
-                         ids=lambda m: m.name)
+# their monomial bases read as orthonormal, give it rank and use every term of D.
+# The others are every model a golden report checks for hodge: suite criterion 9
+# (suspension N2, N4, torus n1) and the sweep (suspension N16-N64, torus n2, n3)
+HODGE_MODELS = ([build_suspension_model(n) for n in (2, 4, 8, 16, 32, 64)]
+                + [build_torus_model(n) for n in (1, 2, 3)]
+                + [dataclasses.replace(build_polynomial_model(n, d),
+                                       kind="monomial-orthonormal", window=None)
+                   for n, d in ((1, 4), (2, 3))])
+
+
+@pytest.mark.parametrize("model", HODGE_MODELS, ids=lambda m: m.name)
 def test_hodge_matches_solved_adjoint_oracle(model):
-    assert coh.hodge_check(model).degrees == _hodge_oracle(model)
+    report = coh.hodge_check(model).degrees
+    assert report == _hodge_oracle(model)
+    assert report == hodge_by_laplacian(model)
+
+
+def test_theories_and_hodge_share_the_rank_table(monkeypatch):
+    # on a model where d.dl has rank, the three theories and hodge, in either
+    # order, run two nested eliminations ([d_k; dl_k], [d_(k-1) | dl_(k+1)]) and
+    # two ranks (s_k, M_k) per degree, plus that of the d_(-1) degree 0 reads
+    calls = []
+    for name in ("nested_ranks", "rank"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda m, *parts, _f=original, _name=name:
+                            calls.append(_name) or _f(m, *parts))
+    theories = (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology,
+                coh.hodge_check)
+    for order in (theories, theories[::-1]):
+        model = dataclasses.replace(build_polynomial_model(1, 4), kind="monomial-orthonormal",
+                                    window=None)
+        calls.clear()
+        for theory in order * 2:
+            theory(model)
+        assert sorted(calls) == ["nested_ranks"] * 7 + ["rank"] * 6
+        assert [model.ranks[k]["s"] for k in range(3)] == [0, 9, 0]  # sympy's rank of d.dl
 
 
 # -- inequality --------------------------------------------------------------------

@@ -187,11 +187,39 @@ def test_rref_pivots_and_rank_match_oracle(oracle, m):
 @PROPERTY
 @given(matrices(), st.data())
 def test_nested_ranks_match_oracle(oracle, m, data):
-    # any subset of the rows, in any order, taken first: its rank, then the matrix's
+    # the rows cut, in any order, into up to three disjoint parts and the rest:
+    # the rank after each part, then the matrix's; and the echelon form, one
+    # row per pivot with the leading columns increasing, spans the row space
     order = data.draw(st.permutations(range(m.rows)))
-    first = order[:data.draw(st.integers(0, m.rows))]
-    assert m.nested_ranks(first) == (oracle.of(m.submatrix(first, range(m.cols))).rank(),
-                                     oracle.of(m).rank())
+    cuts = sorted(data.draw(st.lists(st.integers(0, m.rows), max_size=3)))
+    parts = [order[a:b] for a, b in zip([0] + cuts, cuts)]
+    cumulative = [[i for part in parts[:t + 1] for i in part] for t in range(len(parts))]
+    want = [oracle.of(m.submatrix(rows, range(m.cols))).rank() for rows in cumulative]
+    ranks, form = m.nested_ranks(*parts)
+    assert ranks == (*want, oracle.of(m).rank()) and form.rows == ranks[-1]
+    leads = [min(dict(form.row_items(i))) for i in range(form.rows)]
+    assert leads == sorted(set(leads))
+    assert oracle.of(Matrix.vstack([form, m])).rank() == form.rows
+
+
+def test_shape_guards():
+    a, b = Matrix([[1, 2, 3], [4, 5, 6]]), Matrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^column mismatch in vstack$"):
+        Matrix.vstack([a, b])
+    with pytest.raises(ValueError, match="^row mismatch in hstack$"):
+        Matrix.hstack([a, Matrix([[1]])])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        a + b
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x3 @ 2x2$"):
+        a @ b
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        a.apply([Q(1), Q(2)])
+    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match=rf"^entry \({key[0]}, {key[1]}\) outside a 2x3 matrix$"):
+            a[key]
+        with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+            a[key] = 1
+    assert a == Matrix([[1, 2, 3], [4, 5, 6]])  # no refused write reached the rows
 
 
 @PROPERTY

@@ -541,6 +541,25 @@ def test_star_that_is_no_signed_permutation_refused(entry, value):
         models._complex_model("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
 
 
+def test_complex_model_raises_on_a_failed_identity():
+    # every build ends in _complex_model, and cohomology's rank table rests on
+    # the identities it checks: d = 1 in degrees 0 and 1 gives d.d = 1
+    one = Matrix.identity(1)
+    with pytest.raises(AssertionError, match=r"identity d\.d=0 fails in degrees \[0\] of broken"):
+        models._complex_model("broken", "torus", (1, 1, 1), {0: one, 1: one},
+                              {0: one, 1: one, 2: one})
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (build_torus_model, (0,), "n"), (build_torus_model, (-1,), "n"),
+    (build_polynomial_model, (0, 4), "n"), (build_polynomial_model, (-2, 4), "n"),
+    (build_suspension_model, (0,), "cutoff"), (build_suspension_model, (-3,), "cutoff"),
+])
+def test_builders_refuse_a_non_positive_size(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        build(*args)
+
+
 @st.composite
 def signed_permutations(draw, side):
     block = Matrix.zeros(side, side)
