@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``lab algebra``    -- seeded batch checks on sp(2n, R) (rank/kernel or
-                        closed-form classification), JSON or CSV reports.
+                        closed-form classification), JSON reports, or CSV
+                        for rank/kernel.
 * ``lab omega``      -- analyze the invariant 2-form of one element given
                         as a JSON matrix of rationals.
 * ``lab cohomology`` -- dimension reports for a chosen model and theories.
@@ -132,6 +133,9 @@ RANK_KERNEL_COLUMNS = ("sample", "regular", "rank", "kernel_dim",
 
 
 def _cmd_algebra(args) -> int:
+    if args.check == "closed-forms" and args.format == "csv":
+        print("--format csv is only for --check rank-kernel", file=sys.stderr)
+        return USAGE_EXIT
     _check_budget(_algebra_cells, args.n, args.check == "closed-forms", args.samples)
     ctx = lie.standard_basis(args.n)
     rng = random.Random(args.seed)

@@ -11,8 +11,8 @@ window W (the polynomial model) numerators are restricted to W and denominators
 keep the whole truncated space, which removes exactly the truncation-boundary
 classes.  By forward fraction-free ranks over int (no window: W is everything),
 dim H^k = |W| - rank(num|W) - rank(den) + rank(den rows outside W); this rests on
-im den inside ker num, from d.d = 0, dl.dl = 0 and d.dl + dl.d = 0, so every
-report refuses a model whose ``model.identities`` do not all hold.
+im den inside ker num, from d.d = 0, dl.dl = 0 and d.dl + dl.d = 0, which every
+``ComplexModel`` satisfies: its constructor raises on a failed identity.
 
 Rank table: ``model.ranks[k]`` keeps each rank of degree k once eliminated,
 rank(d_k|W) and rank([d_k; dl_k]|W) from one nested elimination, rank(s_k|W) for
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
-from .models import (IDENTITIES, ComplexModel, FormVector, d_apply, d_lambda_apply,
+from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
                      poincare_antiderivative)
 
 
@@ -71,15 +71,6 @@ class HodgeReport:
 
 # -- the rank table -----------------------------------------------------------
 
-def _require_identities(model: ComplexModel) -> None:
-    """The rank formula's premise: the model records all five identities as holding."""
-    failed = [name for name in IDENTITIES
-              if name not in model.identities or not all(model.identities[name].values())]
-    if failed:
-        raise ValueError(f"{model.name} does not satisfy {', '.join(failed)}: "
-                         "its cohomology dimensions are not defined")
-
-
 def _rank(model: ComplexModel, k: int, entry: str) -> int:
     """An entry of degree k's rank table, eliminated on first use together with
     the other entries that its elimination gives."""
@@ -112,7 +103,6 @@ TERMS = {"deRham": ("d", "im d"), "dPlusDLambda": ("d+dl", "im s"), "ddLambda": 
 
 
 def _report(model: ComplexModel, theory: str) -> CohomologyReport:
-    _require_identities(model)
     num, den = TERMS[theory]
     dims = tuple((model.dim(k) if model.window is None else len(model.window[k]))
                  - _rank(model, k, num) - _rank(model, k, den)
@@ -135,7 +125,7 @@ def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
 def quotient_sanity(model: ComplexModel) -> bool:
     """Both quotients are well formed: im(d.dl) inside ker d and ker dl,
     and im d + im dl inside ker(d.dl); exact matrix identities on the products
-    d.dl the build kept, in every degree (a model without them raises KeyError)."""
+    d.dl the constructor kept, in every degree (a missing one raises KeyError)."""
     d, dl = model.d_block, model.dl_block
     products = ((k, model.d_dl[k]) for k in range(model.top_degree + 1))
     return all((d(k) @ s).is_zero() and (dl(k) @ s).is_zero()
@@ -194,7 +184,6 @@ def hodge_check(model: ComplexModel) -> HodgeReport:
     = M^t M in the orthonormal bases: dim ker D = n_k - rank(M_k), and
     rank([d_k; dl_k]) = rank([d_k* | dl_k*]), all read off the rank table."""
     require_inner_product(model.kind, model.window is not None)
-    _require_identities(model)
     degrees = []
     for k in range(model.top_degree + 1):  # dim_h as d_plus_dlambda_cohomology reads it
         nk, rank_ddl, rank_adj = model.dim(k), _rank(model, k, "s"), _rank(model, k, "d+dl")

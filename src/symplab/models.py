@@ -29,15 +29,16 @@ exterior forms, assembled by one routine from a derivative rule for the
 functions: d = sum_v (d/dx_v) (x) (dx_v ^ .), like iota_E
 one ``Matrix.kron_sum`` of ``_rule_matrix`` factors, and star = 1 (x)
 star_ext through ``Matrix.kron`` (the torus's one function is constant,
-so its d is zero).  Every builder ends in ``_complex_model``, which
-writes the codifferential (-1)^(k+1) star . d . star by index rule on
-the stars' signed permutations, checks the five operator identities once
-(dl against that product) and stores their report as
-``model.identities``, and the composites d.dl the anticommutation check
-forms as ``model.d_dl``.  The degree sign is what makes d and the
-codifferential anticommute (it drops out of every kernel, image and
-cohomology dimension, and is +1 in the odd degrees the reduction
-procedure walks through).
+so its d is zero).  A ``ComplexModel`` exists only verified: its
+constructor reads each star block once as a signed permutation, writes
+the codifferential (-1)^(k+1) star . d . star by index rule on them,
+checks the five operator identities (dl against that product) and raises
+AssertionError on the first that fails, and keeps the composites d.dl the
+anticommutation check forms as ``model.d_dl``.  Every way of making a
+model runs it: the builders, a direct call and ``dataclasses.replace``.
+The degree sign is what makes d and the codifferential anticommute (it
+drops out of every kernel, image and cohomology dimension, and is +1 in
+the odd degrees the reduction procedure walks through).
 """
 
 from __future__ import annotations
@@ -54,22 +55,32 @@ IDENTITIES = ("d.d=0", "star.star=id", "dl=signed star.d.star", "dl.dl=0", "d.dl
 
 @dataclass
 class ComplexModel:
-    """Finite graded cochain model with exact operator matrices."""
+    """Finite graded cochain model with exact operator matrices, given d and the
+    signed-permutation stars; the constructor writes dl and d.dl and verifies them."""
 
     name: str
     kind: str  # torus | polynomial | suspension
     dims: tuple[int, ...]  # the dimension of each degree 0..top
     d: dict[int, Matrix]  # degree k -> k + 1
     star_s: dict[int, Matrix]  # degree k -> top - k
-    d_lambda: dict[int, Matrix]  # degree k -> k - 1
     window: dict[int, list[int]] | None = None
     meta: dict = field(default_factory=dict)
-    identities: dict[str, dict[int, bool]] = field(default_factory=dict)
-    d_dl: dict[int, Matrix] = field(default_factory=dict)  # degree k -> k: d_(k-1) . dl_k
+    d_lambda: dict[int, Matrix] = field(init=False)  # degree k -> k - 1
+    d_dl: dict[int, Matrix] = field(init=False)  # degree k -> k: d_(k-1) . dl_k
     # degree k -> k - 1: iota_E, built by euler_contraction on first use
     iota_e: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False, compare=False)
     # degree k -> cohomology's rank table entries, each eliminated on first use
     ranks: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        top = self.top_degree
+        perms = {k: _signed_permutation(block) for k, block in self.star_s.items()}
+        self.d_lambda = {k: _codifferential(self.d, perms, top, k) for k in range(1, top + 1)}
+        report, self.d_dl = operator_identity_report(self, perms)
+        for identity, per_degree in report.items():
+            bad = [k for k, ok in per_degree.items() if not ok]
+            if bad:
+                raise AssertionError(f"identity {identity} fails in degrees {bad} of {self.name}")
 
     @property
     def top_degree(self) -> int:
@@ -162,12 +173,13 @@ def _codifferential(d: dict[int, Matrix], perms: dict[int, tuple], top: int, k: 
     return Matrix._of(len(p_out), len(p_in), nz)
 
 
-def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matrix]]:
-    """Exact per-degree checks of the five structural matrix identities, and
-    the composites d_(k-1) . dl_k that the check of d.dl+dl.d=0 forms."""
+def operator_identity_report(model: ComplexModel, perms: dict[int, tuple]
+                             ) -> tuple[dict, dict[int, Matrix]]:
+    """Exact per-degree checks of the five structural matrix identities, the
+    star blocks given as ``_signed_permutation`` reads them, and the
+    composites d_(k-1) . dl_k that the check of d.dl+dl.d=0 forms."""
     top = model.top_degree
     d, star, dl = model.d_block, model.star_s, model.dl_block
-    perms = {k: _signed_permutation(block) for k, block in star.items()}
     report: dict[str, dict[int, bool]] = {name: {} for name in IDENTITIES}
     d_dl: dict[int, Matrix] = {}
     for k in range(top):
@@ -182,28 +194,6 @@ def operator_identity_report(model: ComplexModel) -> tuple[dict, dict[int, Matri
         d_dl[k] = d(k - 1) @ dl(k)
         report["d.dl+dl.d=0"][k] = dl(k + 1) @ d(k) == -d_dl[k]
     return report, d_dl
-
-
-def _complex_model(name: str, kind: str, dims: tuple[int, ...],
-                   d: dict[int, Matrix], star: dict[int, Matrix], **extra) -> ComplexModel:
-    """The one way every builder finishes a model.
-
-    ``d`` holds the blocks of degrees 0..top-1, ``star`` signed permutations;
-    dl, in degrees 1..top, by index rule, and the identity report are added
-    here.  A failed identity raises; the report and the products
-    d_(k-1) . dl_k it formed are kept as ``model.identities`` and ``model.d_dl``.
-    """
-    top = len(dims) - 1
-    perms = {k: _signed_permutation(block) for k, block in star.items()}
-    dl = {k: _codifferential(d, perms, top, k) for k in range(1, top + 1)}
-    model = ComplexModel(name=name, kind=kind, dims=dims, d=d, star_s=star, d_lambda=dl,
-                         **extra)
-    model.identities, model.d_dl = operator_identity_report(model)
-    for identity, per_degree in model.identities.items():
-        bad = [k for k, ok in per_degree.items() if not ok]
-        if bad:
-            raise AssertionError(f"identity {identity} fails in degrees {bad} of {name}")
-    return model
 
 
 def _rule_matrix(rule, src: list, dst: list) -> Matrix:
@@ -272,7 +262,7 @@ def build_torus_model(n: int) -> ComplexModel:
     if n < 1:
         raise ValueError("n must be a positive integer")
     dims, d, star = _coefficient_forms(_monomials(2 * n, 0), _monomial_derivative, n)
-    return _complex_model(f"torus-n{n}", "torus", dims, d, star, meta={"n": n})
+    return ComplexModel(f"torus-n{n}", "torus", dims, d, star, meta={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +302,8 @@ def build_polynomial_model(n: int, cutoff: int) -> ComplexModel:
     # degree <= cutoff - 2, each with all its exterior monomials
     low = sum(1 for mono in monos if sum(mono) <= cutoff - 2)
     window = {k: list(range(low * comb(2 * n, k))) for k in range(len(dims))}
-    return _complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
-                          window=window, meta={"n": n, "D": cutoff, "monos": monos})
+    return ComplexModel(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
+                        window=window, meta={"n": n, "D": cutoff, "monos": monos})
 
 
 def w0_power_form(model: ComplexModel, j: int) -> FormVector:
@@ -440,5 +430,5 @@ def build_suspension_model(cutoff: int) -> ComplexModel:
     fixed = {k: (_rule_matrix(_PULLBACK_EXT.__getitem__, e, e) - Matrix.identity(len(e)))
              .kernel_matrix() for k, e in enumerate(exterior.ext_basis(2, k) for k in range(3))}
     dims, d, star = _coefficient_forms(functions, _derivative_entries, 1, fixed)
-    return _complex_model(f"suspension-N{cutoff}", "suspension", dims, d, star,
-                          meta={"N": cutoff})
+    return ComplexModel(f"suspension-N{cutoff}", "suspension", dims, d, star,
+                        meta={"N": cutoff})

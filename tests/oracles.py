@@ -468,15 +468,15 @@ def loop_model(kind: str, *args: int) -> models.ComplexModel:
     """The model ``build_<kind>_model(*args)`` builds, assembled entry by
     entry: d from ``exterior_derivative``, the pullback from
     ``fourier_pullback``, the star as 1 (x) star_blocks, and the dimensions
-    and window counted one basis element at a time.  ``models._complex_model``
-    adds dl, the identity report and d.dl, as for the builders."""
+    and window counted one basis element at a time.  ``ComplexModel`` adds dl
+    and d.dl and checks the identities, as for the builders."""
     if kind == "torus":
         (n,) = args
         m = 2 * n
         dims = tuple(len(exterior.ext_basis(m, k)) for k in range(m + 1))
         d = {k: Matrix.zeros(dims[k + 1], dims[k]) for k in range(m)}
-        return models._complex_model(f"torus-n{n}", "torus", dims, d, exterior.star_blocks(n),
-                                     meta={"n": n})
+        return models.ComplexModel(f"torus-n{n}", "torus", dims, d, exterior.star_blocks(n),
+                                   meta={"n": n})
     if kind == "polynomial":
         n, cutoff = args
         m = 2 * n
@@ -491,8 +491,8 @@ def loop_model(kind: str, *args: int) -> models.ComplexModel:
                       for ei in range(len(ext[k]))]
                   for k in range(m + 1)}
         meta = {"n": n, "D": cutoff, "monos": monos}
-        return models._complex_model(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
-                                     window=window, meta=meta)
+        return models.ComplexModel(f"polynomial-n{n}-D{cutoff}", "polynomial", dims, d, star,
+                                   window=window, meta=meta)
     (cutoff,) = args
     functions = models._fourier_functions([(0, m2) for m2 in range(1, cutoff + 1)])
     d_blocks = exterior_derivative(functions, 2, models._derivative_entries)
@@ -507,8 +507,8 @@ def loop_model(kind: str, *args: int) -> models.ComplexModel:
     d_inv = {k: restrict(d_blocks[k], k, k + 1) for k in range(2)}
     star_inv = {k: restrict(star_sector[k], k, 2 - k) for k in range(3)}
     dims = tuple(embed[k].cols for k in range(3))
-    return models._complex_model(f"suspension-N{cutoff}", "suspension", dims, d_inv, star_inv,
-                                 meta={"N": cutoff})
+    return models.ComplexModel(f"suspension-N{cutoff}", "suspension", dims, d_inv, star_inv,
+                               meta={"N": cutoff})
 
 
 def _suspension_embedding(functions: list) -> dict[int, Matrix]:

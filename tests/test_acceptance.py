@@ -29,11 +29,13 @@ suite` keeps evaluating the criterion as stated and reports it red, and
 this test asserts the computed quantities, not the verdict.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 import symplab.suite as suite
+from symplab.linalg import Matrix
 
 RUNTIME_LIMITS = {1: 60, 2: 30, 3: 30, 4: 1, 5: 60, 6: 120, 7: 60,
                   8: 60, 9: 60, 10: 10, 11: 10}
@@ -74,6 +76,24 @@ def test_criterion_04_spectral_types(results):
 
 def test_criterion_05_operator_identities(results):
     _assert_criterion(results, 5)
+
+
+def test_criterion_05_reports_a_failed_identity(monkeypatch):
+    # a model whose identities fail is never built: its constructor raises,
+    # and the criterion reports the error as a FAIL
+    build = suite.build_torus_model
+
+    def planted_torus(n):
+        model = build(n)
+        d0 = Matrix.zeros(model.dim(1), model.dim(0))
+        d1 = Matrix.zeros(model.dim(2), model.dim(1))
+        d0[0, 0] = d1[0, 0] = 1  # d.d = 1 in degree 0
+        return dataclasses.replace(model, d={**model.d, 0: d0, 1: d1})
+
+    monkeypatch.setattr(suite, "build_torus_model", planted_torus)
+    r = suite.check_operator_identities()
+    assert not r.passed
+    assert r.computed.startswith("error: identity d.d=0 fails")
 
 
 def test_criterion_06_polynomial_model_dimensions(results):

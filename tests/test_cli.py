@@ -255,6 +255,14 @@ def test_cohomology_unknown_theory_usage_error(capsys):
     assert run_cli(capsys, "cohomology", "--model", "torus", "--theories", "dr,bogus") == (2, "")
 
 
+def test_algebra_closed_forms_csv_usage_error(capsys):
+    # the closed-forms report has no CSV form: a usage error, not JSON on stdout
+    code = main(["algebra", "--n", "1", "--check", "closed-forms", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "--format csv is only for --check rank-kernel\n"
+
+
 def test_bad_cutoff_usage_error(capsys):
     code = main(["cohomology", "--model", "suspension", "--cutoff", "0",
                  "--theories", "dr"])

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import symplab.cohomology as coh
 from symplab.linalg import Matrix, rank_of_rows
-from symplab.models import (ComplexModel, build_polynomial_model, build_suspension_model,
-                            build_torus_model, d_apply, d_lambda_apply,
-                            form_vector, operator_identity_report,
+from symplab.models import (build_polynomial_model, build_suspension_model,
+                            build_torus_model, d_apply, d_lambda_apply, form_vector,
                             poincare_antiderivative, w0_power_form)
 from oracles import (hodge_by_laplacian, quotient, quotient_blocks, representatives,
                      windowed_kernel)
@@ -68,7 +67,6 @@ def test_polynomial_n3_windowed_dimensions():
     # (d+dl) in the even degrees, ddl in the odd ones
     model = build_polynomial_model(3, 4)
     assert model.dims == (210, 1260, 3150, 4200, 3150, 1260, 210)
-    assert all(all(per.values()) for per in model.identities.values())
     assert coh.de_rham(model).dims == (1, 0, 0, 0, 0, 0, 0)
     assert coh.d_plus_dlambda_cohomology(model).dims == (1, 0, 1, 0, 1, 0, 1)
     assert coh.dd_lambda_cohomology(model).dims == (0, 1, 0, 1, 0, 1, 0)
@@ -92,17 +90,14 @@ def test_quotient_sanity_all_models():
 
 
 def test_quotient_sanity_needs_the_products_of_every_degree():
-    # a model built directly keeps no d.dl products: the check must not pass
-    # vacuously; given them, d.d != 0 with dl = id fails, as d_1 . (d_0 . dl_1) != 0
-    one = Matrix.identity(1)
-    broken = ComplexModel(name="broken", kind="torus", dims=(1, 1, 1),
-                          d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
-                          d_lambda={1: one, 2: one})
-    for model in (broken, dataclasses.replace(TORUS1, d_dl={0: TORUS1.d_dl[0]})):
-        with pytest.raises(KeyError):
-            coh.quotient_sanity(model)
-    broken.d_dl = operator_identity_report(broken)[1]
-    assert not coh.quotient_sanity(broken)
+    # a product missing from d_dl must not let the check pass vacuously, and a
+    # product outside ker d fails it: d_0 . 1 = d_0 != 0 on the suspension
+    model = dataclasses.replace(SUSP2)  # a fresh d_dl to edit
+    del model.d_dl[1]
+    with pytest.raises(KeyError):
+        coh.quotient_sanity(model)
+    model.d_dl[1], model.d_dl[0] = SUSP2.d_dl[1], Matrix.identity(SUSP2.dim(0))
+    assert not coh.quotient_sanity(model)
 
 
 def test_representatives_are_independent_mod_denominator():
@@ -211,27 +206,6 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
             num_entry, den_entry = coh.TERMS[theory]
             assert model.ranks[k][num_entry] == rank_num
             assert model.ranks[k][den_entry] == rank_den - rank_out
-
-
-def test_theories_refuse_a_model_without_its_identities():
-    # d.d != 0 breaks im den inside ker num, on which the rank formula rests
-    one = Matrix.identity(1)
-    broken = ComplexModel(name="broken", kind="torus", dims=(1, 1, 1),
-                          d={0: one, 1: one}, star_s={0: one, 1: one, 2: one},
-                          d_lambda={1: Matrix.zeros(1, 1), 2: Matrix.zeros(1, 1)})
-    broken.identities = operator_identity_report(broken)[0]
-    assert broken.identities["d.d=0"] == {0: False, 1: True}
-    lacking = dataclasses.replace(TORUS1, identities={
-        name: per for name, per in TORUS1.identities.items() if name != "dl.dl=0"})
-    theories = (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology)
-    for model, missing, refusing in ((broken, "d.d=0", theories + (coh.hodge_check,)),
-                                     (lacking, "dl.dl=0", theories + (coh.hodge_check,)),
-                                     (dataclasses.replace(POLY6, identities={}), "d.d=0",
-                                      theories)):
-        for theory in refusing:
-            with pytest.raises(ValueError, match=missing):
-                theory(model)
-        assert model.ranks == {}  # refused before any elimination
 
 
 # -- reduction constants ---------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import symplab.exterior as ext
 import symplab.models as models
 from symplab.linalg import Matrix
-from symplab.models import (build_polynomial_model, build_suspension_model,
+from symplab.models import (ComplexModel, build_polynomial_model, build_suspension_model,
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
@@ -35,10 +35,17 @@ def plane_1form(model, *terms):
     return form_vector(model, 1, coords)
 
 
+def star_permutations(model):
+    return {k: models._signed_permutation(block) for k, block in model.star_s.items()}
+
+
 def struct_identities_all_hold(model):
-    report, d_dl = operator_identity_report(model)
-    assert report == model.identities  # the report the build stored
-    # the composites the build kept are d_(k-1) . dl_k
+    # the constructor, called directly on the build's inputs, verifies the
+    # identities again and gives the same model
+    assert ComplexModel(model.name, model.kind, model.dims, model.d, model.star_s,
+                        model.window, model.meta) == model
+    report, d_dl = operator_identity_report(model, star_permutations(model))
+    # the composites the constructor kept are d_(k-1) . dl_k
     assert model.d_dl == d_dl == {k: model.d_block(k - 1) @ model.dl_block(k)
                                   for k in range(model.top_degree + 1)}
     return all(ok for per_degree in report.values() for ok in per_degree.values())
@@ -501,7 +508,7 @@ def test_corrupted_d_matrix_detected():
     bad = Matrix.zeros(model.dim(1), model.dim(0))
     bad[0, 0] = Q(1)
     model.d[0] = bad
-    report, _ = operator_identity_report(model)
+    report, _ = operator_identity_report(model, star_permutations(model))
     failed = [(name, k) for name, per in report.items() for k, ok in per.items() if not ok]
     assert failed == [("dl=signed star.d.star", 2)]
 
@@ -517,13 +524,14 @@ def test_corrupted_d_matrix_detected():
 ])
 def test_flipped_star_sign_detected(degree, failed):
     # negative path: one sign of a star block flipped after the build; the
-    # star.star check reads the permutations again, and the dl check compares
-    # the stored index-rule dl with the product star . d . star
+    # star.star check gets the permutations read again from the flipped
+    # blocks, and the dl check compares the stored index-rule dl with the
+    # product star . d . star
     model = build_polynomial_model(1, 2)
     block = model.star_s[degree]
     row = next(i for i in range(block.rows) if block[i, 0])
     block[row, 0] = -block[row, 0]
-    report, _ = operator_identity_report(model)
+    report, _ = operator_identity_report(model, star_permutations(model))
     assert [(name, k) for name, per in report.items()
             for k, ok in per.items() if not ok] == failed
 
@@ -538,16 +546,38 @@ def test_star_that_is_no_signed_permutation_refused(entry, value):
     own = next(i for i in range(star[1].rows) if star[1][i, 0])
     star[1][own if entry == "own" else 1 - own, 0] = value
     with pytest.raises(AssertionError, match="star block is not a signed permutation"):
-        models._complex_model("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
+        ComplexModel("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
 
 
 def test_complex_model_raises_on_a_failed_identity():
-    # every build ends in _complex_model, and cohomology's rank table rests on
-    # the identities it checks: d = 1 in degrees 0 and 1 gives d.d = 1
+    # cohomology's rank table rests on the identities the constructor checks:
+    # d = 1 in degrees 0 and 1 gives d.d = 1
     one = Matrix.identity(1)
     with pytest.raises(AssertionError, match=r"identity d\.d=0 fails in degrees \[0\] of broken"):
-        models._complex_model("broken", "torus", (1, 1, 1), {0: one, 1: one},
-                              {0: one, 1: one, 2: one})
+        ComplexModel("broken", "torus", (1, 1, 1), {0: one, 1: one}, {0: one, 1: one, 2: one})
+
+
+def test_replace_runs_the_identity_check():
+    # dataclasses.replace calls the constructor too: on the torus n = 1, d_0
+    # sending 1 to dx and d_1 sending dx to dx^dy give d.d = 1 in degree 0
+    d0, d1 = Matrix.zeros(2, 1), Matrix.zeros(1, 2)
+    d0[0, 0] = d1[0, 0] = Q(1)
+    with pytest.raises(AssertionError, match=r"identity d\.d=0 fails in degrees \[0\] of torus-n1"):
+        dataclasses.replace(TORUS1, d={0: d0, 1: d1})
+
+
+@pytest.mark.parametrize("build, args", [(build_torus_model, (2,)),
+                                         (build_polynomial_model, (1, 4)),
+                                         (build_suspension_model, (2,))])
+def test_each_star_block_is_read_once_per_build(monkeypatch, build, args):
+    # the constructor reads the stars once and hands the permutations both to
+    # the index rule for dl and to the identity report
+    calls = []
+    original = models._signed_permutation
+    monkeypatch.setattr(models, "_signed_permutation",
+                        lambda block: calls.append(block) or original(block))
+    model = build(*args)
+    assert len(calls) == model.top_degree + 1
 
 
 @pytest.mark.parametrize("build, args, name", [
@@ -594,8 +624,8 @@ def test_codifferential_index_rule_matches_the_product(data):
                          + [("suspension", (cutoff,)) for cutoff in (1, 2, 8, 16, 64)])
 def test_kron_assembly_matches_the_index_loops(kind, args):
     # the builders' kron assembly against the entry-by-entry loops: every
-    # d, star, dl and d.dl block, the dims, window, meta and identities; one
-    # name per basis vector in each degree
+    # d, star, dl and d.dl block, the dims, window and meta; one name per
+    # basis vector in each degree
     built = {"torus": build_torus_model, "polynomial": build_polynomial_model,
              "suspension": build_suspension_model}[kind](*args)
     oracle = loop_model(kind, *args)
