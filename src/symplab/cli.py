@@ -24,7 +24,6 @@ LAB_OUTPUT_DIR to redirect any --output path into a fixed directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -190,7 +189,7 @@ def _cmd_omega(args) -> int:
     p = charpoly(a.to_matrix())  # one characteristic polynomial for both fields
     report["n"] = args.n
     report["regular"] = is_squarefree(p)
-    report["spectral_type"] = dataclasses.asdict(lie.spectral_type_of(p, args.n))
+    report["spectral_type"] = lie.spectral_type_of(p, args.n)
     _emit(_json_text(report), args.output)
     return 0
 
@@ -214,31 +213,27 @@ def _cmd_cohomology(args) -> int:
              else build_polynomial_model(args.n, args.cutoff) if args.model == "polynomial"
              else build_suspension_model(args.cutoff))
     reports = [getattr(coh, THEORIES[t])(model) for t in theories if t != "hodge"]
-    hodge_reports = [coh.hodge_check(model)] if "hodge" in theories else []
+    hodge = {"hodge": coh.hodge_check(model)} if "hodge" in theories else {}
     if args.format == "csv":
-        _emit(coh.reports_to_csv(reports, hodge_reports), args.output)
+        _emit(coh.reports_to_csv(reports, hodge.values()), args.output)
     else:
-        payload = {"model": model.name,
-                   "reports": [coh.report_to_json_dict(r) for r in reports]}
-        if hodge_reports:
-            payload["hodge"] = coh.hodge_to_json_dict(hodge_reports[0])
-        _emit(_json_text(payload), args.output)
+        _emit(_json_text({"model": model.name, "reports": reports, **hodge}), args.output)
     return 0
 
 
 # -- suite ----------------------------------------------------------------------
 
 def _cmd_suite(args) -> int:
+    if args.format == "csv" and not args.output:
+        print("--format csv needs --output", file=sys.stderr)
+        return USAGE_EXIT
     results = acceptance.run_all(args.seed)
     print(acceptance.format_table(results))
     if args.output:
-        if args.format == "csv":
-            _emit(coh.csv_text(["criterion", "name", "expected", "computed", "passed"],
-                               ([r.cid, r.name, r.expected, r.computed, r.passed]
-                                for r in results)), args.output)
-        else:
-            _emit(_json_text([r.to_dict() for r in results]), args.output)
-    return 0 if all(r.passed for r in results) else FAILURE_EXIT
+        records = [{key: r[key] for key in acceptance.REPORT_FIELDS} for r in results]
+        _emit(coh.csv_text(acceptance.REPORT_FIELDS, (rec.values() for rec in records))
+              if args.format == "csv" else _json_text(records), args.output)
+    return 0 if all(r["passed"] for r in results) else FAILURE_EXIT
 
 
 # -- parser ----------------------------------------------------------------------

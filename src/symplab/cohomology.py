@@ -23,50 +23,20 @@ the echelon of [d_k; dl_k] eliminated on with the rows of s_k^t.
 Orthogonality: im s_k lies in ker d_k and ker dl_k, so it is orthogonal to im d_k^t
 + im dl_k^t, and ker M_k to both; over Q orthogonal spaces meet in 0, so the three
 Hodge summands are exhaustive exactly when their dimensions add up to n_k.
+
+Each report is the dict it emits: a theory {"model", "theory", "dims" (a tuple),
+"windowed"}, the Hodge check {"model", "degrees"}, a dict of ranks and verdicts each.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
 from .models import (ComplexModel, FormVector, d_apply, d_lambda_apply,
                      poincare_antiderivative)
-
-
-@dataclass(frozen=True)
-class CohomologyReport:
-    model_name: str
-    theory: str
-    dims: tuple[int, ...]
-    windowed: bool
-
-
-@dataclass(frozen=True)
-class HodgeDegree:
-    dim_total: int
-    dim_ker_d: int
-    dim_h: int
-    rank_ddl: int
-    rank_adjoint: int
-    decomposition_ok: bool
-    kernel_matches_cohomology: bool
-
-
-@dataclass(frozen=True)
-class HodgeReport:
-    model_name: str
-    degrees: tuple[HodgeDegree, ...]
-
-    def kernel_dims(self) -> tuple[int, ...]:
-        return tuple(d.dim_ker_d for d in self.degrees)
-
-    def all_ok(self) -> bool:
-        return all(d.decomposition_ok and d.kernel_matches_cohomology
-                   for d in self.degrees)
 
 
 # -- the rank table -----------------------------------------------------------
@@ -102,23 +72,24 @@ def _rank(model: ComplexModel, k: int, entry: str) -> int:
 TERMS = {"deRham": ("d", "im d"), "dPlusDLambda": ("d+dl", "im s"), "ddLambda": ("s", "im d|dl")}
 
 
-def _report(model: ComplexModel, theory: str) -> CohomologyReport:
+def _report(model: ComplexModel, theory: str) -> dict:
     num, den = TERMS[theory]
     dims = tuple((model.dim(k) if model.window is None else len(model.window[k]))
                  - _rank(model, k, num) - _rank(model, k, den)
                  for k in range(model.top_degree + 1))
-    return CohomologyReport(model.name, theory, dims, model.window is not None)
+    return {"model": model.name, "theory": theory, "dims": dims,
+            "windowed": model.window is not None}
 
 
-def de_rham(model: ComplexModel) -> CohomologyReport:
+def de_rham(model: ComplexModel) -> dict:
     return _report(model, "deRham")
 
 
-def d_plus_dlambda_cohomology(model: ComplexModel) -> CohomologyReport:
+def d_plus_dlambda_cohomology(model: ComplexModel) -> dict:
     return _report(model, "dPlusDLambda")
 
 
-def dd_lambda_cohomology(model: ComplexModel) -> CohomologyReport:
+def dd_lambda_cohomology(model: ComplexModel) -> dict:
     return _report(model, "ddLambda")
 
 
@@ -132,14 +103,13 @@ def quotient_sanity(model: ComplexModel) -> bool:
                and (s @ d(k - 1)).is_zero() and (s @ dl(k + 1)).is_zero() for k, s in products)
 
 
-def inequality_check(dr: CohomologyReport, dpl: CohomologyReport,
-                     ddl: CohomologyReport) -> dict[int, bool]:
+def inequality_check(dr: dict, dpl: dict, ddl: dict) -> dict[int, bool]:
     """Per-degree check dim H_dR <= dim H_(d+dl) + dim H_(ddl)."""
-    if not (dr.model_name == dpl.model_name == ddl.model_name
-            and dr.windowed == dpl.windowed == ddl.windowed):
+    if not (dr["model"] == dpl["model"] == ddl["model"]
+            and dr["windowed"] == dpl["windowed"] == ddl["windowed"]):
         raise ValueError("reports must come from the same model and windowing")
-    return {k: dr.dims[k] <= dpl.dims[k] + ddl.dims[k]
-            for k in range(len(dr.dims))}
+    return {k: a <= b + c
+            for k, (a, b, c) in enumerate(zip(dr["dims"], dpl["dims"], ddl["dims"]))}
 
 
 # -- reduction of an even cocycle to its constant ----------------------------
@@ -177,7 +147,7 @@ def require_inner_product(kind: str, windowed: bool = False) -> None:
         raise ValueError("hodge_check requires a model with an inner product")
 
 
-def hodge_check(model: ComplexModel) -> HodgeReport:
+def hodge_check(model: ComplexModel) -> dict:
     """Per degree, whether ker D matches the (d+dl)-cohomology and the three
     summands ker D + im(d.dl) + (im d* + im dl*) are exhaustive, for
     D = (d.dl)(d.dl)* + (d.dl)*(d.dl) + d*.dl.dl*.d + dl*.d.d*.dl + d*d + dl*dl
@@ -188,31 +158,16 @@ def hodge_check(model: ComplexModel) -> HodgeReport:
     for k in range(model.top_degree + 1):  # dim_h as d_plus_dlambda_cohomology reads it
         nk, rank_ddl, rank_adj = model.dim(k), _rank(model, k, "s"), _rank(model, k, "d+dl")
         dim_ker, dim_h = nk - _rank(model, k, "M"), nk - rank_adj - _rank(model, k, "im s")
-        degrees.append(HodgeDegree(
-            dim_total=nk, dim_ker_d=dim_ker, dim_h=dim_h, rank_ddl=rank_ddl,
-            rank_adjoint=rank_adj, decomposition_ok=dim_ker + rank_ddl + rank_adj == nk,
-            kernel_matches_cohomology=dim_ker == dim_h))
-    return HodgeReport(model.name, tuple(degrees))
+        degrees.append({
+            "dim_total": nk, "dim_ker_D": dim_ker, "dim_h_dpl": dim_h, "rank_ddl": rank_ddl,
+            "rank_adjoint": rank_adj, "decomposition_ok": dim_ker + rank_ddl + rank_adj == nk,
+            "kernel_matches_cohomology": dim_ker == dim_h})
+    return {"model": model.name, "degrees": degrees}
 
 
 # -- emission -----------------------------------------------------------------
 
 THEORY_CSV_NAMES = {"deRham": "dr", "dPlusDLambda": "dpl", "ddLambda": "ddl"}
-
-
-def report_to_json_dict(report: CohomologyReport) -> dict:
-    return {"model": report.model_name, "theory": report.theory,
-            "dims": list(report.dims), "windowed": report.windowed}
-
-
-def hodge_to_json_dict(report: HodgeReport) -> dict:
-    return {"model": report.model_name,
-            "degrees": [{"dim_total": d.dim_total, "dim_ker_D": d.dim_ker_d,
-                         "dim_h_dpl": d.dim_h, "rank_ddl": d.rank_ddl,
-                         "rank_adjoint": d.rank_adjoint,
-                         "decomposition_ok": d.decomposition_ok,
-                         "kernel_matches_cohomology": d.kernel_matches_cohomology}
-                        for d in report.degrees]}
 
 
 def csv_text(header, rows) -> str:
@@ -227,8 +182,8 @@ def csv_text(header, rows) -> str:
 
 def reports_to_csv(reports, hodge_reports=()) -> str:
     """CSV with schema model,theory,degree,dimension,windowed."""
-    rows = [[rep.model_name, THEORY_CSV_NAMES[rep.theory], k, dim, rep.windowed]
-            for rep in reports for k, dim in enumerate(rep.dims)]
-    rows += [[rep.model_name, "hodge", k, deg.dim_ker_d, False]
-             for rep in hodge_reports for k, deg in enumerate(rep.degrees)]
+    rows = [[rep["model"], THEORY_CSV_NAMES[rep["theory"]], k, dim, rep["windowed"]]
+            for rep in reports for k, dim in enumerate(rep["dims"])]
+    rows += [[rep["model"], "hodge", k, deg["dim_ker_D"], False]
+             for rep in hodge_reports for k, deg in enumerate(rep["degrees"])]
     return csv_text(["model", "theory", "degree", "dimension", "windowed"], rows)

@@ -300,31 +300,19 @@ def is_abelian(s: Subspace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SpectralType:
-    """Eigenvalue families of an algebra element.
+def spectral_type(a: AlgebraElement) -> dict:
+    """Classify the eigenvalue families of a's matrix, exactly."""
+    return spectral_type_of(charpoly(a.to_matrix()), a.context.n)
+
+
+def spectral_type_of(p: list[Fraction], n: int) -> dict:
+    """Classify the eigenvalue families of an element of sp(2n, R) from its
+    characteristic polynomial p.
 
     real_pairs counts {a, -a} families, imaginary_pairs counts {bi, -bi},
     complex_quadruples counts {a+bi, -a-bi, a-bi, -a+bi}; defective is the
     number of eigenvalues (with multiplicity) left over, which is 0 exactly
     for regular elements.
-    """
-
-    real_pairs: int
-    imaginary_pairs: int
-    complex_quadruples: int
-    defective: int
-    label: str
-
-
-def spectral_type(a: AlgebraElement) -> SpectralType:
-    """Classify the eigenvalue families of a's matrix, exactly."""
-    return spectral_type_of(charpoly(a.to_matrix()), a.context.n)
-
-
-def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
-    """Classify the eigenvalue families of an element of sp(2n, R) from its
-    characteristic polynomial p.
 
     The characteristic polynomial of a symplectic algebra element is even,
     p(t) = P(t^2); positive real roots of P give real pairs, negative real
@@ -346,7 +334,8 @@ def spectral_type_of(p: list[Fraction], n: int) -> SpectralType:
         label = "hyperbolic"
     else:
         label = "mixed"
-    return SpectralType(pos, neg, quads, defective, label)
+    return {"real_pairs": pos, "imaginary_pairs": neg, "complex_quadruples": quads,
+            "defective": defective, "label": label}
 
 
 def random_element(ctx: AlgebraContext, rng: random.Random) -> AlgebraElement:

@@ -1,16 +1,16 @@
 """Batch acceptance suite: every exit criterion as a timed check.
 
-Each check returns a record with the expected and computed summaries so
-the CLI can print an expected-vs-computed table and the test suite can
-assert each criterion separately.  All checks are exact (zero tolerance);
-random sampling is seeded and deterministic.
+Each check returns the dict {"criterion", "name", "expected", "computed",
+"passed", "seconds"}, so the CLI can print an expected-vs-computed table
+and the test suite can assert each criterion separately; report files hold
+the keys in REPORT_FIELDS, never the timing.  All checks are exact (zero
+tolerance); random sampling is seeded and deterministic.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import chain
 
 from . import algebra_forms as forms
@@ -23,31 +23,17 @@ from .models import (build_polynomial_model, build_suspension_model,
 
 DEFAULT_SEED = 7
 SAMPLES = 50
+REPORT_FIELDS = ("criterion", "name", "expected", "computed", "passed")  # a report file's keys
 
 
-@dataclass
-class CheckResult:
-    cid: int
-    name: str
-    expected: str
-    computed: str
-    passed: bool
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return {"criterion": self.cid, "name": self.name,
-                "expected": self.expected, "computed": self.computed,
-                "passed": self.passed}
-
-
-def _timed(cid: int, name: str, expected: str, fn) -> CheckResult:
+def _timed(cid: int, name: str, expected: str, fn) -> dict:
     start = time.perf_counter()
     try:
         computed, passed = fn()
     except Exception as exc:  # a crashed criterion is a failed criterion
         computed, passed = f"error: {exc}", False
-    return CheckResult(cid, name, expected, computed, passed,
-                       time.perf_counter() - start)
+    return {"criterion": cid, "name": name, "expected": expected, "computed": computed,
+            "passed": passed, "seconds": time.perf_counter() - start}
 
 
 def _sample_regular(ctx, seed: int):
@@ -55,7 +41,7 @@ def _sample_regular(ctx, seed: int):
     return [lie.random_regular_element(ctx, rng) for _ in range(SAMPLES)]
 
 
-def check_rank_kernel(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_rank_kernel(seed: int = DEFAULT_SEED) -> dict:
     expected = "rank 2n^2, kernel dim n, kernel = centralizer, kernel abelian; 50 samples each n in {1,2,3}"
 
     def run():
@@ -73,7 +59,7 @@ def check_rank_kernel(seed: int = DEFAULT_SEED) -> CheckResult:
     return _timed(1, "rank/kernel theorem", expected, run)
 
 
-def check_closed_form_classification(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_closed_form_classification(seed: int = DEFAULT_SEED) -> dict:
     expected = "closed 2-form space dim = 2n^2+n for n in {1,2}; potential round trip exact on 50 elements per n"
 
     def run():
@@ -93,7 +79,7 @@ def check_closed_form_classification(seed: int = DEFAULT_SEED) -> CheckResult:
     return _timed(2, "closed 2-form classification", expected, run)
 
 
-def check_quotient_nondegeneracy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_quotient_nondegeneracy(seed: int = DEFAULT_SEED) -> dict:
     expected = "reduced gram determinant nonzero for 50 regular elements each n in {1,2,3}"
 
     def run():  # quotient_form raises AssertionError on a zero det
@@ -105,7 +91,7 @@ def check_quotient_nondegeneracy(seed: int = DEFAULT_SEED) -> CheckResult:
     return _timed(3, "quotient nondegeneracy", expected, run)
 
 
-def check_spectral_types() -> CheckResult:
+def check_spectral_types() -> dict:
     expected = "J elliptic, H hyperbolic, E parabolic/defective in sp(2,R)"
 
     def run():
@@ -113,7 +99,7 @@ def check_spectral_types() -> CheckResult:
         j = ctx.element([0, -1, 1])   # basis order H, E, F
         h = ctx.element([1, 0, 0])
         e = ctx.element([0, 1, 0])
-        got = tuple(lie.spectral_type(x).label for x in (j, h, e))
+        got = tuple(lie.spectral_type(x)["label"] for x in (j, h, e))
         ok = got == ("elliptic", "hyperbolic", "parabolic/defective")
         return f"J={got[0]}, H={got[1]}, E={got[2]}", ok
 
@@ -127,7 +113,7 @@ def _acceptance_models():
     return models
 
 
-def check_operator_identities() -> CheckResult:
+def check_operator_identities() -> dict:
     expected = ("d.d=0, dl.dl=0, star.star=id, d.dl+dl.d=0 exactly on torus n in {1,2}, "
                 "polynomial n=1 D in {4,6,8}, suspension N in {2,4,8}")
 
@@ -139,7 +125,7 @@ def check_operator_identities() -> CheckResult:
     return _timed(5, "operator identities", expected, run)
 
 
-def check_kunneth_failure() -> CheckResult:
+def check_kunneth_failure() -> dict:
     expected = "windowed n=1: H_(d+dl) = (1,0,1), H_(ddl) = (0,1,0), stable over D in {4,6,8}"
 
     def run():
@@ -147,8 +133,8 @@ def check_kunneth_failure() -> CheckResult:
         ok = True
         for d in (4, 6, 8):
             model = build_polynomial_model(1, d)
-            dpl = coh.d_plus_dlambda_cohomology(model).dims
-            ddl = coh.dd_lambda_cohomology(model).dims
+            dpl = coh.d_plus_dlambda_cohomology(model)["dims"]
+            ddl = coh.dd_lambda_cohomology(model)["dims"]
             ok = ok and dpl == (1, 0, 1) and ddl == (0, 1, 0)
             parts.append(f"D={d}: dpl={dpl} ddl={ddl}")
         return "; ".join(parts), ok
@@ -156,7 +142,7 @@ def check_kunneth_failure() -> CheckResult:
     return _timed(6, "polynomial model dimensions", expected, run)
 
 
-def check_reduction_constant(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_reduction_constant(seed: int = DEFAULT_SEED) -> dict:
     expected = "c(w0) = -1 (n=1); c(w0^2) = +1 (n=2); c(d.dl z) = 0 on 10 random z"
 
     def run():
@@ -177,7 +163,7 @@ def check_reduction_constant(seed: int = DEFAULT_SEED) -> CheckResult:
     return _timed(7, "reduction constants", expected, run)
 
 
-def check_suspension_dimensions() -> CheckResult:
+def check_suspension_dimensions() -> dict:
     expected = "N in {2,4,8}: dR = (1,1,2N+1); H_(d+dl) = (1,2N+1,1); H_(ddl) = (2N+1,1,2N+1)"
 
     def run():
@@ -185,9 +171,9 @@ def check_suspension_dimensions() -> CheckResult:
         ok = True
         for n in (2, 4, 8):
             model = build_suspension_model(n)
-            dr = coh.de_rham(model).dims
-            dpl = coh.d_plus_dlambda_cohomology(model).dims
-            ddl = coh.dd_lambda_cohomology(model).dims
+            dr = coh.de_rham(model)["dims"]
+            dpl = coh.d_plus_dlambda_cohomology(model)["dims"]
+            ddl = coh.dd_lambda_cohomology(model)["dims"]
             width = 2 * n + 1
             ok = (ok and dr == (1, 1, width) and dpl == (1, width, 1)
                   and ddl == (width, 1, width))
@@ -197,7 +183,7 @@ def check_suspension_dimensions() -> CheckResult:
     return _timed(8, "suspension dimensions", expected, run)
 
 
-def check_hodge() -> CheckResult:
+def check_hodge() -> dict:
     expected = "dim ker D = dim H_(d+dl) per degree and exhaustive 3-summand decomposition (suspension N in {2,4}, torus n=1)"
 
     def run():
@@ -205,15 +191,16 @@ def check_hodge() -> CheckResult:
         ok = True
         for model in (build_suspension_model(2), build_suspension_model(4),
                       build_torus_model(1)):
-            report = coh.hodge_check(model)
-            ok = ok and report.all_ok()
-            parts.append(f"{model.name}: kerD={report.kernel_dims()} ok={report.all_ok()}")
+            degrees = coh.hodge_check(model)["degrees"]
+            good = all(d["decomposition_ok"] and d["kernel_matches_cohomology"] for d in degrees)
+            ok = ok and good
+            parts.append(f"{model.name}: kerD={tuple(d['dim_ker_D'] for d in degrees)} ok={good}")
         return "; ".join(parts), ok
 
     return _timed(9, "finite Hodge check", expected, run)
 
 
-def check_inequality() -> CheckResult:
+def check_inequality() -> dict:
     expected = "dim H_dR <= dim H_(d+dl) + dim H_(ddl) in every degree of the criterion-6 and criterion-8 models"
 
     def run():
@@ -230,7 +217,7 @@ def check_inequality() -> CheckResult:
     return _timed(10, "foliated inequality", expected, run)
 
 
-def check_kahler_sanity() -> CheckResult:
+def check_kahler_sanity() -> dict:
     expected = "torus n in {1,2}: all three theories report identical dimensions"
 
     def run():
@@ -238,9 +225,9 @@ def check_kahler_sanity() -> CheckResult:
         ok = True
         for n in (1, 2):
             model = build_torus_model(n)
-            dims = [coh.de_rham(model).dims,
-                    coh.d_plus_dlambda_cohomology(model).dims,
-                    coh.dd_lambda_cohomology(model).dims]
+            dims = [coh.de_rham(model)["dims"],
+                    coh.d_plus_dlambda_cohomology(model)["dims"],
+                    coh.dd_lambda_cohomology(model)["dims"]]
             same = dims[0] == dims[1] == dims[2]
             ok = ok and same
             parts.append(f"n={n}: {dims[0]}{'' if same else ' MISMATCH'}")
@@ -249,7 +236,7 @@ def check_kahler_sanity() -> CheckResult:
     return _timed(11, "transversally Kaehler sanity", expected, run)
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[dict]:
     return [
         check_rank_kernel(seed),
         check_closed_form_classification(seed),
@@ -265,16 +252,17 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ]
 
 
-def format_table(results: list[CheckResult]) -> str:
+def format_table(results: list[dict]) -> str:
     lines = []
     header = f"{'crit':<5}{'name':<34}{'status':<7}{'seconds':>8}"
     lines.append(header)
     lines.append("-" * len(header))
     for r in results:
-        lines.append(f"{r.cid:<5}{r.name:<34}{'PASS' if r.passed else 'FAIL':<7}{r.seconds:>8.2f}")
-        lines.append(f"     expected: {r.expected}")
-        lines.append(f"     computed: {r.computed}")
-    passed = sum(r.passed for r in results)
+        lines.append(f"{r['criterion']:<5}{r['name']:<34}{'PASS' if r['passed'] else 'FAIL':<7}"
+                     f"{r['seconds']:>8.2f}")
+        lines.append(f"     expected: {r['expected']}")
+        lines.append(f"     computed: {r['computed']}")
+    passed = sum(r["passed"] for r in results)
     lines.append("-" * len(header))
     lines.append(f"{passed}/{len(results)} criteria passed")
     return "\n".join(lines)

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from symplab import cohomology, exterior, models
+from symplab import exterior, models
 from symplab.algebra_forms import AlgebraTwoForm, omega_from_element
 from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, centralizer, is_abelian
 from symplab.linalg import Matrix, Q, integer_coords, qf, reduced_basis
@@ -661,7 +661,7 @@ def representatives(model: models.ComplexModel, theory: str) -> dict[int, Matrix
     return out
 
 
-def hodge_by_laplacian(model: models.ComplexModel) -> tuple:
+def hodge_by_laplacian(model: models.ComplexModel) -> list[dict]:
     """The finite Hodge check's degrees from a kernel basis of D = M^t M, M the
     six maps of D stacked (adjoints are transposes in an orthonormal basis), and
     a spanning rank for the three summands; dim H from the d+dl numerator's
@@ -680,12 +680,12 @@ def hodge_by_laplacian(model: models.ComplexModel) -> tuple:
         adjoint_cols = Matrix.hstack([d_k.transpose(), dl_k.transpose()])
         rank_adj = adjoint_cols.rank()
         spanning = Matrix.hstack([kernel_cols, s, adjoint_cols])
-        degrees.append(cohomology.HodgeDegree(
-            dim_total=nk, dim_ker_d=dim_ker, dim_h=dim_h, rank_ddl=rank_ddl,
-            rank_adjoint=rank_adj,
-            decomposition_ok=dim_ker + rank_ddl + rank_adj == nk and spanning.rank() == nk,
-            kernel_matches_cohomology=dim_ker == dim_h))
-    return tuple(degrees)
+        degrees.append({
+            "dim_total": nk, "dim_ker_D": dim_ker, "dim_h_dpl": dim_h, "rank_ddl": rank_ddl,
+            "rank_adjoint": rank_adj,
+            "decomposition_ok": dim_ker + rank_ddl + rank_adj == nk and spanning.rank() == nk,
+            "kernel_matches_cohomology": dim_ker == dim_h})
+    return degrees
 
 
 def theory_dims(model: models.ComplexModel, theory: str) -> tuple[int, ...]:

@@ -43,19 +43,20 @@ RUNTIME_LIMITS = {1: 60, 2: 30, 3: 30, 4: 1, 5: 60, 6: 120, 7: 60,
 
 @pytest.fixture(scope="module")
 def results():
-    records = {r.cid: r for r in suite.run_all(seed=suite.DEFAULT_SEED)}
+    records = {r["criterion"]: r for r in suite.run_all(seed=suite.DEFAULT_SEED)}
     for cid in sorted(records):
         r = records[cid]
-        print(f"criterion {cid:2d} [{'PASS' if r.passed else 'FAIL'}] "
-              f"{r.name}: {r.computed}")
+        print(f"criterion {cid:2d} [{'PASS' if r['passed'] else 'FAIL'}] "
+              f"{r['name']}: {r['computed']}")
     return records
 
 
 def _assert_criterion(records, cid):
     r = records[cid]
-    assert r.seconds < RUNTIME_LIMITS[cid], (
-        f"criterion {cid} exceeded its runtime budget: {r.seconds:.1f}s")
-    assert r.passed, f"criterion {cid} ({r.name}): expected [{r.expected}], got [{r.computed}]"
+    assert r["seconds"] < RUNTIME_LIMITS[cid], (
+        f"criterion {cid} exceeded its runtime budget: {r['seconds']:.1f}s")
+    assert r["passed"], (
+        f"criterion {cid} ({r['name']}): expected [{r['expected']}], got [{r['computed']}]")
 
 
 def test_criterion_01_rank_kernel(results):
@@ -92,8 +93,8 @@ def test_criterion_05_reports_a_failed_identity(monkeypatch):
 
     monkeypatch.setattr(suite, "build_torus_model", planted_torus)
     r = suite.check_operator_identities()
-    assert not r.passed
-    assert r.computed.startswith("error: identity d.d=0 fails")
+    assert not r["passed"]
+    assert r["computed"].startswith("error: identity d.d=0 fails")
 
 
 def test_criterion_06_polynomial_model_dimensions(results):
@@ -102,12 +103,12 @@ def test_criterion_06_polynomial_model_dimensions(results):
 
 def test_criterion_07_reduction_constants(results):
     r = results[7]
-    assert r.seconds < RUNTIME_LIMITS[7], (
-        f"criterion 7 exceeded its runtime budget: {r.seconds:.1f}s")
+    assert r["seconds"] < RUNTIME_LIMITS[7], (
+        f"criterion 7 exceeded its runtime budget: {r['seconds']:.1f}s")
     top = {n: (-1) ** n * math.factorial(n) for n in (1, 2)}  # c(w0^n)
     expected = (f"c(w0)={top[1]}; c(w0^2)={top[2]}; "
                 "exact forms reduce to zero: True")
-    assert r.computed == expected
+    assert r["computed"] == expected
 
 
 def test_criterion_08_suspension_dimensions(results):

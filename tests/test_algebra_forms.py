@@ -291,8 +291,8 @@ def test_rank_kernel_record_brackets_the_odd_powers(monkeypatch):
     assert record == rank_kernel_by_elimination(a)
     monkeypatch.setattr(lie, "standard_basis", lambda n: broken if n == 2 else CONTEXTS[n])
     result = suite.check_rank_kernel()
-    assert not result.passed
-    assert result.computed == f"{suite.SAMPLES} failures"
+    assert not result["passed"]
+    assert result["computed"] == f"{suite.SAMPLES} failures"
 
 
 def broken_contexts() -> dict[str, lie.AlgebraContext]:
@@ -320,8 +320,8 @@ def test_rank_kernel_record_raises_on_a_broken_identity(fault, monkeypatch):
         forms.rank_kernel_record(a)
     monkeypatch.setattr(lie, "standard_basis", lambda n: broken if n == 2 else CONTEXTS[n])
     result = suite.check_rank_kernel()
-    assert not result.passed
-    assert result.computed.startswith("error: omega_a != -G ad(a)")
+    assert not result["passed"]
+    assert result["computed"].startswith("error: omega_a != -G ad(a)")
 
 
 def test_quotient_form_H():
@@ -429,8 +429,8 @@ def test_quotient_form_raises_on_each_failed_certificate_check(monkeypatch):
     shifted = lambda x: omega(lie.AlgebraElement(x.context, (x.coords[0] + 1,) + x.coords[1:]))
     monkeypatch.setattr(forms, "omega_from_element", shifted)
     result = suite.check_quotient_nondegeneracy()
-    assert not result.passed
-    assert result.computed == "error: an odd power of a is not in ker omega_a"
+    assert not result["passed"]
+    assert result["computed"] == "error: an odd power of a is not in ker omega_a"
 
 
 def test_quotient_form_rejects_non_regular():

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import symplab.cohomology as coh
+import symplab.lie_core as lie
 import symplab.polynomials as polys
 from symplab.cli import main
 from symplab.linalg import Matrix
-from symplab.suite import CheckResult
+from symplab.models import build_suspension_model, build_torus_model
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +20,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def check_record(cid, name, expected, computed, passed, seconds):
+    """A criterion's record as the suite returns it."""
+    return {"criterion": cid, "name": name, "expected": expected,
+            "computed": computed, "passed": passed, "seconds": seconds}
 
 
 def test_algebra_rank_kernel_json(capsys):
@@ -239,6 +246,29 @@ def test_cohomology_hodge_reuses_the_dpl_report(capsys, monkeypatch):
                                    + [("rank", 9)] * 4 + [("rank", 17)] * 2)
 
 
+@pytest.mark.parametrize("model, flags", [
+    (build_suspension_model(4), ["--model", "suspension", "--cutoff", "4"]),
+    (build_torus_model(2), ["--model", "torus", "--n", "2"])], ids=["suspension-N4", "torus-n2"])
+def test_cohomology_json_is_the_reports_themselves(capsys, model, flags):
+    """One emission path: the JSON printed is the theories' and the Hodge
+    check's own dicts, with no converter between them."""
+    code, out = run_cli(capsys, "cohomology", *flags, "--theories", "dr,dpl,ddl,hodge")
+    assert code == 0
+    expected = {"model": model.name,
+                "reports": [coh.de_rham(model), coh.d_plus_dlambda_cohomology(model),
+                            coh.dd_lambda_cohomology(model)],
+                "hodge": coh.hodge_check(model)}
+    assert json.loads(out) == json.loads(json.dumps(expected))
+
+
+def test_omega_spectral_type_is_the_classification_itself(capsys):
+    code, out = run_cli(capsys, "omega", "--n", "1", "--element", '[["1","0"],["0","-1"]]')
+    assert code == 0
+    h = lie.standard_basis(1).element([1, 0, 0])
+    expected = lie.spectral_type_of(polys.charpoly(h.to_matrix()), 1)
+    assert json.loads(out)["spectral_type"] == expected
+
+
 def test_cohomology_deterministic_output(capsys):
     _, first = run_cli(capsys, "cohomology", "--model", "torus", "--n", "2",
                        "--theories", "dr,dpl,ddl")
@@ -261,6 +291,15 @@ def test_algebra_closed_forms_csv_usage_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "--format csv is only for --check rank-kernel\n"
+
+
+def test_suite_csv_without_output_usage_error(capsys, monkeypatch):
+    # the CSV report goes only to a file: a usage error before any criterion runs
+    monkeypatch.setattr("symplab.suite.run_all", lambda seed: pytest.fail("a criterion ran"))
+    code = main(["suite", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "--format csv needs --output\n"
 
 
 def test_bad_cutoff_usage_error(capsys):
@@ -398,7 +437,7 @@ OUTPUT_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
 @pytest.mark.parametrize("case", ["missing-directory", "a-directory", "missing-LAB_OUTPUT_DIR"])
 def test_unwritable_output_is_an_error_record(tmp_path, monkeypatch, capsys, command, case):
-    good = CheckResult(1, "alpha", "x", "x", True, 0.01)
+    good = check_record(1, "alpha", "x", "x", True, 0.01)
     monkeypatch.setattr("symplab.suite.run_all", lambda seed: [good])
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LAB_OUTPUT_DIR", raising=False)
@@ -468,8 +507,8 @@ def test_usage_surface_matches_golden(case, monkeypatch, capsys):
 
 
 def test_suite_table_and_exit_codes(monkeypatch, capsys):
-    good = CheckResult(1, "alpha", "x", "x", True, 0.01)
-    bad = CheckResult(2, "beta", "y", "z", False, 0.02)
+    good = check_record(1, "alpha", "x", "x", True, 0.01)
+    bad = check_record(2, "beta", "y", "z", False, 0.02)
     monkeypatch.setattr("symplab.suite.run_all", lambda seed: [good, bad])
     code, out = run_cli(capsys, "suite")
     assert code == 1
@@ -482,7 +521,7 @@ def test_suite_table_and_exit_codes(monkeypatch, capsys):
 
 
 def test_suite_report_file_excludes_timings(tmp_path, monkeypatch, capsys):
-    good = CheckResult(1, "alpha", "x", "x", True, 0.01)
+    good = check_record(1, "alpha", "x", "x", True, 0.01)
     monkeypatch.setattr("symplab.suite.run_all", lambda seed: [good])
     out_path = tmp_path / "suite.json"
     code, _ = run_cli(capsys, "suite", "--output", str(out_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction as Q
@@ -27,39 +28,39 @@ def test_torus_reports_all_equal_full_exterior_algebra():
     # d = 0 everywhere, so every theory reports the binomial dimensions
     torus6 = build_torus_model(6)
     for fn in (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology):
-        assert fn(TORUS1).dims == (1, 2, 1)
-        assert fn(TORUS2).dims == (1, 4, 6, 4, 1)
-        assert fn(torus6).dims == tuple(math.comb(12, k) for k in range(13))
+        assert fn(TORUS1)["dims"] == (1, 2, 1)
+        assert fn(TORUS2)["dims"] == (1, 4, 6, 4, 1)
+        assert fn(torus6)["dims"] == tuple(math.comb(12, k) for k in range(13))
 
 
 def test_suspension_de_rham():
-    assert coh.de_rham(SUSP2).dims == (1, 1, 5)
-    assert coh.de_rham(build_suspension_model(8)).dims == (1, 1, 17)
+    assert coh.de_rham(SUSP2)["dims"] == (1, 1, 5)
+    assert coh.de_rham(build_suspension_model(8))["dims"] == (1, 1, 17)
 
 
 def test_suspension_symplectic_theories():
-    assert coh.d_plus_dlambda_cohomology(SUSP2).dims == (1, 5, 1)
-    assert coh.dd_lambda_cohomology(SUSP2).dims == (5, 1, 5)
+    assert coh.d_plus_dlambda_cohomology(SUSP2)["dims"] == (1, 5, 1)
+    assert coh.dd_lambda_cohomology(SUSP2)["dims"] == (5, 1, 5)
 
 
 def test_suspension_scaling_in_cutoff():
     for cutoff in (1, 2, 3, 4, 5, 6, 7, 8):
         model = build_suspension_model(cutoff)
         width = 2 * cutoff + 1
-        assert coh.d_plus_dlambda_cohomology(model).dims == (1, width, 1)
-        assert coh.dd_lambda_cohomology(model).dims == (width, 1, width)
+        assert coh.d_plus_dlambda_cohomology(model)["dims"] == (1, width, 1)
+        assert coh.dd_lambda_cohomology(model)["dims"] == (width, 1, width)
 
 
 def test_polynomial_windowed_dimensions():
-    assert coh.d_plus_dlambda_cohomology(POLY6).dims == (1, 0, 1)
-    assert coh.dd_lambda_cohomology(POLY6).dims == (0, 1, 0)
-    assert coh.de_rham(POLY6).dims == (1, 0, 0)
+    assert coh.d_plus_dlambda_cohomology(POLY6)["dims"] == (1, 0, 1)
+    assert coh.dd_lambda_cohomology(POLY6)["dims"] == (0, 1, 0)
+    assert coh.de_rham(POLY6)["dims"] == (1, 0, 0)
     # the window decides: the same model without one gives the unwindowed dims
     unwindowed = dataclasses.replace(POLY6, window=None)
     reports = (coh.de_rham(unwindowed), coh.d_plus_dlambda_cohomology(unwindowed),
                coh.dd_lambda_cohomology(unwindowed))
-    assert [r.dims for r in reports] == [(1, 8, 7), (1, 15, 1), (7, 9, 7)]
-    assert not any(r.windowed for r in reports)
+    assert [r["dims"] for r in reports] == [(1, 8, 7), (1, 15, 1), (7, 9, 7)]
+    assert not any(r["windowed"] for r in reports)
 
 
 def test_polynomial_n3_windowed_dimensions():
@@ -67,18 +68,18 @@ def test_polynomial_n3_windowed_dimensions():
     # (d+dl) in the even degrees, ddl in the odd ones
     model = build_polynomial_model(3, 4)
     assert model.dims == (210, 1260, 3150, 4200, 3150, 1260, 210)
-    assert coh.de_rham(model).dims == (1, 0, 0, 0, 0, 0, 0)
-    assert coh.d_plus_dlambda_cohomology(model).dims == (1, 0, 1, 0, 1, 0, 1)
-    assert coh.dd_lambda_cohomology(model).dims == (0, 1, 0, 1, 0, 1, 0)
+    assert coh.de_rham(model)["dims"] == (1, 0, 0, 0, 0, 0, 0)
+    assert coh.d_plus_dlambda_cohomology(model)["dims"] == (1, 0, 1, 0, 1, 0, 1)
+    assert coh.dd_lambda_cohomology(model)["dims"] == (0, 1, 0, 1, 0, 1, 0)
 
 
 def test_polynomial_windowed_stability_across_cutoffs():
     reference = None
     for cutoff in (4, 6, 8):
         model = build_polynomial_model(1, cutoff)
-        dims = (coh.de_rham(model).dims,
-                coh.d_plus_dlambda_cohomology(model).dims,
-                coh.dd_lambda_cohomology(model).dims)
+        dims = (coh.de_rham(model)["dims"],
+                coh.d_plus_dlambda_cohomology(model)["dims"],
+                coh.dd_lambda_cohomology(model)["dims"])
         if reference is None:
             reference = dims
         assert dims == reference
@@ -109,9 +110,9 @@ def test_representatives_are_independent_mod_denominator():
               lambda k: Matrix.hstack([POLY6.d_block(k - 1), POLY6.dl_block(k + 1)])))
     for model, theory, denominator in cases:
         rep = theory(model)
-        for k, reps in representatives(model, rep.theory).items():
+        for k, reps in representatives(model, rep["theory"]).items():
             vectors = reps.columns()
-            assert len(vectors) == rep.dims[k]
+            assert len(vectors) == rep["dims"][k]
             den = denominator(k).columns()
             assert rank_of_rows(den + vectors) == rank_of_rows(den) + len(vectors)
 
@@ -119,7 +120,7 @@ def test_representatives_are_independent_mod_denominator():
 def test_windowed_numerators_stay_in_window():
     model = build_polynomial_model(1, 4)
     reps = representatives(model, "ddLambda")
-    assert tuple(r.cols for r in reps.values()) == coh.dd_lambda_cohomology(model).dims
+    assert tuple(r.cols for r in reps.values()) == coh.dd_lambda_cohomology(model)["dims"]
     for k, r in reps.items():
         allowed = set(model.window[k])
         for v in r.columns():
@@ -189,8 +190,9 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
     # against sympy's DomainMatrix.rank(), and the rank table's entries for it;
     # the sum is the reported dimension
     oracle = sympy_oracle()
-    reports = {rep.theory: rep for rep in (coh.de_rham(model), coh.d_plus_dlambda_cohomology(model),
-                                           coh.dd_lambda_cohomology(model))}
+    reports = {rep["theory"]: rep for rep in (coh.de_rham(model),
+                                              coh.d_plus_dlambda_cohomology(model),
+                                              coh.dd_lambda_cohomology(model))}
     for theory, report in reports.items():
         for k in range(model.top_degree + 1):
             num, den = quotient_blocks(model, theory, k)
@@ -202,7 +204,7 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
             assert rank_num == oracle.of(restricted).to_sparse().rank()
             assert rank_out == oracle.of(den.submatrix(outside, range(den.cols))).to_sparse().rank()
             assert rank_den == oracle.of(den).to_sparse().rank()
-            assert report.dims[k] == len(window) - rank_num - rank_den + rank_out
+            assert report["dims"][k] == len(window) - rank_num - rank_den + rank_out
             num_entry, den_entry = coh.TERMS[theory]
             assert model.ranks[k][num_entry] == rank_num
             assert model.ranks[k][den_entry] == rank_den - rank_out
@@ -328,11 +330,11 @@ def test_reduction_constant_matches_symbolic_oracle(symbolic):
 
 def test_hodge_suspension_and_torus():
     for model, expected in ((SUSP2, (1, 5, 1)), (TORUS1, (1, 2, 1))):
-        report = coh.hodge_check(model)
-        assert report.kernel_dims() == expected
-        assert report.all_ok()
-        for deg in report.degrees:
-            assert deg.dim_ker_d + deg.rank_ddl + deg.rank_adjoint == deg.dim_total
+        degrees = coh.hodge_check(model)["degrees"]
+        assert tuple(deg["dim_ker_D"] for deg in degrees) == expected
+        assert all(deg["decomposition_ok"] and deg["kernel_matches_cohomology"] for deg in degrees)
+        for deg in degrees:
+            assert deg["dim_ker_D"] + deg["rank_ddl"] + deg["rank_adjoint"] == deg["dim_total"]
 
 
 def test_hodge_requires_inner_product():
@@ -372,13 +374,14 @@ def _hodge_oracle(model):
         adjoint_vectors = [v for vs in adjoint_cols for v in vs]
         rank_adj = rank_of_rows(adjoint_vectors)
         spanning = big.nullspace() + s.columns() + adjoint_vectors
-        degrees.append(coh.HodgeDegree(
-            dim_total=nk, dim_ker_d=dim_ker, dim_h=dpl.dims[k], rank_ddl=s.rank(),
-            rank_adjoint=rank_adj,
-            decomposition_ok=(dim_ker + s.rank() + rank_adj == nk
-                              and rank_of_rows(spanning) == nk),
-            kernel_matches_cohomology=dim_ker == dpl.dims[k]))
-    return tuple(degrees)
+        degrees.append({
+            "dim_total": nk, "dim_ker_D": dim_ker, "dim_h_dpl": dpl["dims"][k],
+            "rank_ddl": s.rank(),
+            "rank_adjoint": rank_adj,
+            "decomposition_ok": (dim_ker + s.rank() + rank_adj == nk
+                                 and rank_of_rows(spanning) == nk),
+            "kernel_matches_cohomology": dim_ker == dpl["dims"][k]})
+    return degrees
 
 
 # d.dl vanishes on the suspension and torus models; the polynomial models,
@@ -394,7 +397,7 @@ HODGE_MODELS = ([build_suspension_model(n) for n in (2, 4, 8, 16, 32, 64)]
 
 @pytest.mark.parametrize("model", HODGE_MODELS, ids=lambda m: m.name)
 def test_hodge_matches_solved_adjoint_oracle(model):
-    report = coh.hodge_check(model).degrees
+    report = coh.hodge_check(model)["degrees"]
     assert report == _hodge_oracle(model)
     assert report == hodge_by_laplacian(model)
 
@@ -428,7 +431,7 @@ def test_inequality_examples():
     ddl = coh.dd_lambda_cohomology(SUSP2)
     checks = coh.inequality_check(dr, dpl, ddl)
     assert checks == {0: True, 1: True, 2: True}
-    assert dr.dims[2] == 5 and dpl.dims[2] + ddl.dims[2] == 6  # 5 <= 1 + 5
+    assert dr["dims"][2] == 5 and dpl["dims"][2] + ddl["dims"][2] == 6  # 5 <= 1 + 5
     # torus: equality in every degree
     t_checks = coh.inequality_check(coh.de_rham(TORUS1),
                                     coh.d_plus_dlambda_cohomology(TORUS1),
@@ -463,7 +466,6 @@ def test_csv_schema_and_determinism():
 
 
 def test_report_json_dict():
-    rep = coh.de_rham(SUSP2)
-    obj = coh.report_to_json_dict(rep)
+    obj = json.loads(json.dumps(coh.de_rham(SUSP2)))
     assert obj == {"model": "suspension-N2", "theory": "deRham",
                    "dims": [1, 1, 5], "windowed": False}

@@ -253,12 +253,12 @@ def test_is_maximal_abelian_zero_subspace():
 
 
 def test_spectral_type_examples():
-    assert lie.spectral_type(J1).label == "elliptic"
-    assert lie.spectral_type(H).label == "hyperbolic"
-    assert lie.spectral_type(E).label == "parabolic/defective"
-    assert lie.spectral_type(E).defective == 2
-    assert lie.spectral_type(J1).imaginary_pairs == 1
-    assert lie.spectral_type(H).real_pairs == 1
+    assert lie.spectral_type(J1)["label"] == "elliptic"
+    assert lie.spectral_type(H)["label"] == "hyperbolic"
+    assert lie.spectral_type(E)["label"] == "parabolic/defective"
+    assert lie.spectral_type(E)["defective"] == 2
+    assert lie.spectral_type(J1)["imaginary_pairs"] == 1
+    assert lie.spectral_type(H)["real_pairs"] == 1
 
 
 def test_spectral_type_counts_match_numerical_oracle():
@@ -267,14 +267,15 @@ def test_spectral_type_counts_match_numerical_oracle():
         for _ in range(15):
             a = lie.random_regular_element(ctx, rng)
             st = lie.spectral_type(a)
-            assert st.defective == 0
-            assert 2 * st.real_pairs + 2 * st.imaginary_pairs + 4 * st.complex_quadruples == 2 * ctx.n
+            assert st["defective"] == 0
+            assert (2 * st["real_pairs"] + 2 * st["imaginary_pairs"]
+                    + 4 * st["complex_quadruples"] == 2 * ctx.n)
             arr = np.array([[float(v) for v in row] for row in a.to_matrix().data])
             eigs = np.linalg.eigvals(arr)
             nreal = sum(1 for z in eigs if abs(z.imag) < 1e-9)
             nimag = sum(1 for z in eigs if abs(z.real) < 1e-9 and abs(z.imag) > 1e-9)
-            assert st.real_pairs == nreal // 2
-            assert st.imaginary_pairs == nimag // 2
+            assert st["real_pairs"] == nreal // 2
+            assert st["imaginary_pairs"] == nimag // 2
 
 
 def test_spectral_type_builds_one_sturm_chain(monkeypatch):
@@ -296,19 +297,19 @@ def test_spectral_type_builds_one_sturm_chain(monkeypatch):
         assert len(calls) == 1
         sf = polys.squarefree_part(polys.even_part(p))
         sf = sf[1:] if sf[0] == 0 else sf
-        assert st.real_pairs == polys.count_real_roots(sf, Q(0), None)
-        assert st.imaginary_pairs == polys.count_real_roots(sf, None, Q(0))
+        assert st["real_pairs"] == polys.count_real_roots(sf, Q(0), None)
+        assert st["imaginary_pairs"] == polys.count_real_roots(sf, None, Q(0))
 
 
 def test_spectral_type_mixed_label():
     # diag(1,2,-1,-2) union an elliptic pair is mixed for n=2 when families differ
     a = CTX2.element([1, 0, 0, 2, 0, 0, 0, 0, 0, 0])  # diag(1,2,-1,-2)
     st = lie.spectral_type(a)
-    assert st.real_pairs == 2 and st.label == "hyperbolic"
+    assert st["real_pairs"] == 2 and st["label"] == "hyperbolic"
     b = CTX2.element([1, 0, 0, 0, 0, 0, 1, 0, 0, -1])
     stb = lie.spectral_type(b)
-    if stb.defective == 0 and 0 < stb.real_pairs < 2 and stb.complex_quadruples == 0:
-        assert stb.label == "mixed"
+    if stb["defective"] == 0 and 0 < stb["real_pairs"] < 2 and stb["complex_quadruples"] == 0:
+        assert stb["label"] == "mixed"
 
 
 def test_random_regular_element_is_regular_and_deterministic():

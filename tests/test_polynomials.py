@@ -267,9 +267,9 @@ def test_spectral_type_matches_sympy_root_counts(sympy, oracle):
         neg = big.count_roots(None, 0) - zero
         quads = (big.degree() - zero - pos - neg) // 2
         got = lie.spectral_type_of(p, n)
-        assert (got.real_pairs, got.imaginary_pairs, got.complex_quadruples, got.defective) == (
-            pos, neg, quads, 2 * n - 2 * pos - 2 * neg - 4 * quads)
-        seen.add((n, got.label))
+        assert (got["real_pairs"], got["imaginary_pairs"], got["complex_quadruples"],
+                got["defective"]) == (pos, neg, quads, 2 * n - 2 * pos - 2 * neg - 4 * quads)
+        seen.add((n, got["label"]))
 
     check()
     assert {(n, label) for n in (2, 3) for label in ("mixed", "parabolic/defective")} <= seen
