@@ -20,7 +20,8 @@ matrix of powers has n pivots; and the fraction-free Pfaffian of the Gram
 on the other 2n^2 columns (the complement: the kernel's echelon pivots are
 those of any echelon basis of it) is nonzero, so rank Omega >= 2n^2.  The
 record also checks Omega = -G ad(a) row by row, so the kernel is the
-centralizer.  A kernel basis takes one full elimination (``kernel_of``).
+centralizer.  A kernel basis takes one full elimination
+(``Matrix.kernel_rows``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, Subspace,
+from .lie_core import (AlgebraContext, AlgebraElement, RegularElement, is_abelian,
                        odd_powers, random_element)
 from .linalg import Matrix, Q, integer_coords, qstr
 
@@ -46,17 +47,6 @@ class AlgebraTwoForm:
             raise ValueError("gram shape mismatch")
         if not self.gram.is_antisymmetric():
             raise ValueError("gram matrix is not antisymmetric")
-
-
-@dataclass(frozen=True)
-class QuotientForm:
-    """Restriction of omega_A to a complement of its kernel: the span of the
-    standard basis vectors at the indices ``complement``."""
-
-    context: AlgebraContext
-    complement: tuple[int, ...]
-    reduced_gram: Matrix
-    reduced_det: Fraction
 
 
 def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
@@ -143,16 +133,16 @@ def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
     return a
 
 
-def form_kernel(omega: AlgebraTwoForm) -> Subspace:
-    """Exact nullspace of the gram matrix."""
-    return Subspace.kernel_of(omega.context, omega.gram)
+def form_kernel(omega: AlgebraTwoForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced echelon rows of the exact nullspace of the gram matrix."""
+    return omega.gram.kernel_rows()
 
 
 def form_rank(omega: AlgebraTwoForm) -> int:
     return omega.gram.rank()
 
 
-def _kernel_certificate(a: AlgebraElement) -> tuple[AlgebraTwoForm, list[list[int]], QuotientForm]:
+def _kernel_certificate(a: AlgebraElement) -> tuple[AlgebraTwoForm, list[list[int]], dict]:
     """omega_a, the odd powers and the quotient form, once ker Omega is certified
     as their span (module docstring); ValueError unless a is regular."""
     if not isinstance(a, RegularElement):
@@ -168,7 +158,8 @@ def _kernel_certificate(a: AlgebraElement) -> tuple[AlgebraTwoForm, list[list[in
     reduced = omega.gram.submatrix(complement, complement)
     if (pf := reduced.pfaffian()) == 0:
         raise AssertionError("omega_a is degenerate on the complement of the odd powers")
-    return omega, powers, QuotientForm(ctx, complement, reduced, pf * pf)
+    return omega, powers, {"complement": complement, "reduced_gram": reduced,
+                           "reduced_det": pf * pf}
 
 
 def rank_kernel_record(a: AlgebraElement) -> dict:
@@ -184,7 +175,7 @@ def rank_kernel_record(a: AlgebraElement) -> dict:
         if dict(omega.gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
             raise AssertionError(f"omega_a != -G ad(a) in row {k}")
     return {"rank": ctx.dim - len(powers), "kernel_dim": len(powers),
-            "kernel_abelian": not any(any(ctx._bracket(x, y)) for x, y in combinations(powers, 2)),
+            "kernel_abelian": is_abelian(ctx, powers),
             "kernel_equals_centralizer": True}  # ker Omega = ker ad(a), by the identity
 
 
@@ -195,9 +186,10 @@ def potential_roundtrips(ctx: AlgebraContext, rng: random.Random, k: int) -> boo
                for a in (random_element(ctx, rng) for _ in range(k)))
 
 
-def quotient_form(a: AlgebraElement) -> QuotientForm:
+def quotient_form(a: AlgebraElement) -> dict:
     """Nondegenerate restriction of omega_a to the standard basis vectors at the
-    non-pivot columns of ker Omega, its det as Pf^2; see ``_kernel_certificate``."""
+    non-pivot columns of ker Omega: {"complement": their indices, "reduced_gram",
+    "reduced_det": its det as Pf^2}; see ``_kernel_certificate``."""
     return _kernel_certificate(a)[2]
 
 
@@ -241,9 +233,9 @@ def omega_report(a: AlgebraElement) -> dict:
     kernel = form_kernel(omega)
     potential = potential_element(omega)  # tests closedness, and raises unless closed
     return {
-        "rank": a.context.dim - kernel.dim,  # rank-nullity: no second elimination
-        "kernel_dim": kernel.dim,
-        "kernel_basis": [[qstr(x) for x in row] for row in kernel.rows],
+        "rank": a.context.dim - len(kernel),  # rank-nullity: no second elimination
+        "kernel_dim": len(kernel),
+        "kernel_basis": [[qstr(x) for x in row] for row in kernel],
         "closed": True,
         "potential": [qstr(x) for x in potential.coords],
         "potential_roundtrip": potential.coords == a.coords,

@@ -18,9 +18,9 @@ all of it with the commutators and ad-traces of the basis matrices.
 An element's ``Fraction`` coordinates are cleared of denominators once
 (``linalg.integer_coords``); brackets and ad(x) are built over ``int`` and
 divided by the common denominator only as the result is written.  A
-``Subspace`` is a reduced-echelon row basis.  A kernel becomes one in a
-single elimination: with the columns reversed, the kernel vectors read back
-in order are already reduced echelon rows.  A ``RegularElement`` is made only by
+subspace is its reduced echelon rows, a tuple of ``Fraction`` tuples, and a
+centralizer is read off ad(x) by ``Matrix.kernel_rows`` in one elimination.
+A ``RegularElement`` is made only by
 running ``is_regular``; a regular element is cyclic, so its odd powers
 (``odd_powers``, each checked to lie in the algebra) span its centralizer.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .linalg import Matrix, Q, integer_coords, qf
@@ -213,51 +214,6 @@ class RegularElement(AlgebraElement):
             raise ValueError("element is not regular")
 
 
-class Subspace:
-    """Subspace of the algebra, stored as a reduced-echelon row basis and the
-    leading (pivot) index of each row."""
-
-    def __init__(self, context: AlgebraContext, rows: tuple[tuple[Fraction, ...], ...],
-                 pivots: tuple[int, ...]):
-        """rows must already be reduced echelon rows, pivots their leading
-        indices; ``kernel_of`` makes them."""
-        self.context = context
-        self.rows = rows
-        self.pivots = pivots
-
-    @classmethod
-    def kernel_of(cls, context: AlgebraContext, m: Matrix) -> "Subspace":
-        """The kernel of m acting on coordinates, from one elimination.
-
-        m is eliminated with its columns reversed.  Read back in the
-        original order, the kernel vector of each free column f has a 1 at
-        f, a 0 at every other free column and no entry before f: these
-        vectors, by increasing f, are the reduced echelon rows of the
-        kernel and the free columns its pivots, so no second rref runs.
-        """
-        n = m.cols
-        basis = m.select_columns(range(n - 1, -1, -1)).kernel_matrix().transpose()
-        rows, pivots = [], []
-        for t in reversed(range(basis.rows)):  # by increasing free column
-            row = [Q(0)] * n
-            for j, v in basis.row_items(t):
-                row[n - 1 - j] = qf(v)
-            rows.append(tuple(row))
-            pivots.append(next(i for i, x in enumerate(row) if x))
-        return cls(context, tuple(rows), tuple(pivots))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Subspace) and self.context is other.context
-                and self.rows == other.rows)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim})"
-
-
 def standard_basis(n: int) -> AlgebraContext:
     """Context for sp(2n, R) in the fixed block-ordered basis."""
     return AlgebraContext(n)
@@ -282,22 +238,16 @@ def odd_powers(a: AlgebraElement) -> list[list[int]]:
     return [[x._nz[r].get(c, 0) for r, c in ctx._slots] for x in powers]
 
 
-def centralizer(a: AlgebraElement) -> Subspace:
-    """Echelonized basis of {x : [a, x] = 0}, the exact kernel of ad(a)."""
-    ctx = a.context
-    return Subspace.kernel_of(ctx, ctx.ad_matrix(a.coords))
+def centralizer(a: AlgebraElement) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced echelon rows of {x : [a, x] = 0}, the exact kernel of ad(a)."""
+    return a.context.ad_matrix(a.coords).kernel_rows()
 
 
-def is_abelian(s: Subspace) -> bool:
-    """True iff all rows commute; each row is scaled to integers once, which
-    does not change whether a bracket vanishes."""
-    ctx = s.context
-    rows = [integer_coords(r)[1] for r in s.rows]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if any(ctx._bracket(rows[i], rows[j])):
-                return False
-    return True
+def is_abelian(ctx: AlgebraContext, rows: Sequence[Sequence[int | Fraction]]) -> bool:
+    """True iff the rows, coordinates in ctx, commute pairwise; each row is
+    scaled to integers once, which does not change whether a bracket vanishes."""
+    rows = [integer_coords(r)[1] for r in rows]
+    return not any(any(ctx._bracket(x, y)) for x, y in combinations(rows, 2))
 
 
 def spectral_type(a: AlgebraElement) -> dict:

@@ -11,11 +11,13 @@ tuples) for numerical oracles and tracing, not for computation.
 Elimination is fraction-free: each row is scaled by the lcm of its
 denominators and kept primitive (entries coprime) by dividing out their
 gcd; only the final scaling of each pivot to 1 makes ``Fraction`` values.
-The reduced row echelon form is unique, so ``rref``, pivots, nullspaces
-and solves are the canonical ones.  ``det`` is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) on ``integer_rows``; ``pfaffian`` is its
-Pfaffian form, raising AssertionError on an inexact division.  Vectors handed
-out (``apply``, ``column``, ``nullspace``, ``solve``) are lists of ``Fraction``.
+The reduced row echelon form is unique, so ``rref``, pivots, nullspaces,
+kernel rows and solves are the canonical ones.  ``pfaffian`` divides each
+entry exactly by the previous pivot (Sylvester's identity in Pfaffian form),
+raising AssertionError on an inexact division; ``det`` is a Pfaffian of
+order 2n, so ``_echelon`` and ``pfaffian`` are the only eliminations.
+Vectors handed out (``apply``, ``column``, ``nullspace``, ``solve``) are
+lists of ``Fraction``; kernel rows are tuples of ``Fraction``.
 """
 
 from __future__ import annotations
@@ -393,6 +395,25 @@ class Matrix:
             nz[p] = {free[j]: -v for j, v in red._nz[r].items() if j != p}
         return Matrix._of(self.cols, len(free), nz)
 
+    def kernel_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced echelon rows of the right kernel, from one elimination.
+
+        self is eliminated with its columns reversed.  Read back in the
+        original order, the kernel vector of each free column f has a 1 at
+        f, a 0 at every other free column and no entry before f: these
+        vectors, by increasing f, are the reduced echelon rows of the
+        kernel and the free columns their pivots, so no second rref runs.
+        """
+        n = self.cols
+        basis = self.select_columns(range(n - 1, -1, -1)).kernel_matrix().transpose()
+        rows = []
+        for t in reversed(range(basis.rows)):  # by increasing free column
+            row = [_ZERO] * n
+            for j, v in basis.row_items(t):
+                row[n - 1 - j] = qf(v)
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right kernel, one vector per free column."""
         return self.kernel_matrix().columns()
@@ -429,30 +450,13 @@ class Matrix:
         return inv
 
     def det(self) -> Fraction:
+        """det A = (-1)^(n(n-1)/2) Pf([[0, A], [-A^t, 0]]) at order n."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        d, rows = self.integer_rows()  # det(d * self) = d^n det(self)
-        sign = prev = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if c in rows[i]), None)
-            if pivot is None:
-                return Q(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                sign = -sign
-            prow = rows[c]
-            pv = prow[c]
-            for i in range(c + 1, n):
-                row = rows[i]
-                f = row.get(c, 0)
-                out = {j: pv * v for j, v in row.items()}
-                if f:
-                    for j, v in prow.items():
-                        out[j] = out.get(j, 0) - f * v
-                rows[i] = {j: v // prev for j, v in out.items() if v}
-            prev = pv
-        return Q(sign * prev, d ** n)
+        n, zero = self.rows, Matrix.zeros(self.rows, self.rows)
+        block = Matrix.vstack([Matrix.hstack([zero, self]),
+                               Matrix.hstack([-self.transpose(), zero])])
+        return (-1) ** (n * (n - 1) // 2) * block.pfaffian()
 
     def pfaffian(self) -> Fraction:
         """Pf of an antisymmetric matrix (ValueError otherwise), fraction-free on
@@ -495,19 +499,12 @@ class Matrix:
         return m
 
 
-def reduced_basis(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """The nonzero rows of the reduced row echelon form of m, dense, and
-    their pivot columns."""
-    red, pivots = m.rref()
-    return [_dense(red._nz[r], red.cols) for r in range(len(pivots))], pivots
-
-
 def echelon_rows(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Canonical reduced-echelon basis of the span of the given row vectors."""
-    vectors = [list(v) for v in vectors]
     if not vectors:
         return []
-    return reduced_basis(Matrix(vectors))[0]
+    red, pivots = Matrix([list(v) for v in vectors]).rref()
+    return [_dense(red._nz[r], red.cols) for r in range(len(pivots))]
 
 
 def rank_of_rows(vectors: Sequence[Sequence[Fraction]]) -> int:

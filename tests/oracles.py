@@ -27,8 +27,8 @@ from typing import Sequence
 
 from symplab import exterior, models
 from symplab.algebra_forms import AlgebraTwoForm, omega_from_element
-from symplab.lie_core import AlgebraContext, AlgebraElement, Subspace, centralizer, is_abelian
-from symplab.linalg import Matrix, Q, integer_coords, qf, reduced_basis
+from symplab.lie_core import AlgebraContext, AlgebraElement, centralizer, is_abelian
+from symplab.linalg import Matrix, Q, echelon_rows, integer_coords, qf
 from symplab.polynomials import Poly, _gcd, _pseudo_divmod, poly_trim
 
 
@@ -197,22 +197,20 @@ def context_mismatches(ctx: AlgebraContext) -> list[str]:
     return bad
 
 
-def span(ctx: AlgebraContext, vectors: Sequence[Sequence[Fraction]]) -> Subspace:
+def span(vectors: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """The subspace spanned by coordinate vectors: the nonzero rows of their
-    reduced row echelon form, and its pivots."""
-    rows, pivots = reduced_basis(Matrix([list(v) for v in vectors]))
-    return Subspace(ctx, tuple(map(tuple, rows)), tuple(pivots))
+    reduced row echelon form."""
+    return tuple(map(tuple, echelon_rows(vectors)))
 
 
-def is_maximal_abelian(s: Subspace) -> bool:
-    """True iff the joint centralizer of s equals s; s must be abelian."""
-    if not is_abelian(s):
+def is_maximal_abelian(ctx: AlgebraContext, rows: Sequence[Sequence[Fraction]]) -> bool:
+    """True iff the joint centralizer of the span of rows, reduced echelon rows
+    of coordinates in ctx, equals it; the rows must commute."""
+    if not is_abelian(ctx, rows):
         raise ValueError("is_maximal_abelian requires an abelian subspace")
-    ctx = s.context
-    if not s.rows:
+    if not rows:
         return False  # the whole algebra centralizes the zero subspace
-    stacked = Matrix.vstack([ctx.ad_matrix(r) for r in s.rows])
-    return Subspace.kernel_of(ctx, stacked) == s
+    return Matrix.vstack([ctx.ad_matrix(r) for r in rows]).kernel_rows() == tuple(rows)
 
 
 def potential_system(ctx: AlgebraContext) -> tuple[Matrix, list[tuple[int, int]]]:
@@ -236,7 +234,7 @@ def nilpotent_unit(ctx: AlgebraContext) -> AlgebraElement:
 def kernel_pivot_complement(omega: AlgebraTwoForm) -> list[int]:
     """The columns that are not pivots of the reduced echelon kernel basis
     of the Gram, from the kernel vectors themselves (a full elimination)."""
-    pivots = set(Subspace.kernel_of(omega.context, omega.gram).pivots)
+    pivots = {next(j for j, x in enumerate(row) if x) for row in omega.gram.kernel_rows()}
     return [j for j in range(omega.context.dim) if j not in pivots]
 
 
@@ -251,8 +249,8 @@ def rank_kernel_by_elimination(a: AlgebraElement) -> dict:
     for k, (pk, gk) in enumerate(ctx.killing_partners):
         if dict(gram.row_items(k)) != {j: -gk * v for j, v in ad.row_items(pk)}:
             raise AssertionError(f"omega_a != -G ad(a) in row {k}")
-    return {"rank": ctx.dim - kernel.dim, "kernel_dim": kernel.dim,
-            "kernel_abelian": is_abelian(kernel), "kernel_equals_centralizer": True}
+    return {"rank": ctx.dim - len(kernel), "kernel_dim": len(kernel),
+            "kernel_abelian": is_abelian(ctx, kernel), "kernel_equals_centralizer": True}
 
 
 def pfaffian_by_expansion(m: Matrix) -> Fraction:

@@ -204,11 +204,11 @@ def test_is_regular_matches_numerical_oracle():
 
 def test_centralizer_examples():
     zh = lie.centralizer(H)
-    assert zh.dim == 1 and zh.rows == ((Q(1), Q(0), Q(0)),)
+    assert zh == ((Q(1), Q(0), Q(0)),)
     zj = lie.centralizer(J1)
-    assert zj.dim == 1 and zj == span(CTX1, [J1.coords])
+    assert len(zj) == 1 and zj == span([J1.coords])
     z0 = lie.centralizer(CTX1.element([0] * CTX1.dim))
-    assert z0.dim == 3
+    assert z0 == span([H.coords, E.coords, F.coords])
 
 
 def test_centralizer_of_regular_is_abelian_cartan():
@@ -217,39 +217,49 @@ def test_centralizer_of_regular_is_abelian_cartan():
         for _ in range(10):
             a = lie.random_regular_element(ctx, rng)
             z = lie.centralizer(a)
-            assert z.dim == ctx.n
-            assert lie.is_abelian(z)
+            assert len(z) == ctx.n and z == span(z)  # n reduced echelon rows
+            assert lie.is_abelian(ctx, z)
+            assert z == span(lie.odd_powers(a))  # a regular a is cyclic
             # every kernel vector commutes with a (oracle re-check)
-            for row in z.rows:
+            for row in z:
                 assert not any(bracket_coords(ctx, a.coords, row))
 
 
 def test_is_abelian_examples():
-    assert lie.is_abelian(span(CTX1, [H.coords]))
-    assert not lie.is_abelian(span(CTX1, [H.coords, E.coords]))
-    assert not lie.is_abelian(span(CTX1, [E.coords, F.coords]))
+    assert lie.is_abelian(CTX1, span([H.coords]))
+    assert not lie.is_abelian(CTX1, span([H.coords, E.coords]))
+    assert not lie.is_abelian(CTX1, span([E.coords, F.coords]))
+    # integer rows, as the rank/kernel record passes them: the odd powers of a
+    # regular element commute, and the integer unit rows of E and F do not
+    rng = random.Random(45)
+    for ctx in (CTX1, CTX2, CTX3):
+        powers = lie.odd_powers(lie.random_regular_element(ctx, rng))
+        assert all(type(x) is int for row in powers for x in row)
+        assert lie.is_abelian(ctx, powers)
+    assert not lie.is_abelian(CTX1, [[0, 1, 0], [0, 0, 1]])
+    assert lie.is_abelian(CTX1, []) and lie.is_abelian(CTX1, [[0, 2, 0]])
 
 
 def test_is_maximal_abelian_examples():
-    assert is_maximal_abelian(span(CTX1, [H.coords]))
+    assert is_maximal_abelian(CTX1, span([H.coords]))
     # the ad(E) nullspace is one-dimensional (oracle), so span{E} is its own
     # joint centralizer and therefore maximal abelian
     assert len(CTX1.ad_matrix(E.coords).nullspace()) == 1
-    assert lie.centralizer(E) == span(CTX1, [E.coords])
-    assert is_maximal_abelian(span(CTX1, [E.coords]))
+    assert lie.centralizer(E) == span([E.coords])
+    assert is_maximal_abelian(CTX1, span([E.coords]))
     # diagonal Cartan subalgebra of sp(4,R): A[1,1] and A[2,2]
-    cartan = span(CTX2, [unit_element(CTX2, 0).coords, unit_element(CTX2, 3).coords])
-    assert cartan.dim == 2
-    assert is_maximal_abelian(cartan)
+    cartan = span([unit_element(CTX2, 0).coords, unit_element(CTX2, 3).coords])
+    assert len(cartan) == 2
+    assert is_maximal_abelian(CTX2, cartan)
 
 
 def test_is_maximal_abelian_rejects_non_abelian():
     with pytest.raises(ValueError):
-        is_maximal_abelian(span(CTX1, [H.coords, E.coords]))
+        is_maximal_abelian(CTX1, span([H.coords, E.coords]))
 
 
 def test_is_maximal_abelian_zero_subspace():
-    assert not is_maximal_abelian(span(CTX1, []))
+    assert not is_maximal_abelian(CTX1, span([]))
 
 
 def test_spectral_type_examples():
@@ -388,11 +398,11 @@ def test_odd_powers_are_the_odd_matrix_powers():
 
 
 def test_subspace_contains_and_equality():
-    s = span(CTX1, [H.coords, E.coords])
+    s = span([H.coords, E.coords])
     # v lies in s exactly when adding it leaves the dimension unchanged
-    assert span(CTX1, s.rows + ((Q(2), Q(3), Q(0)),)).dim == s.dim
-    assert span(CTX1, s.rows + (F.coords,)).dim != s.dim
-    t = span(CTX1, [E.coords, H.coords])
+    assert len(span(s + ((Q(2), Q(3), Q(0)),))) == len(s)
+    assert len(span(s + (F.coords,))) != len(s)
+    t = span([E.coords, H.coords])
     assert s == t
 
 
@@ -490,7 +500,7 @@ def test_integer_element_layer_matches_fraction_formulas():
         ad = fraction_ad(ctx, x.coords)
         assert ctx.ad_matrix(x.coords) == ad
         assert x.to_matrix() == fraction_matrix(ctx, x.coords)
-        assert lie.centralizer(x).rows == tuple(tuple(r) for r in echelon_rows(ad.nullspace()))
+        assert lie.centralizer(x) == tuple(tuple(r) for r in echelon_rows(ad.nullspace()))
         seen.add((ctx.n, any(c.denominator != 1 for c in x.coords)))
 
     check()

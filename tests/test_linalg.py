@@ -61,6 +61,9 @@ def test_det_triangular_and_singular():
     assert t.det() == Q(3)
     s = Matrix([[1, 2], [2, 4]])
     assert s.det() == 0
+    assert Matrix.zeros(0, 0).det() == 1 and type(t.det()) is Q
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix.zeros(2, 3).det()
 
 
 def test_solve_consistent_and_inconsistent():
