@@ -12,7 +12,8 @@ keep the whole truncated space, which removes exactly the truncation-boundary
 classes.  By forward fraction-free ranks over int (no window: W is everything),
 dim H^k = |W| - rank(num|W) - rank(den) + rank(den rows outside W); this rests on
 im den inside ker num, from d.d = 0, dl.dl = 0 and d.dl + dl.d = 0, which every
-``ComplexModel`` satisfies: its constructor raises on a failed identity.
+``ComplexModel`` satisfies: its constructor checks d.d = 0, star.star = id and
+d.dl + dl.d = 0, from which dl.dl = 0 follows, and raises on a failed identity.
 
 Rank table: ``model.ranks[k]`` keeps each rank of degree k once eliminated,
 rank(d_k|W) and rank([d_k; dl_k]|W) from one nested elimination, rank(s_k|W) for

@@ -11,7 +11,8 @@ Chevalley-Eilenberg 1-forms, the star of a form, the primitives alpha_k of
 w0^k, the wedge of coordinate vectors and the powers of w0 taken by it, the
 radial homotopy as an index loop and seeded random closed forms to feed it,
 the Cartan identity of the Euler contraction, d and the Fourier pullback
-assembled entry by entry and the models built from them, the names of the
+assembled entry by entry and the models built from them, the codifferential
+by index rule on the stars' signed permutations, the names of the
 models' basis vectors, the full Fourier box on T^2 with its partial
 pullback, the cohomology quotients with their representatives and counts,
 the finite Hodge check from a Laplacian kernel basis, and rational
@@ -460,6 +461,23 @@ def fourier_pullback(functions: list) -> dict[int, Matrix]:
 def monomial_derivative(mono: tuple[int, ...], v: int) -> list[tuple[int, tuple[int, ...]]]:
     e = mono[v]  # x^a -> a_v * x^(a - e_v)
     return [(e, mono[:v] + (e - 1,) + mono[v + 1:])] if e else []
+
+
+def codifferential_by_index_rule(d: dict[int, Matrix], star: dict[int, Matrix], top: int,
+                                 k: int) -> Matrix:
+    """The codifferential (-1)^(k+1) star . d . star on k-forms, k >= 1, entry
+    by entry, each star block read as ``models._signed_permutation`` reads it:
+    d[i, c] goes to row p_out(i) and column p_in^-1(c), times both signs."""
+    p_in, s_in = models._signed_permutation(star[k])
+    p_out, s_out = models._signed_permutation(star[top - k + 1])
+    col, col_sign = [0] * len(p_in), [0] * len(p_in)  # p_in^-1(c), and the sign there
+    for j, (c, sj) in enumerate(zip(p_in, s_in)):
+        col[c], col_sign[c] = j, sj
+    dl = Matrix.zeros(len(p_out), len(p_in))
+    for i, (r, si) in enumerate(zip(p_out, s_out if k % 2 == 1 else [-si for si in s_out])):
+        for c, v in d[top - k].row_items(i):
+            dl[r, col[c]] = si * col_sign[c] * v
+    return dl
 
 
 def loop_model(kind: str, *args: int) -> models.ComplexModel:

@@ -8,7 +8,8 @@ the star solves
 
 degree by degree as an exact linear system.  Only the pairing and the
 wedge go in, no sign table, so this construction is independent of the
-index rule in ``symplab.exterior.star_blocks``.
+index rule in ``symplab.exterior.star_blocks``; the minors of the pairing
+are taken by cofactor expansion, not by the package's determinant.
 """
 
 from fractions import Fraction
@@ -26,14 +27,21 @@ def covector_pairing(n: int) -> Matrix:
     return g
 
 
+def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
+    """The determinant by cofactor expansion along the first row, skipping its
+    zeros; the empty matrix has determinant 1."""
+    if not rows:
+        return Q(1)
+    head, rest = rows[0], rows[1:]
+    return sum(((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rest])
+                for j, x in enumerate(head) if x), Q(0))
+
+
 def pairing_k(g1: Matrix, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
     """Determinant extension of the covector pairing to k-forms."""
-    k = len(a)
-    if k != len(b):
+    if len(a) != len(b):
         raise ValueError("degree mismatch")
-    if k == 0:
-        return Q(1)
-    return g1.submatrix(a, b).det()
+    return cofactor_det([[g1[i, j] for j in b] for i in a])
 
 
 def solved_star_blocks(n: int) -> dict[int, Matrix]:

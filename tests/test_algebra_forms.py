@@ -48,6 +48,14 @@ def test_omega_gram_antisymmetric_validated():
         forms.AlgebraTwoForm(CTX1, Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
+def test_gram_of_the_wrong_shape_refused():
+    # sp(2) has dimension 3, so a 2 x 2 or a 3 x 2 Gram is refused before the
+    # antisymmetry test
+    for rows, cols in ((2, 2), (3, 2)):
+        with pytest.raises(ValueError, match="^gram shape mismatch$"):
+            forms.AlgebraTwoForm(CTX1, Matrix.zeros(rows, cols))
+
+
 def test_ce_d1_examples():
     # theta dual to H: gram entry -1 at the (E, F) slot since [E,F] = H
     theta = one_form(CTX1, [1, 0, 0])

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -13,9 +14,10 @@ from symplab.models import (ComplexModel, build_polynomial_model, build_suspensi
                             build_torus_model, d_apply, d_lambda_apply,
                             form_vector, operator_identity_report,
                             poincare_antiderivative, w0_power_form)
-from oracles import (alpha_form, basis_names, cartan_mismatches, fourier_pullback,
-                     loop_model, radial_antiderivative, random_closed_forms, star_s_apply,
-                     suspension_full_complex, w0_power_by_wedges, wedge_vectors)
+from oracles import (alpha_form, basis_names, cartan_mismatches, codifferential_by_index_rule,
+                     fourier_pullback, loop_model, radial_antiderivative,
+                     random_closed_forms, star_s_apply, suspension_full_complex,
+                     w0_power_by_wedges, wedge_vectors)
 from shared_models import POLY_N2 as POLY2  # built once, shared
 from star_oracle import covector_pairing, pairing_k, solved_star_blocks
 from strategies import PROPERTY, SIDE, matrices
@@ -35,16 +37,12 @@ def plane_1form(model, *terms):
     return form_vector(model, 1, coords)
 
 
-def star_permutations(model):
-    return {k: models._signed_permutation(block) for k, block in model.star_s.items()}
-
-
 def struct_identities_all_hold(model):
     # the constructor, called directly on the build's inputs, verifies the
     # identities again and gives the same model
     assert ComplexModel(model.name, model.kind, model.dims, model.d, model.star_s,
                         model.window, model.meta) == model
-    report, d_dl = operator_identity_report(model, star_permutations(model))
+    report, d_dl = operator_identity_report(model)
     # the composites the constructor kept are d_(k-1) . dl_k
     assert model.d_dl == d_dl == {k: model.d_block(k - 1) @ model.dl_block(k)
                                   for k in range(model.top_degree + 1)}
@@ -493,6 +491,13 @@ def test_blocks_outside_the_degree_range_are_zero_maps(model):
         assert dl == model.d_lambda[k] if 1 <= k <= top else dl.is_zero()
 
 
+def test_form_vector_of_the_wrong_length_refused():
+    # degree 1 of the torus n = 1 has the two coordinates dx and dy
+    for coords in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError, match=r"^expected 2 coordinates in degree 1$"):
+            form_vector(TORUS1, 1, coords)
+
+
 def test_apply_degree_out_of_range():
     with pytest.raises(ValueError):
         d_apply(form_vector(TORUS1, 5, []))
@@ -501,39 +506,39 @@ def test_apply_degree_out_of_range():
 
 
 def test_corrupted_d_matrix_detected():
-    # negative path: a d block broken after the build, so dl no longer is the
-    # signed star.d.star of d; only that identity catches it, in degree 2,
-    # where the codifferential reads d[0] (every other identity still holds)
-    model = build_torus_model(1)
-    bad = Matrix.zeros(model.dim(1), model.dim(0))
-    bad[0, 0] = Q(1)
-    model.d[0] = bad
-    report, _ = operator_identity_report(model, star_permutations(model))
-    failed = [(name, k) for name, per in report.items() for k, ok in per.items() if not ok]
-    assert failed == [("dl=signed star.d.star", 2)]
+    # negative path: one entry of d added on polynomial n1-D2 and handed to
+    # the constructor, which forms dl from it and raises on d.d != 0 in degree
+    # 0: d(y^2) gains y dx, whose d is -dx^dy; dx gains dx^dy, so d(d(x)) = w0
+    model = build_polynomial_model(1, 2)
+    for k, row, col in ((0, 2, 3), (1, 0, 0)):
+        d = {j: block.scale(1) for j, block in model.d.items()}  # copies
+        d[k][row, col] += 1
+        with pytest.raises(AssertionError,
+                           match=r"^identity d\.d=0 fails in degrees \[0\] of polynomial-n1-D2$"):
+            dataclasses.replace(model, d=d)
 
 
 @pytest.mark.parametrize("degree, failed", [
-    # star_0 and star_2 are each other's inverse; dl_k uses star_k and
-    # star_(top-k+1) for k >= 1, never star_0
-    (0, [("star.star=id", 0), ("star.star=id", 2)]),
-    # star_1 is -1 on R^2, so one flipped sign keeps star_1 an involution; only
-    # dl_2 = -star_1 . d_0 . star_2 sees it, through d(x) = dx
-    (1, [("dl=signed star.d.star", 2)]),
-    (2, [("star.star=id", 0), ("star.star=id", 2), ("dl=signed star.d.star", 1)]),
+    # star_0 and star_2 are each other's inverse
+    (0, ("star.star=id", [0, 2])),
+    # star_1 is -1 on R^2, so one flipped sign keeps star_1 an involution; dl,
+    # formed from the flipped star, no longer anticommutes with d in degree 1
+    (1, ("d.dl+dl.d=0", [1])),
+    (2, ("star.star=id", [0, 2])),
 ])
 def test_flipped_star_sign_detected(degree, failed):
-    # negative path: one sign of a star block flipped after the build; the
-    # star.star check gets the permutations read again from the flipped
-    # blocks, and the dl check compares the stored index-rule dl with the
-    # product star . d . star
+    # negative path: one sign of a star block flipped and handed to the
+    # constructor, which forms dl from the stars it is given and raises on the
+    # first identity that fails
     model = build_polynomial_model(1, 2)
-    block = model.star_s[degree]
+    star = {k: block.scale(1) for k, block in model.star_s.items()}  # copies
+    block = star[degree]
     row = next(i for i in range(block.rows) if block[i, 0])
     block[row, 0] = -block[row, 0]
-    report, _ = operator_identity_report(model, star_permutations(model))
-    assert [(name, k) for name, per in report.items()
-            for k, ok in per.items() if not ok] == failed
+    identity, degrees = failed
+    with pytest.raises(AssertionError, match=re.escape(
+            f"identity {identity} fails in degrees {degrees} of polynomial-n1-D2")):
+        dataclasses.replace(model, star_s=star)
 
 
 @pytest.mark.parametrize("entry, value", [
@@ -546,6 +551,17 @@ def test_star_that_is_no_signed_permutation_refused(entry, value):
     own = next(i for i in range(star[1].rows) if star[1][i, 0])
     star[1][own if entry == "own" else 1 - own, 0] = value
     with pytest.raises(AssertionError, match="star block is not a signed permutation"):
+        ComplexModel("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_star_of_the_wrong_shape_refused(shape):
+    # star_1 of the torus n = 1 is 2 x 2; dl is formed from the stars before
+    # they are read as permutations, so the product refuses a block that does
+    # not fit d
+    star = dict(TORUS1.star_s)
+    star[1] = Matrix.zeros(*shape)
+    with pytest.raises(ValueError, match="^shape mismatch "):
         ComplexModel("bad", "torus", TORUS1.dims, dict(TORUS1.d), star)
 
 
@@ -570,8 +586,8 @@ def test_replace_runs_the_identity_check():
                                          (build_polynomial_model, (1, 4)),
                                          (build_suspension_model, (2,))])
 def test_each_star_block_is_read_once_per_build(monkeypatch, build, args):
-    # the constructor reads the stars once and hands the permutations both to
-    # the index rule for dl and to the identity report
+    # the identity report reads each star block once as a signed permutation;
+    # dl is the product of the blocks themselves
     calls = []
     original = models._signed_permutation
     monkeypatch.setattr(models, "_signed_permutation",
@@ -602,21 +618,49 @@ def signed_permutations(draw, side):
 @given(st.data())
 def test_codifferential_index_rule_matches_the_product(data):
     # any signed permutations as stars and any sparse int or rational d of the
-    # right shapes, 0 rows and 0 columns included: the entry-by-entry dl is
-    # the product (-1)^(k+1) star . d . star, entry types included
+    # right shapes, 0 rows and 0 columns included: the entry-by-entry oracle
+    # is the product (-1)^(k+1) star . d . star the constructor forms, entry
+    # types included
     top = data.draw(st.integers(1, 4))
     dims = {k: data.draw(SIDE) for k in range(top // 2 + 1)}
     dims.update({top - k: dim for k, dim in dims.items()})
     star = {k: data.draw(signed_permutations(dims[k])) for k in range(top + 1)}
     d = {k: data.draw(matrices(st.just(dims[k + 1]), st.just(dims[k]))) for k in range(top)}
-    perm = {k: models._signed_permutation(block) for k, block in star.items()}
     for k in range(1, top + 1):
-        rule = models._codifferential(d, perm, top, k)
+        rule = codifferential_by_index_rule(d, star, top, k)
         product = models._signed_star_d_star(d, star, top, k)
         assert rule == product
         assert all(sorted((j, type(v)) for j, v in rule.row_items(i))
                    == sorted((j, type(v)) for j, v in product.row_items(i))
                    for i in range(rule.rows))
+
+
+BUILDERS = {"torus": build_torus_model, "polynomial": build_polynomial_model,
+            "suspension": build_suspension_model}
+DL_ORACLE_MODELS = ([("polynomial", (1, c)) for c in (10, 12, 14, 16)] + [("polynomial", (2, 4))]
+                    + [("suspension", (c,)) for c in (16, 32, 64)]
+                    + [("torus", (n,)) for n in (2, 3)]  # the ten sweep models
+                    + [("torus", (1,))] + [("polynomial", (1, c)) for c in (4, 6, 8)]
+                    + [("suspension", (c,)) for c in (2, 4, 8)]  # and the suite's
+                    + [("polynomial", (3, 3))])
+
+
+@pytest.mark.parametrize("kind, args", DL_ORACLE_MODELS,
+                         ids=["-".join(map(str, (kind, *args))) for kind, args in DL_ORACLE_MODELS])
+def test_dl_matches_the_index_rule_and_squares_to_zero(kind, args):
+    # in every degree dl, formed as the signed product star . d . star, equals
+    # the index rule on the stars' signed permutations, and dl.dl = 0, which
+    # the constructor does not form since d.d = 0 and star.star = id imply it
+    model = POLY2 if (kind, args) == ("polynomial", (2, 4)) else BUILDERS[kind](*args)
+    top = model.top_degree
+    for k in range(1, top + 1):
+        assert model.d_lambda[k] == codifferential_by_index_rule(model.d, model.star_s, top, k)
+        assert (model.dl_block(k - 1) @ model.dl_block(k)).is_zero()
+    if args == (3, 3):
+        # some star permutation is not its own inverse as an index map, so a
+        # rule that reads one the wrong way round gives another dl
+        perms = [models._signed_permutation(block)[0] for block in model.star_s.values()]
+        assert any(p[p[j]] != j for p in perms for j in range(len(p)))
 
 
 @pytest.mark.parametrize("kind, args", [("torus", (n,)) for n in (1, 2, 3, 4)]
@@ -626,8 +670,7 @@ def test_kron_assembly_matches_the_index_loops(kind, args):
     # the builders' kron assembly against the entry-by-entry loops: every
     # d, star, dl and d.dl block, the dims, window and meta; one name per
     # basis vector in each degree
-    built = {"torus": build_torus_model, "polynomial": build_polynomial_model,
-             "suspension": build_suspension_model}[kind](*args)
+    built = BUILDERS[kind](*args)
     oracle = loop_model(kind, *args)
     for field in dataclasses.fields(built):
         assert getattr(built, field.name) == getattr(oracle, field.name), field.name

@@ -69,6 +69,11 @@ def test_charpoly_known():
     assert charpoly(e) == [Q(0), Q(0), Q(1)]  # t^2
 
 
+def test_charpoly_of_a_non_square_matrix_refused():
+    with pytest.raises(ValueError, match="^characteristic polynomial of non-square matrix$"):
+        charpoly(Matrix([[1, 0, 2], [0, 1, 3]]))
+
+
 def test_even_part():
     assert even_part([Q(-1), Q(0), Q(1)]) == [Q(-1), Q(1)]
     with pytest.raises(ValueError):
