@@ -9,19 +9,24 @@ by a test oracle (``tests/oracles.py``), which holds the 1-forms.
 
 omega_a is built over ``int``: the Killing row K (d a) of the element
 scaled to integers, paired with the integer structure constants, with d
-divided out as each entry is written.  Closedness is one integer pass.  The
-potential of a closed form is read off ad(a) = (Omega G^-1)^t, G^-1 being
-free because the Killing Gram has one nonzero per row, so it takes no
-elimination.  Neither the rank/kernel record nor the quotient form
-eliminates a dim x dim matrix: for regular a, one certificate shows ker
-Omega = span{a, a^3, ..., a^(2n-1)}.  Each odd power lies in the algebra
-and, by integer products with the Gram rows, in ker Omega; the n x dim
-matrix of powers has n pivots; and the fraction-free Pfaffian of the Gram
-on the other 2n^2 columns (the complement: the kernel's echelon pivots are
-those of any echelon basis of it) is nonzero, so rank Omega >= 2n^2.  The
-record also checks Omega = -G ad(a) row by row, so the kernel is the
-centralizer.  A kernel basis takes one full elimination
-(``Matrix.kernel_rows``).
+divided out as each entry is written.  The potential of a form is read off
+ad(a) = (Omega G^-1)^t, G^-1 being free because the Killing Gram has one
+nonzero per row, so it takes no elimination, and the read-off also decides
+closedness: omega is closed exactly when omega_a = omega for the a read off
+it.  Each omega_a is exact, omega_a = d(-B(a, .)), so closed.  A closed
+omega is d(theta) by Whitehead's second lemma (H^2 = 0 for semisimple g),
+theta = B(b, .) as the Killing form is nondegenerate, so omega = omega_(-b),
+on which the read-off is exact.
+
+Neither the rank/kernel record nor the quotient form eliminates a dim x
+dim matrix: for regular a, one certificate shows ker Omega = span{a, a^3,
+..., a^(2n-1)}.  Each odd power lies in the algebra and, by integer
+products with the Gram rows, in ker Omega; the n x dim matrix of powers
+has n pivots; and the fraction-free Pfaffian of the Gram on the other 2n^2
+columns (the complement: the kernel's echelon pivots are those of any
+echelon basis of it) is nonzero, so rank Omega >= 2n^2.  The record also
+checks Omega = -G ad(a) row by row, so the kernel is the centralizer.  A
+kernel basis takes one full elimination (``Matrix.kernel_rows``).
 """
 
 from __future__ import annotations
@@ -74,32 +79,8 @@ def omega_from_element(a: AlgebraElement) -> AlgebraTwoForm:
     return AlgebraTwoForm(ctx, Matrix(gram))
 
 
-def is_closed_2form(omega: AlgebraTwoForm) -> bool:
-    """d(omega) = 0 where d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
-
-    One pass over integers: the Gram is scaled by the lcm of its
-    denominators (closedness is invariant under a nonzero scale), the
-    vectors omega([e_i, e_j], .) are summed from the sparse structure
-    constants, and each basis triple is three dict lookups.
-    """
-    ctx = omega.context
-    _, rows = omega.gram.integer_rows()
-    empty: dict[int, int] = {}
-    against = [[empty] * ctx.dim for _ in range(ctx.dim)]  # [i][j] = omega([e_i, e_j], .), i < j
-    for (i, j), entry in ctx._table.items():
-        acc: dict[int, int] = {}
-        for m, c in entry.items():
-            for t, g in rows[m].items():
-                acc[t] = acc.get(t, 0) + c * g
-        against[i][j] = acc
-    for i, j, k in combinations(range(ctx.dim), 3):
-        if against[i][k].get(j, 0) != against[i][j].get(k, 0) + against[j][k].get(i, 0):
-            return False
-    return True
-
-
-def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
-    """The unique a with omega = omega_from_element(a); requires closedness.
+def _potential(omega: AlgebraTwoForm) -> AlgebraElement | None:
+    """The a read off omega if omega_from_element(a) == omega, else None.
 
     Invariance gives omega_a(e_i, e_j) = B([a, e_i], e_j), so the Gram is
     Omega = ad(a)^t G.  The Killing Gram G has one nonzero g_m per row, at
@@ -110,11 +91,8 @@ def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
 
     The sums run over int, on the integer rows d Omega with each term
     scaled by L / g_m for L the lcm of the g values, so each coordinate
-    costs one Fraction.  The round trip omega_from_element(a) == omega is
-    re-checked before returning.
+    costs one Fraction.
     """
-    if not is_closed_2form(omega):
-        raise ValueError("potential_element requires a closed 2-form")
     ctx = omega.context
     d, rows = omega.gram.integer_rows()
     partners = ctx.killing_partners
@@ -128,8 +106,19 @@ def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
             total -= weights[m] * sum(c * row.get(l, 0) for l, c in entry.items())
         coords[pk] = Q(total, big * d * gk)
     a = AlgebraElement(ctx, tuple(coords))
-    if omega_from_element(a).gram != omega.gram:
-        raise AssertionError("potential round trip failed on a closed form")
+    return a if omega_from_element(a).gram == omega.gram else None
+
+
+def is_closed_2form(omega: AlgebraTwoForm) -> bool:
+    """d(omega) = 0: omega is omega_a for the a read off it (module docstring)."""
+    return _potential(omega) is not None
+
+
+def potential_element(omega: AlgebraTwoForm) -> AlgebraElement:
+    """The unique a with omega = omega_from_element(a); ValueError unless
+    omega is closed."""
+    if (a := _potential(omega)) is None:
+        raise ValueError("potential_element requires a closed 2-form")
     return a
 
 

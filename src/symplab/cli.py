@@ -186,7 +186,7 @@ def _cmd_omega(args) -> int:
     mat = _parse_element(args.element)
     a = ctx.element_from_matrix(mat)
     report = forms.omega_report(a)
-    p = charpoly(a.to_matrix())  # one characteristic polynomial for both fields
+    p = charpoly(mat)  # one characteristic polynomial for both fields
     report["n"] = args.n
     report["regular"] = is_squarefree(p)
     report["spectral_type"] = lie.spectral_type_of(p, args.n)
@@ -224,12 +224,12 @@ def _cmd_cohomology(args) -> int:
 # -- suite ----------------------------------------------------------------------
 
 def _cmd_suite(args) -> int:
-    if args.format == "csv" and not args.output:
+    if args.format == "csv" and args.output is None:
         print("--format csv needs --output", file=sys.stderr)
         return USAGE_EXIT
     results = acceptance.run_all(args.seed)
     print(acceptance.format_table(results))
-    if args.output:
+    if args.output is not None:
         records = [{key: r[key] for key in acceptance.REPORT_FIELDS} for r in results]
         _emit(coh.csv_text(acceptance.REPORT_FIELDS, (rec.values() for rec in records))
               if args.format == "csv" else _json_text(records), args.output)

@@ -435,7 +435,8 @@ OUTPUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
-@pytest.mark.parametrize("case", ["missing-directory", "a-directory", "missing-LAB_OUTPUT_DIR"])
+@pytest.mark.parametrize("case", ["missing-directory", "a-directory", "missing-LAB_OUTPUT_DIR",
+                                  "empty-path"])
 def test_unwritable_output_is_an_error_record(tmp_path, monkeypatch, capsys, command, case):
     good = check_record(1, "alpha", "x", "x", True, 0.01)
     monkeypatch.setattr("symplab.suite.run_all", lambda seed: [good])
@@ -446,6 +447,8 @@ def test_unwritable_output_is_an_error_record(tmp_path, monkeypatch, capsys, com
         output = str(missing / "x.json")
     elif case == "a-directory":
         output = str(tmp_path)
+    elif case == "empty-path":
+        output = ""
     else:
         monkeypatch.setenv("LAB_OUTPUT_DIR", str(missing))
         output = "x.json"
