@@ -48,17 +48,19 @@ def _rank(model: ComplexModel, k: int, entry: str) -> int:
     table = model.ranks.setdefault(k, {})
     if entry in table:
         return table[entry]
-    window = range(model.dim(k)) if model.window is None else model.window[k]
+    whole = model.window is None
+    window = range(model.dim(k)) if whole else model.window[k]
     if entry == "M":
         _rank(model, k, "d+dl")
         table["M"] = Matrix.vstack([table["echelon"], model.d_dl[k].transpose()]).rank()
     elif entry in ("d", "d+dl"):
-        stacked = Matrix.vstack([model.d_block(k), model.dl_block(k)]).select_columns(window)
+        stacked = Matrix.vstack([model.d_block(k), model.dl_block(k)])
+        stacked = stacked if whole else stacked.select_columns(window)
         (table["d"], table["d+dl"]), form = stacked.nested_ranks(range(model.dim(k + 1)))
-        table["echelon"] = form if model.window is None else None
+        table["echelon"] = form if whole else None
     elif entry == "s":
-        table["s"] = model.d_dl[k].select_columns(window).rank()
-    elif model.window is None and entry != "im d|dl":  # whole images: numerator ranks
+        table["s"] = (model.d_dl[k] if whole else model.d_dl[k].select_columns(window)).rank()
+    elif whole and entry != "im d|dl":  # whole images: numerator ranks
         table[entry] = _rank(model, k - 1, "d") if entry == "im d" else _rank(model, k, "s")
     else:  # rank(den) less the rank of den's rows outside the window
         den = (model.d_block(k - 1) if entry == "im d" else model.d_dl[k] if entry == "im s"

@@ -8,21 +8,24 @@ as ``m[i, j]`` and ``m[i, j] = x``; ``row_items(i)`` walks the nonzeros of
 one row.  ``data`` is a read-only dense ``Fraction`` copy (tuples of
 tuples) for numerical oracles and tracing, not for computation.
 
-Elimination is fraction-free: each row is scaled by the lcm of its
-denominators and kept primitive (entries coprime) by dividing out their
-gcd; only the final scaling of each pivot to 1 makes ``Fraction`` values.
-The reduced row echelon form is unique, so ``rref``, pivots, nullspaces,
-kernel rows and solves are the canonical ones.  ``pfaffian`` divides each
-entry exactly by the previous pivot (Sylvester's identity in Pfaffian form),
-raising AssertionError on an inexact division; ``det`` is a Pfaffian of
-order 2n, so ``_echelon`` and ``pfaffian`` are the only eliminations.
-Vectors handed out (``apply``, ``column``, ``nullspace``, ``solve``) are
-lists of ``Fraction``; kernel rows are tuples of ``Fraction``.
+Elimination is fraction-free: only a row holding a ``Fraction`` is cleared of
+its denominators and made primitive (entries coprime) as it goes in, a pivot
+is made primitive only when it eliminates, every row an elimination writes is
+primitive, and only occupied leading columns are visited; only the final
+scaling of each pivot to 1 makes ``Fraction`` values.  The reduced row echelon
+form is unique, so ``rref``, pivots, nullspaces, kernel rows and solves are
+the canonical ones.  ``pfaffian`` divides each entry exactly by the previous
+pivot (Sylvester's identity in Pfaffian form), raising AssertionError on an
+inexact division; ``det`` is a Pfaffian of order 2n, so ``_echelon`` and
+``pfaffian`` are the only eliminations.  Vectors handed out (``apply``,
+``column``, ``nullspace``, ``solve``) are lists of ``Fraction``; kernel rows
+are tuples of ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -75,11 +78,6 @@ def _cleared(row: dict, d: int) -> dict:
     return {j: v.numerator * (d // v.denominator) for j, v in row.items()}
 
 
-def _integral(row: dict) -> dict[int, int]:
-    """The row times the lcm of its denominators, divided by its content."""
-    return _primitive(_cleared(row, _denominator(row)))
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = gcd(*row.values())
     return row if g <= 1 else {j: v // g for j, v in row.items()}
@@ -100,32 +98,37 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return _primitive(out) if out else out
 
 
-def _echelon(rows: Iterable[dict], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: Iterable[dict]) -> tuple[list[dict[int, int]], list[int]]:
     """Integer echelon rows and their leading columns, in increasing order.
 
-    Rows are grouped by leading column; for each column in turn the
-    shortest row of its group is the pivot and is eliminated from the rest
-    of the group, which then regroup by their new, later, leading columns.
-    """
+    Fraction rows are cleared and made primitive; integer rows go in as they
+    are, so an echelon row may be an input's own dict.  Each occupied leading
+    column, popped from a heap, pivots on its group's shortest row (made
+    primitive first if it eliminates, as each row it writes would carry its
+    content); the rest regroup by their new, later, leading columns."""
     groups: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
-            groups.setdefault(min(row), []).append(_integral(row))
-    echelon: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        group = groups.pop(c, None)
-        if group is None:
-            continue
-        pivot = min(group, key=len)
+            d = _denominator(row)
+            groups.setdefault(min(row), []).append(row if d == 1 else _primitive(_cleared(row, d)))
+    leads = list(groups)
+    heapify(leads)
+    echelon, pivots = [], []
+    while leads:
+        c = heappop(leads)
+        group = groups.pop(c)
+        shortest = min(group, key=len)
+        pivot = shortest if len(group) == 1 else _primitive(shortest)
         echelon.append(pivot)
         pivots.append(c)
         for row in group:
-            if row is pivot:
+            if row is shortest:
                 continue
             row = _eliminate(row, pivot, c)
             if row:
-                groups.setdefault(min(row), []).append(row)
+                if (lead := min(row)) not in groups:
+                    heappush(leads, lead)
+                groups.setdefault(lead, []).append(row)
     return echelon, pivots
 
 
@@ -347,7 +350,7 @@ class Matrix:
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        echelon, pivots = _echelon(self._nz, self.cols)
+        echelon, pivots = _echelon(self._nz)
         where = {p: r for r, p in enumerate(pivots)}
         for r in reversed(range(len(echelon))):
             row = echelon[r]
@@ -367,7 +370,7 @@ class Matrix:
 
     def pivot_columns(self) -> list[int]:
         """The pivot columns of the echelon form, from the forward pass alone."""
-        return _echelon(self._nz, self.cols)[1]
+        return _echelon(self._nz)[1]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -379,7 +382,7 @@ class Matrix:
         taken = {i for part in parts for i in part}
         echelon, ranks = [], []
         for part in (*parts, [i for i in range(self.rows) if i not in taken]):
-            echelon = _echelon(echelon + [self._nz[i] for i in part], self.cols)[0]
+            echelon = _echelon(echelon + [self._nz[i] for i in part])[0]
             ranks.append(len(echelon))
         return tuple(ranks), Matrix._of(len(echelon), self.cols, echelon)
 

@@ -3,10 +3,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import symplab.cli
 import symplab.cohomology as coh
 import symplab.lie_core as lie
 import symplab.polynomials as polys
@@ -540,3 +544,15 @@ def test_matrix_json_wrapper_accepted(capsys):
     code, out = run_cli(capsys, "omega", "--n", "1", "--element", element)
     assert code == 0
     assert json.loads(out)["rank"] == 2
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m symplab.cli` runs main() on the process's arguments: no command
+    # is a usage error, --help succeeds, and neither ends in a traceback
+    src = str(Path(symplab.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, code in (([], 2), (["--help"], 0)):
+        done = subprocess.run([sys.executable, "-m", "symplab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code and "Traceback" not in done.stderr, done.stderr
+        assert "usage: lab" in (done.stdout if code == 0 else done.stderr)

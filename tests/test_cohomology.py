@@ -210,6 +210,28 @@ def test_rank_terms_match_sympy_on_sweep_models(model):
             assert model.ranks[k][den_entry] == rank_den - rank_out
 
 
+def _rebuild(model):
+    """A fresh build of a torus, polynomial or suspension model's parameters."""
+    meta = model.meta
+    return (build_torus_model(meta["n"]) if model.kind == "torus"
+            else build_polynomial_model(meta["n"], meta["D"]) if model.kind == "polynomial"
+            else build_suspension_model(meta["N"]))
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.name)
+def test_rank_table_never_writes_into_the_operators(model):
+    # integer rows go into the elimination as they are, so echelon rows may be
+    # the model's own row dicts; after every theory, and hodge where the model
+    # has an inner product, d, dl and d.dl equal those of an untouched build
+    used, fresh = _rebuild(model), _rebuild(model)
+    for theory in (coh.de_rham, coh.d_plus_dlambda_cohomology, coh.dd_lambda_cohomology):
+        theory(used)
+    if used.kind != "polynomial":
+        coh.hodge_check(used)
+    assert used.ranks
+    assert used.d == fresh.d and used.d_lambda == fresh.d_lambda and used.d_dl == fresh.d_dl
+
+
 # -- reduction constants ---------------------------------------------------------
 
 def test_reduction_constant_w0():

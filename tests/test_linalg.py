@@ -153,6 +153,10 @@ def test_json_roundtrip_and_canonical_strings():
     assert qstr(Q(-2, -4)) == "1/2"
 
 
+def test_repr_names_the_shape():
+    assert repr(Matrix.zeros(2, 3)) == "Matrix(2x3)"
+
+
 def test_zero_row_matrices_compose():
     z = Matrix.zeros(0, 3)
     m = Matrix([[1, 2], [3, 4], [5, 6]])
@@ -407,3 +411,73 @@ def test_pfaffian_known_values():
 def test_pfaffian_refuses_a_matrix_that_is_not_antisymmetric(m):
     with pytest.raises(ValueError, match="non-antisymmetric"):
         m.pfaffian()
+
+
+# -- row scaling ---------------------------------------------------------------------
+# An integer row goes into the elimination as it is, not made primitive, and a
+# row holding a Fraction is cleared of its denominators: scaling rows by nonzero
+# integers (non-primitive integer rows) or rationals (int and Fraction entries
+# in one row) changes no rref, pivot, rank, kernel row or nested rank.
+
+SCALES = st.one_of(st.integers(-60, 60).filter(bool),
+                   st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(bool))
+
+
+def _scaled_rows(m: Matrix, factors) -> Matrix:
+    out = Matrix.zeros(m.rows, m.cols)
+    for i, c in enumerate(factors):
+        for j, v in m.row_items(i):
+            out[i, j] = c * v
+    return out
+
+
+def _assert_row_scaling_changes_nothing(oracle, m: Matrix, scaled: Matrix, parts):
+    red, pivots = scaled.rref()
+    want, want_pivots = oracle.of(m).rref()
+    assert (red, pivots) == m.rref()
+    assert pivots == list(want_pivots) and [list(row) for row in red.data] == oracle.entries(want)
+    assert scaled.rank() == m.rank() == len(pivots)
+    kernel = scaled.kernel_rows()
+    assert kernel == m.kernel_rows()
+    null_red, null_pivots = oracle.of(m).nullspace().rref()
+    assert kernel == tuple(map(tuple, oracle.entries(null_red)[:len(null_pivots)]))
+    ranks = scaled.nested_ranks(*parts)[0]
+    cumulative = [[i for part in parts[:t + 1] for i in part] for t in range(len(parts))]
+    want_ranks = [oracle.of(m.submatrix(rows, range(m.cols))).rank() for rows in cumulative]
+    assert ranks == m.nested_ranks(*parts)[0] == (*want_ranks, oracle.of(m).rank())
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_row_scaling_changes_no_elimination_result(oracle, m, data):
+    factors = data.draw(st.lists(SCALES, min_size=m.rows, max_size=m.rows))
+    cut = data.draw(st.integers(0, m.rows))
+    _assert_row_scaling_changes_nothing(oracle, m, _scaled_rows(m, factors),
+                                        [list(range(cut))])
+
+
+def test_each_pivot_is_the_shortest_row_of_its_group():
+    # column 0's group is rows 0 and 1: the shorter row 1 is the pivot, made
+    # primitive as it eliminates, and row 0 regroups at column 1 behind row 2;
+    # of two rows of one length the earlier one is the pivot; row 3, alone at
+    # column 3, eliminates nothing and is kept as it is
+    m = Matrix([[1, 1, 1, 0], [2, 0, 0, 0], [0, 3, 5, 0], [0, 0, 0, 6]])
+    assert m.nested_ranks()[1] == Matrix([[1, 0, 0, 0], [0, 3, 5, 0], [0, 0, -1, 0], [0, 0, 0, 6]])
+
+
+def test_row_scaling_on_a_wide_matrix_whose_rows_regroup(oracle):
+    # leading columns far apart; eliminating at column 0 moves rows 1 and 6 to
+    # columns 350 (no row led there: a new group) and 120 (row 4's group), and
+    # at column 50 moves row 3 to column 250 (a new group)
+    m = Matrix.zeros(8, 400)
+    rows = [{0: 2, 300: 1, 399: 5}, {0: 4, 300: 2, 350: 3}, {50: 3, 200: 1},
+            {50: 6, 200: 2, 250: 7}, {120: 5, 399: 1}, {380: 1, 399: 1},
+            {0: -6, 120: 1, 300: -3}, {}]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            m[i, j] = v
+    assert m.pivot_columns() == [0, 50, 120, 250, 350, 380, 399]
+    for factors in ([1] * 8, [6, -4, 10, 60, -1, 3, 2, 7],
+                    [Q(1, 3), Q(-5, 2), 4, Q(7, 6), -9, Q(1, 60), Q(-2, 9), 1]):
+        _assert_row_scaling_changes_nothing(oracle, m, _scaled_rows(m, factors),
+                                            [[6, 1], [3]])
